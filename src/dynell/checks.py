@@ -36,6 +36,7 @@ from .shiftcalc import (
     DynScalar,
     ShiftElement,
     index_bits,
+    inv_guarded,
     weight,
     weight_shift_matrix,
     zero_weight_check,
@@ -61,7 +62,6 @@ __all__ = [
     "check_dybe",
     "check_unitarity",
     "check_crossing",
-    "check_crossing_tilde",
     "check_crossing_unitarity",
     "check_proof_chain_cor22",
     "check_lemma_p1",
@@ -146,15 +146,6 @@ def _name(base: str, corruption) -> str:
     return f"{base}.negctrl" if corruption else base
 
 
-def _inv_guarded(arr: np.ndarray, guard: float) -> np.ndarray:
-    det = np.linalg.det(arr)
-    if abs(det) < guard:
-        raise SingularPointError(
-            f"singular point: |det| = {abs(det):.3e} below guard"
-        )
-    return np.linalg.inv(arr)
-
-
 def _skew_resid(lhs: DynMatrix, rhs: DynMatrix, samples) -> float:
     """Coefficient-wise residual per E-degree over the sample points."""
     worst = 0.0
@@ -184,10 +175,6 @@ def _sigma_y1(nlegs: int = 2) -> DynMatrix:
     if nlegs not in _SY_CACHE:
         _SY_CACHE[nlegs] = DynMatrix.constant(PAULI_Y).embed(nlegs, (1,))
     return _SY_CACHE[nlegs]
-
-
-def _rdyn(z, params, twisted=False) -> DynMatrix:
-    return _r_dyn(complex(z), params, twisted)
 
 
 def _ups_diag(nlegs, num: dict, den: dict, params) -> DynMatrix:
@@ -290,9 +277,9 @@ def check_dybe(
     point = {"q": params.q, "p": params.p, "s": s, "z": (z1, z2, z3)}
 
     def run():
-        r12 = _rdyn(z1 / z2, params, twisted).embed(3, (1, 2))
-        r13 = _rdyn(z1 / z3, params, twisted).embed(3, (1, 3))
-        r23 = _rdyn(z2 / z3, params, twisted).embed(3, (2, 3))
+        r12 = _r_dyn(z1 / z2, params, twisted).embed(3, (1, 2))
+        r13 = _r_dyn(z1 / z3, params, twisted).embed(3, (1, 3))
+        r23 = _r_dyn(z2 / z3, params, twisted).embed(3, (2, 3))
         r23_s1 = r23 if corruption == "drop_spectator_shift" else r23.shift_col({1: +1})
         lhs = r12.shift_col({3: +1}).at(s) @ r13.at(s) @ r23_s1.at(s)
         rhs = r23.at(s) @ r13.shift_col({2: +1}).at(s) @ r12.at(s)
@@ -309,55 +296,43 @@ def check_unitarity(params: Params, s, z, twisted=False, corruption=None) -> Che
     point = {"q": params.q, "p": params.p, "s": s, "z": (z,)}
 
     def run():
-        a = _rdyn(z, params, twisted).at(s)
+        a = _r_dyn(z, params, twisted).at(s)
         if corruption == "rescale":
             a = 2.0 * a
-        b = _rdyn(1.0 / z, params, twisted).swap_legs(1, 2).at(s)
+        b = _r_dyn(1.0 / z, params, twisted).swap_legs(1, 2).at(s)
         rhs = unitarity_scalar(z, params) * np.eye(4)
         return _resid(a @ b, rhs)
 
     return _guarded(name, point, params.tolerance, run, control=bool(corruption))
 
 
-def check_crossing(params: Params, s, z, corruption=None) -> CheckReport:
-    """Crossing relation for the plain R-matrix: the leg-1 transposed,
-    shift-row-dressed matrix at 1/(z q^2), conjugated by sigma_y on leg 1 and
-    weighted by the crossing-scalar ratio, inverts R at 1/z."""
+def check_crossing(params: Params, s, z, twisted=False, corruption=None) -> CheckReport:
+    """Crossing relation: the leg-1 transposed, shift-row-dressed matrix at
+    1/(z q^2), conjugated by sigma_y on leg 1 and weighted by the
+    crossing-scalar ratio, inverts R at 1/z.  The twist-gauged matrix is also
+    dressed by the diagonal Gamma on leg 1; its negative control
+    ("drop_gamma") drops Gamma."""
+    name = _name("crossing", corruption) if corruption else (
+        f"crossing.{'rtilde' if twisted else 'r'}"
+    )
     point = {"q": params.q, "p": params.p, "s": s, "z": (z,)}
     q2 = params.q * params.q
     g = params.singular_guard
 
     def run():
         sy = _sigma_y1().at(s)
-        x = _rdyn(1.0 / (z * q2), params).transpose_leg(1).shift_row({1: -1})
+        x = _r_dyn(1.0 / (z * q2), params, twisted).transpose_leg(1).shift_row({1: -1})
         u = _ups_diag(2, {2: +1}, {}, params)
-        lhs = sy @ x.at(s) @ sy @ u.at(s)
-        rhs = _rdyn(1.0 / z, params).inv(g).at(s)
-        return _resid(lhs, rhs)
-
-    name = _name("crossing", corruption) if corruption else "crossing.r"
-    return _guarded(name, point, params.tolerance, run, control=bool(corruption))
-
-
-def check_crossing_tilde(params: Params, s, z, corruption=None) -> CheckReport:
-    """Crossing relation for the twist-gauged R-matrix, with the diagonal
-    Gamma dressing; the negative control drops Gamma."""
-    name = _name("crossing", corruption) if corruption else "crossing.rtilde"
-    point = {"q": params.q, "p": params.p, "s": s, "z": (z,)}
-    q2 = params.q * params.q
-    g = params.singular_guard
-
-    def run():
-        sy = _sigma_y1().at(s)
-        if corruption == "drop_gamma":
-            g1 = DynMatrix.identity(2)
+        if twisted:
+            if corruption == "drop_gamma":
+                g1 = g1s2 = DynMatrix.identity(2)
+            else:
+                g1 = gamma_twist(params).embed(2, (1,))
+                g1s2 = g1.shift_col({2: +1})
+            lhs = sy @ g1.at(s) @ x.at(s) @ g1s2.inv(g).at(s) @ sy @ u.at(s)
         else:
-            g1 = gamma_twist(params).embed(2, (1,))
-        g1s2 = g1.shift_col({2: +1}) if corruption != "drop_gamma" else g1
-        x = _rdyn(1.0 / (z * q2), params, True).transpose_leg(1).shift_row({1: -1})
-        u = _ups_diag(2, {2: +1}, {}, params)
-        lhs = sy @ g1.at(s) @ x.at(s) @ g1s2.inv(g).at(s) @ sy @ u.at(s)
-        rhs = _rdyn(1.0 / z, params, True).inv(g).at(s)
+            lhs = sy @ x.at(s) @ sy @ u.at(s)
+        rhs = _r_dyn(1.0 / z, params, twisted).inv(g).at(s)
         return _resid(lhs, rhs)
 
     return _guarded(name, point, params.tolerance, run, control=bool(corruption))
@@ -379,10 +354,10 @@ def check_crossing_unitarity(
 
     def run():
         g1 = cross_gauge(params).embed(2, (1,))
-        lhs = _inv_guarded(
-            _rdyn(arg, params, twisted).shift_row({2: -1}).transpose_leg(1).at(s), g
+        lhs = inv_guarded(
+            _r_dyn(arg, params, twisted).shift_row({2: -1}).transpose_leg(1).at(s), g
         )
-        r21t1 = _rdyn(z, params, twisted).swap_legs(1, 2).transpose_leg(1)
+        r21t1 = _r_dyn(z, params, twisted).swap_legs(1, 2).transpose_leg(1)
         rhs = (
             (1.0 / unitarity_scalar(z, params))
             * g1.inv(g).at(s)
@@ -423,11 +398,10 @@ def check_magic(params: Params, s, z1, z2, alpha, beta) -> CheckReport:
         n = trace_weight(params)
         n1_sc = n.embed(2, (1,)).shift_col({1: +1})
         n1_m2_sc = n.embed(2, (1,)).shift_col({1: +1, 2: -1})
-        lhs = _inv_guarded(
-            _rdyn(beta * z1 / z2, params).shift_row({2: -1}).transpose_leg(1).at(s), g
-        )
+        x = _r_dyn(beta * z1 / z2, params, False).shift_row({2: -1}).transpose_leg(1)
+        lhs = inv_guarded(x.at(s), g)
         a = unitarity_scalar(alpha * z2 / z1, params)
-        r21t1 = _rdyn(alpha * z2 / z1, params).swap_legs(1, 2).transpose_leg(1)
+        r21t1 = _r_dyn(alpha * z2 / z1, params, False).swap_legs(1, 2).transpose_leg(1)
         rhs = (
             (1.0 / a)
             * n1_sc.inv(g).at(s)
@@ -534,7 +508,7 @@ def check_proof_chain_cor22(
         # step 1: inverse of the gauged crossing relation
         def step1():
             uinv = _ups_diag(2, {}, {2: +1}, params)
-            x = _rdyn(1.0 / (z * q2), params, True).transpose_leg(1).shift_row({1: -1})
+            x = _r_dyn(1.0 / (z * q2), params, True).transpose_leg(1).shift_row({1: -1})
             lhs = (
                 uinv.at(s)
                 @ sy.at(s)
@@ -543,13 +517,13 @@ def check_proof_chain_cor22(
                 @ g1.inv(g).at(s)
                 @ sy.at(s)
             )
-            return _resid(lhs, _rdyn(1.0 / z, params, True).at(s))
+            return _resid(lhs, _r_dyn(1.0 / z, params, True).at(s))
 
         step("step1", step1)
 
         # step 2: zero-weight shift commutation for the inverted dressed matrix
         def step2():
-            x4 = _rdyn(1.0 / (z * q**4), params, True).transpose_leg(1).shift_row({1: -1})
+            x4 = _r_dyn(1.0 / (z * q**4), params, True).transpose_leg(1).shift_row({1: -1})
             m = (g1 @ x4 @ g1s2.inv(g)).inv(g)
             if not zero_weight_check(m.transpose_leg(1), [s], 1e-8):
                 raise AssertionError("commutation precondition violated")
@@ -560,7 +534,7 @@ def check_proof_chain_cor22(
 
         # step 3: sl_1 - sl_2 dressing of the gauged matrix in components
         def step3():
-            x4 = _rdyn(1.0 / (z * q**4), params, True).transpose_leg(1)
+            x4 = _r_dyn(1.0 / (z * q**4), params, True).transpose_leg(1)
             lhs = (g1 @ x4.shift_row({1: -1}) @ g1s2.inv(g)).shift_row({1: +1, 2: -1})
             rhs = (
                 g1m2.shift_col({1: +1})
@@ -573,7 +547,7 @@ def check_proof_chain_cor22(
 
         # step 4: sigma_y / shift-column exchange on a zero-weight matrix
         def step4():
-            m12 = g1 @ _rdyn(1.0 / z, params, True).inv(g) @ g1s2.inv(g)
+            m12 = g1 @ _r_dyn(1.0 / z, params, True).inv(g) @ g1s2.inv(g)
             dp = weight_shift_matrix(2, 1, +1) @ weight_shift_matrix(2, 2, +1)
             dmix = weight_shift_matrix(2, 1, -1) @ weight_shift_matrix(2, 2, +1)
             lhs = (m12.transpose_leg(1) @ sy).shift_col({1: +1}) @ dp
@@ -585,19 +559,12 @@ def check_proof_chain_cor22(
         # step 5: the comparison identity after eliminating sigma_y
         def step5():
             mu = mu_scalar(params)
-            ups1 = DynMatrix.diagonal(
-                2,
-                lambda i: ups_ratio(
-                    weight(index_bits(i, 2)[0]),
-                    weight(index_bits(i, 2)[0]) - weight(index_bits(i, 2)[1]),
-                    params,
-                ),
-            )
+            ups1 = _ups_diag(2, {1: +1}, {1: +1, 2: -1}, params)
             mur = _scalar_ratio_diag(mu, 2, {2: -1}, {}, params)
             lhs = (
                 g1.shift_col({1: +1}).at(s)
-                @ _inv_guarded(
-                    _rdyn(1.0 / (z * q**4), params, True)
+                @ inv_guarded(
+                    _r_dyn(1.0 / (z * q**4), params, True)
                     .shift_row({2: -1})
                     .transpose_leg(1)
                     .at(s),
@@ -607,7 +574,7 @@ def check_proof_chain_cor22(
             )
             rhs = (
                 ups1.at(s)
-                @ (g1 @ _rdyn(1.0 / z, params, True).inv(g) @ g1s2.inv(g))
+                @ (g1 @ _r_dyn(1.0 / z, params, True).inv(g) @ g1s2.inv(g))
                 .transpose_leg(1)
                 .shift_col({2: -1})
                 .at(s)
@@ -620,7 +587,7 @@ def check_proof_chain_cor22(
         # step 6: unitarity in components
         def step6():
             lhs = (
-                (g1 @ _rdyn(1.0 / z, params, True).inv(g) @ g1s2.inv(g))
+                (g1 @ _r_dyn(1.0 / z, params, True).inv(g) @ g1s2.inv(g))
                 .transpose_leg(1)
                 .shift_col({2: -1})
                 .at(s)
@@ -628,7 +595,7 @@ def check_proof_chain_cor22(
             rhs = (
                 (1.0 / unitarity_scalar(z, params))
                 * g1.inv(g).at(s)
-                @ _rdyn(z, params, True)
+                @ _r_dyn(z, params, True)
                 .swap_legs(1, 2)
                 .transpose_leg(1)
                 .shift_col({2: -1})
@@ -676,12 +643,12 @@ def integration_trace_check(params: Params, s, z1, z2, u, corruption=None) -> Ch
     g = params.singular_guard
 
     def run():
-        r13 = _rdyn(z1 / u, params).embed(3, (1, 3))
+        r13 = _r_dyn(z1 / u, params, False).embed(3, (1, 3))
         conj_q = (r13.inv(g) @ r13).conj_by_shift(1)
         n_direct = trace_weight_direct(params)
         n1 = n_direct.embed(3, (1,))
         t23 = (n1 @ conj_q).partial_trace(1)
-        r_loc = _rdyn(z2 / u, params)
+        r_loc = _r_dyn(z2 / u, params, False)
         d_loc = weight_shift_matrix(2, 1, +1)
         lhs = t23 @ r_loc @ d_loc
         if corruption == "identity_n":
@@ -689,12 +656,12 @@ def integration_trace_check(params: Params, s, z1, z2, u, corruption=None) -> Ch
         else:
             n1_shifted = n1.shift_col({2: -1})
         r21d = (
-            _rdyn(z2 / z1, params)
+            _r_dyn(z2 / z1, params, False)
             .swap_legs(1, 2)
             .embed(3, (1, 2))
             .shift_row({1: -1, 2: -1})
         )
-        r12d = _rdyn(z1 / z2, params).embed(3, (1, 2)).shift_row({1: -1, 2: -1})
+        r12d = _r_dyn(z1 / z2, params, False).embed(3, (1, 2)).shift_row({1: -1, 2: -1})
         trace = (n1_shifted @ r21d @ conj_q @ r12d).partial_trace(1)
         rhs = (r_loc @ d_loc @ trace).scale(
             1.0 / unitarity_scalar(z2 / z1, params)
@@ -878,25 +845,6 @@ def _rng_for(grid: GridSpec, pt: GridPoint, tag: str):
     )
 
 
-def _simple(name, fn):
-    """Wrap a residual-returning property check into a suite runner."""
-
-    def runner(grid: GridSpec, pt: GridPoint):
-        point = {"q": pt.params.q, "p": pt.params.p, "s": pt.s, "z": pt.zs}
-        return [
-            _guarded(name, point, pt.params.tolerance, lambda: fn(grid, pt))
-        ]
-
-    return runner
-
-
-def _run_dybe(grid, pt, twisted, corruption=None):
-    z1, z2, z3 = pt.zs[:3]
-    return [
-        check_dybe(pt.params, pt.s, z1, z2, z3, twisted=twisted, corruption=corruption)
-    ]
-
-
 def _run_magic(grid, pt, control=False):
     """Random alpha, beta with alpha*beta = q^-4 (times exp(offset), which is
     0.1 for the negative control)."""
@@ -921,162 +869,111 @@ def _as_control(rep: CheckReport, name: str, tol: float) -> CheckReport:
     return _report(name, rep.point, rep.residual, tol, detail=rep.detail, control=True)
 
 
-_REGISTRY: dict = {}
+# Inputs of a check at a grid point: each returns the check's positional
+# arguments.
+
+def _zs(grid, pt):
+    return pt.params, pt.zs
 
 
-def _register(name):
-    def deco(fn):
-        _REGISTRY[name] = fn
-        return fn
-
-    return deco
+def _s(grid, pt):
+    return pt.params, pt.s
 
 
-_register("theta.quasiperiodicity")(
-    _simple("theta.quasiperiodicity", lambda g, pt: check_theta_quasiperiodicity(pt.params, pt.zs))
-)
-_register("theta.inversion")(
-    _simple("theta.inversion", lambda g, pt: check_theta_inversion(pt.params, pt.zs))
-)
-_register("theta.truncation")(
-    _simple("theta.truncation", lambda g, pt: check_theta_truncation(pt.params, pt.zs))
-)
-_register("nscalar.q4period")(
-    _simple("nscalar.q4period", lambda g, pt: check_n_periodicity(pt.params, pt.zs))
-)
-_register("dybe.r")(lambda g, pt: _run_dybe(g, pt, False))
-_register("dybe.rtilde")(lambda g, pt: _run_dybe(g, pt, True))
-_register("dybe.negctrl")(
-    lambda g, pt: _run_dybe(g, pt, False, corruption="drop_spectator_shift")
-)
-_register("unitarity.r")(
-    lambda g, pt: [check_unitarity(pt.params, pt.s, pt.zs[0], twisted=False)]
-)
-_register("unitarity.rtilde")(
-    lambda g, pt: [check_unitarity(pt.params, pt.s, pt.zs[0], twisted=True)]
-)
-_register("unitarity.negctrl")(
-    lambda g, pt: [
-        check_unitarity(pt.params, pt.s, pt.zs[0], twisted=False, corruption="rescale")
-    ]
-)
-_register("crossing.r")(lambda g, pt: [check_crossing(pt.params, pt.s, pt.zs[0])])
-_register("crossing.rtilde")(
-    lambda g, pt: [check_crossing_tilde(pt.params, pt.s, pt.zs[0])]
-)
-_register("crossing.negctrl")(
-    lambda g, pt: [
-        check_crossing_tilde(pt.params, pt.s, pt.zs[0], corruption="drop_gamma")
-    ]
-)
-_register("crossunit.rtilde")(
-    lambda g, pt: [check_crossing_unitarity(pt.params, pt.s, pt.zs[0], twisted=True)]
-)
-_register("crossunit.r")(
-    lambda g, pt: [check_crossing_unitarity(pt.params, pt.s, pt.zs[0], twisted=False)]
-)
-_register("crossunit.negctrl")(
-    lambda g, pt: [
-        check_crossing_unitarity(
-            pt.params, pt.s, pt.zs[0], twisted=True, corruption="wrong_shift_arg"
-        )
-    ]
+def _s_z(grid, pt):
+    return pt.params, pt.s, pt.zs[0]
+
+
+def _s_z3(grid, pt):
+    return pt.params, pt.s, pt.zs[0], pt.zs[1], pt.zs[2]
+
+
+def _z_pair(grid, pt):
+    return pt.params, pt.zs[0], pt.zs[1]
+
+
+def _grid_pt(grid, pt):
+    return grid, pt
+
+
+def _rng(tag):
+    return lambda grid, pt: (pt.params, _rng_for(grid, pt, tag))
+
+
+def _chain_samples(grid, pt):
+    """The chain and its control share s plus three random samples."""
+    samples = [pt.s] + _rand_samples(_rng_for(grid, pt, "cor22chain"), 3)
+    return pt.params, pt.s, pt.zs[0], samples
+
+
+def _lemma_seed(grid, pt):
+    return pt.params, int(_rng_for(grid, pt, "lemmap1").integers(1 << 31))
+
+
+# The suite: (name, check, inputs, keyword options), one row per check.  A
+# check returning CheckReports names them itself (the name is the row's, or
+# the row's followed by "." and a step); a check returning a bare residual is
+# a property check, reported under the row's name.
+_SUITE = (
+    ("theta.quasiperiodicity", check_theta_quasiperiodicity, _zs, {}),
+    ("theta.inversion", check_theta_inversion, _zs, {}),
+    ("theta.truncation", check_theta_truncation, _zs, {}),
+    ("nscalar.q4period", check_n_periodicity, _zs, {}),
+    ("dybe.r", check_dybe, _s_z3, {"twisted": False}),
+    ("dybe.rtilde", check_dybe, _s_z3, {"twisted": True}),
+    ("dybe.negctrl", check_dybe, _s_z3, {"corruption": "drop_spectator_shift"}),
+    ("unitarity.r", check_unitarity, _s_z, {"twisted": False}),
+    ("unitarity.rtilde", check_unitarity, _s_z, {"twisted": True}),
+    ("unitarity.negctrl", check_unitarity, _s_z, {"corruption": "rescale"}),
+    ("crossing.r", check_crossing, _s_z, {"twisted": False}),
+    ("crossing.rtilde", check_crossing, _s_z, {"twisted": True}),
+    ("crossing.negctrl", check_crossing, _s_z,
+     {"twisted": True, "corruption": "drop_gamma"}),
+    ("crossunit.rtilde", check_crossing_unitarity, _s_z, {"twisted": True}),
+    ("crossunit.r", check_crossing_unitarity, _s_z, {"twisted": False}),
+    ("crossunit.negctrl", check_crossing_unitarity, _s_z,
+     {"twisted": True, "corruption": "wrong_shift_arg"}),
+    ("cor22chain", check_proof_chain_cor22, _chain_samples, {}),
+    ("cor22chain.negctrl", check_proof_chain_cor22, _chain_samples,
+     {"corruption": "drop_detg_sc"}),
+    ("lemmap1", check_lemma_p1, _lemma_seed, {}),
+    ("lemmap1.negctrl", check_lemma_p1, _lemma_seed, {"corruption": "swap_sl_sc"}),
+    ("magic.critical", _run_magic, _grid_pt, {"control": False}),
+    ("magic.negctrl", _run_magic, _grid_pt, {"control": True}),
+    ("aequalsn", check_a_equals_n, _z_pair, {}),
+    ("nforms", check_n_forms, _s, {}),
+    ("nforms.negctrl", check_n_forms, _s, {"corruption": "flip_sc_sign"}),
+    ("traceint", integration_trace_check, _s_z3, {}),
+    ("traceint.negctrl", integration_trace_check, _s_z3, {"corruption": "identity_n"}),
+    ("shiftcalc.sc_operator_form", check_sc_operator_form, _rng("sc_op"), {}),
+    ("shiftcalc.sl_operator_form", check_sl_operator_form, _rng("sl_op"), {}),
+    ("shiftcalc.transpose_exchange", check_transpose_shift_exchange, _rng("texch"), {}),
+    ("shiftcalc.zero_weight_commutation", check_zero_weight_commutation, _rng("zwc"), {}),
+    ("shiftcalc.sigma_y_transpose", check_sigma_y_transpose, _rng("syt"), {}),
+    ("shiftcalc.skew_associativity", check_skew_associativity, _rng("skassoc"), {}),
+    ("shiftcalc.skew_defining", check_skew_defining, _rng("skdef"), {}),
 )
 
 
-@_register("cor22chain")
-def _run_chain(grid, pt):
-    rng = _rng_for(grid, pt, "cor22chain")
-    samples = [pt.s] + _rand_samples(rng, 3)
-    return check_proof_chain_cor22(pt.params, pt.s, pt.zs[0], samples=samples)
+def _runner(name, check, inputs, options):
+    """The suite runner of one row: grid point -> list of CheckReports."""
+
+    def run(grid: GridSpec, pt: GridPoint) -> list[CheckReport]:
+        point = {"q": pt.params.q, "p": pt.params.p, "s": pt.s, "z": pt.zs}
+        try:
+            out = check(*inputs(grid, pt), **options)
+        except SingularPointError as exc:  # only property checks let it out
+            return [CheckReport(name, point, None, "skipped-singular", str(exc))]
+        if isinstance(out, CheckReport):
+            return [out]
+        if isinstance(out, list):
+            return out
+        return [_report(name, point, out, pt.params.tolerance)]
+
+    return run
 
 
-@_register("cor22chain.negctrl")
-def _run_chain_ctrl(grid, pt):
-    rng = _rng_for(grid, pt, "cor22chain")
-    samples = [pt.s] + _rand_samples(rng, 3)
-    return check_proof_chain_cor22(
-        pt.params, pt.s, pt.zs[0], samples=samples, corruption="drop_detg_sc"
-    )
-
-
-@_register("lemmap1")
-def _run_lemma(grid, pt):
-    seed = int(_rng_for(grid, pt, "lemmap1").integers(1 << 31))
-    return [check_lemma_p1(pt.params, seed)]
-
-
-@_register("lemmap1.negctrl")
-def _run_lemma_ctrl(grid, pt):
-    seed = int(_rng_for(grid, pt, "lemmap1").integers(1 << 31))
-    return [check_lemma_p1(pt.params, seed, corruption="swap_sl_sc")]
-
-
-_register("magic.critical")(lambda g, pt: _run_magic(g, pt, control=False))
-_register("magic.negctrl")(lambda g, pt: _run_magic(g, pt, control=True))
-_register("aequalsn")(
-    lambda g, pt: [check_a_equals_n(pt.params, pt.zs[0], pt.zs[1])]
-)
-_register("nforms")(lambda g, pt: [check_n_forms(pt.params, pt.s)])
-_register("nforms.negctrl")(
-    lambda g, pt: [check_n_forms(pt.params, pt.s, corruption="flip_sc_sign")]
-)
-_register("traceint")(
-    lambda g, pt: [
-        integration_trace_check(pt.params, pt.s, pt.zs[0], pt.zs[1], pt.zs[2])
-    ]
-)
-_register("traceint.negctrl")(
-    lambda g, pt: [
-        integration_trace_check(
-            pt.params, pt.s, pt.zs[0], pt.zs[1], pt.zs[2], corruption="identity_n"
-        )
-    ]
-)
-_register("shiftcalc.sc_operator_form")(
-    _simple(
-        "shiftcalc.sc_operator_form",
-        lambda g, pt: check_sc_operator_form(pt.params, _rng_for(g, pt, "sc_op")),
-    )
-)
-_register("shiftcalc.sl_operator_form")(
-    _simple(
-        "shiftcalc.sl_operator_form",
-        lambda g, pt: check_sl_operator_form(pt.params, _rng_for(g, pt, "sl_op")),
-    )
-)
-_register("shiftcalc.transpose_exchange")(
-    _simple(
-        "shiftcalc.transpose_exchange",
-        lambda g, pt: check_transpose_shift_exchange(
-            pt.params, _rng_for(g, pt, "texch")
-        ),
-    )
-)
-_register("shiftcalc.zero_weight_commutation")(
-    _simple(
-        "shiftcalc.zero_weight_commutation",
-        lambda g, pt: check_zero_weight_commutation(pt.params, _rng_for(g, pt, "zwc")),
-    )
-)
-_register("shiftcalc.sigma_y_transpose")(
-    _simple(
-        "shiftcalc.sigma_y_transpose",
-        lambda g, pt: check_sigma_y_transpose(pt.params, _rng_for(g, pt, "syt")),
-    )
-)
-_register("shiftcalc.skew_associativity")(
-    _simple(
-        "shiftcalc.skew_associativity",
-        lambda g, pt: check_skew_associativity(pt.params, _rng_for(g, pt, "skassoc")),
-    )
-)
-_register("shiftcalc.skew_defining")(
-    _simple(
-        "shiftcalc.skew_defining",
-        lambda g, pt: check_skew_defining(pt.params, _rng_for(g, pt, "skdef")),
-    )
-)
+_REGISTRY = {row[0]: _runner(*row) for row in _SUITE}
 
 
 def all_check_names() -> list[str]:

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special import Params, SingularPointError, qpochhammer, rho_norm, theta
+from .special import Params, guarded, qpochhammer, rho_norm, theta
 from .shiftcalc import DynMatrix, DynScalar, weight
 
 __all__ = [
@@ -79,21 +79,7 @@ class RPoint:
     def validate(self):
         """Raise SingularPointError if the point sits on a component pole or
         on the normalization's singular lattice."""
-        p = self.params
-        g = p.singular_guard
-        q2 = p.q * p.q
-        w = dyn_w(self.s, p)
-        for label, x in (
-            ("Theta(q^2 z)", q2 * self.z),
-            ("Theta(w)", w),
-            ("Theta(1/w)", 1.0 / w),
-        ):
-            v = theta(x, p)
-            if abs(v) < g:
-                raise SingularPointError(
-                    f"singular point: |{label}| = {abs(v):.3e} below guard"
-                )
-        rho_norm(self.z, p)
+        _r_array(self.z, self.s, self.params, False)
 
 
 _R_PATTERN = ((0, 0), (1, 1), (1, 2), (2, 1), (2, 2), (3, 3))
@@ -108,23 +94,13 @@ def _r_array(z: complex, s: complex, params: Params, twisted: bool) -> np.ndarra
     def th(x):
         return theta(x, params)
 
-    thq2z = th(q2 * z)
-    thw = th(w)
-    thwi = th(1.0 / w)
-    for label, v in (("Theta(q^2 z)", thq2z), ("Theta(w)", thw), ("Theta(1/w)", thwi)):
-        if abs(v) < g:
-            raise SingularPointError(
-                f"singular point: |{label}| = {abs(v):.3e} below guard at z={z}, s={s}"
-            )
+    thq2z = guarded(th(q2 * z), "Theta(q^2 z)", g, " at z={}, s={}", z, s)
+    thw = guarded(th(w), "Theta(w)", g, " at z={}, s={}", z, s)
+    thwi = guarded(th(1.0 / w), "Theta(1/w)", g, " at z={}, s={}", z, s)
     thz = th(z)
     if twisted:
-        pw = qpochhammer(p / w, [p], n)
-        ww = qpochhammer(w, [p], n)
-        for label, v in (("(p/w; p)", pw), ("(w; p)", ww)):
-            if abs(v) < g:
-                raise SingularPointError(
-                    f"singular point: |{label}| = {abs(v):.3e} below guard at s={s}"
-                )
+        pw = guarded(qpochhammer(p / w, [p], n), "(p/w; p)", g, " at s={}", s)
+        ww = guarded(qpochhammer(w, [p], n), "(w; p)", g, " at s={}", s)
         b = (
             q
             * qpochhammer(p * q2 / w, [p], n)
@@ -225,15 +201,12 @@ def ups_ratio(k_num: int, k_den: int, params: Params) -> DynScalar:
        = q^{-(k_num - k_den)} Theta(w q^{2 k_num}) / Theta(w q^{2 k_den})."""
     g = params.singular_guard
     pref = _qpow(-(k_num - k_den), params)
+    label = f"Theta(w q^{{{2 * k_den}}})"
 
     def ev(s):
         w = dyn_w(s, params)
         q2 = params.q * params.q
-        den = theta(w * q2**k_den, params)
-        if abs(den) < g:
-            raise SingularPointError(
-                f"singular point: |Theta(w q^{{{2 * k_den}}})| = {abs(den):.3e} below guard"
-            )
+        den = guarded(theta(w * q2**k_den, params), label, g)
         return pref * theta(w * q2**k_num, params) / den
 
     return DynScalar(ev)

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .special import DEFAULT_GUARD, SingularPointError
+from .special import DEFAULT_GUARD, guarded
 
 __all__ = [
     "DynScalar",
@@ -41,6 +41,7 @@ __all__ = [
     "weight_shift_matrix",
     "promote_shifted_scalar",
     "zero_weight_check",
+    "inv_guarded",
 ]
 
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -128,11 +129,7 @@ class DynScalar:
         g = _as_scalar(other)
 
         def ev(s, f=self.fn, g=g.fn, guard=guard):
-            d = g(s)
-            if abs(d) < guard:
-                raise SingularPointError(
-                    f"singular point: |denominator| = {abs(d):.3e} below guard at s = {s}"
-                )
+            d = guarded(g(s), "denominator", guard, " at s = {}", s)
             return f(s) / d
 
         return DynScalar(ev)
@@ -541,19 +538,20 @@ class DynMatrix:
 
         def inv_at(s):
             if s not in cache:
-                m = base.at(s)
-                det = np.linalg.det(m)
-                if abs(det) < guard:
-                    raise SingularPointError(
-                        f"singular point: |det| = {abs(det):.3e} below guard at s = {s}"
-                    )
-                cache[s] = np.linalg.inv(m)
+                cache[s] = inv_guarded(base.at(s), guard, " at s = {}", s)
             return cache[s]
 
         return DynMatrix.from_entries(
             self.nlegs,
             lambda i, j: DynScalar(lambda s, i=i, j=j: inv_at(s)[i, j]),
         )
+
+
+def inv_guarded(arr: np.ndarray, guard: float, where: str = "", *args) -> np.ndarray:
+    """Inverse of an evaluated square array; raises SingularPointError when
+    |det| falls below the guard (where and args locate it, as in guarded)."""
+    guarded(np.linalg.det(arr), "det", guard, where, *args)
+    return np.linalg.inv(arr)
 
 
 def weight_shift_matrix(nlegs: int, leg: int, sign: int) -> DynMatrix:

@@ -22,6 +22,7 @@ import numpy as np
 
 __all__ = [
     "SingularPointError",
+    "guarded",
     "Params",
     "qpochhammer",
     "theta",
@@ -37,9 +38,27 @@ _SERIES_FLOOR = 1e-18
 _MAX_AUTO_ORDER = 200
 
 
+class _OrderTooSmall(ValueError):
+    """The truncation order violates the Params series-tail invariant."""
+
+
 class SingularPointError(ArithmeticError):
     """An evaluation fell within singular_guard of a pole or vanishing
     denominator."""
+
+
+def guarded(value, label: str, guard: float, where: str = "", *args):
+    """Return value, or raise SingularPointError when |value| < guard.
+
+    This is the one singular-guard policy of the package.  label names the
+    guarded quantity; where locates it and is formatted with args only when
+    the guard trips, e.g. guarded(d, "denominator", g, " at s = {}", s)."""
+    if abs(value) < guard:
+        raise SingularPointError(
+            f"singular point: |{label}| = {abs(value):.3e} below guard"
+            + where.format(*args)
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -72,7 +91,7 @@ class Params:
             raise ValueError("|q|^4 must be < 1 (|q_half| too large)")
         m = max(abs(self.p), abs(self.q) ** 4)
         if m**self.truncation_order > self.tolerance * 1e-3:
-            raise ValueError(
+            raise _OrderTooSmall(
                 "truncation_order too small: max(|p|, |q|^4)^order must not "
                 "exceed tolerance * 1e-3"
             )
@@ -101,15 +120,27 @@ class Params:
         singular_guard: float = DEFAULT_GUARD,
     ) -> "Params":
         """Construct with an auto-selected truncation order when none is given."""
-        if truncation_order is None:
-            truncation_order = cls.auto_order(q_half, p)
-        return cls(
-            q_half=q_half,
-            p=p,
-            truncation_order=truncation_order,
-            tolerance=tolerance,
-            singular_guard=singular_guard,
-        )
+        order = cls.auto_order(q_half, p) if truncation_order is None else truncation_order
+        try:
+            return cls(
+                q_half=q_half,
+                p=p,
+                truncation_order=order,
+                tolerance=tolerance,
+                singular_guard=singular_guard,
+            )
+        except _OrderTooSmall as exc:
+            if truncation_order is not None:
+                raise
+            # every other invariant passed, so 0 < m < 1 and tolerance > 0
+            m = max(abs(complex(p)), abs(complex(q_half)) ** 8)
+            needed = math.ceil(math.log(tolerance * 1e-3) / math.log(m))
+            raise _OrderTooSmall(
+                f"{exc}; the automatic truncation order {order} (capped at "
+                f"{_MAX_AUTO_ORDER}) is below the {needed} that max(|p|, |q|^4) = "
+                f"{m:.4g} needs at tolerance {tolerance:g}; give truncation_order "
+                "(--truncation-order) explicitly"
+            ) from None
 
 
 def _powers(base: complex, n: int) -> np.ndarray:
@@ -196,10 +227,7 @@ def rho_norm(z: complex, params: Params) -> complex:
         ("(q^4 z; p, q^4)", _poch2(q4 * z, p, q4, n)),
     )
     for label, val in den_factors:
-        if abs(val) < params.singular_guard:
-            raise SingularPointError(
-                f"singular point: |{label}| = {abs(val):.3e} below guard at z = {z}"
-            )
+        guarded(val, label, params.singular_guard, " at z = {}", z)
     num = (
         _poch2(q2 * z, p, q4, n) ** 2
         * _poch2(p / z, p, q4, n)

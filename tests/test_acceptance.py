@@ -8,6 +8,7 @@ to see the lines as they print.
 
 import json
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from dynell.checks import (
     GridSpec,
     check_a_equals_n,
     check_crossing,
-    check_crossing_tilde,
     check_crossing_unitarity,
     check_dybe,
     check_lemma_p1,
@@ -143,10 +143,11 @@ def test_criterion_04_crossing_relations():
         lambda pt: check_crossing(pt.params, pt.s, pt.zs[0]), TOL
     )
     worst_t, ran_t, _ = _run_over_points(
-        lambda pt: check_crossing_tilde(pt.params, pt.s, pt.zs[0]), TOL
+        lambda pt: check_crossing(pt.params, pt.s, pt.zs[0], twisted=True), TOL
     )
-    ctrl = check_crossing_tilde(
-        POINTS[0].params, POINTS[0].s, POINTS[0].zs[0], corruption="drop_gamma"
+    ctrl = check_crossing(
+        POINTS[0].params, POINTS[0].s, POINTS[0].zs[0], twisted=True,
+        corruption="drop_gamma",
     )
     ok = max(worst_r, worst_t) < TOL and ctrl.residual > CONTROL_THRESHOLD
     record(
@@ -289,3 +290,10 @@ def test_criterion_11_full_suite():
         f"{counts['skipped']} skipped (coverage {coverage:.1%} >= 90%), "
         f"{dt:.1f}s (<60s), seeded rerun byte-identical",
     )
+    # the statuses of the default grid, pinned so that a refactor cannot
+    # move one silently; all 29 skips are absolute det-guard skips
+    skipped = Counter(
+        r.name.split(".")[0] for r in reports if r.status == "skipped-singular"
+    )
+    assert counts == {"pass": 971, "fail": 0, "skipped": 29}
+    assert skipped == {"crossunit": 15, "magic": 10, "cor22chain": 4}

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from dynell.checks import (
+    _REGISTRY,
     CONTROL_THRESHOLD,
     GridSpec,
     all_check_names,
     check_a_equals_n,
     check_crossing,
-    check_crossing_tilde,
     check_crossing_unitarity,
     check_dybe,
     check_lemma_p1,
@@ -78,16 +78,16 @@ class TestCrossing:
         assert_pass(check_crossing(PARAMS, S0, Z[0]))
 
     def test_twisted(self):
-        assert_pass(check_crossing_tilde(PARAMS, S0, Z[0]))
+        assert_pass(check_crossing(PARAMS, S0, Z[0], twisted=True))
 
     def test_trigonometric_limit(self):
         params = Params.make(0.6855654600401044, 0.0)
         assert_pass(check_crossing(params, S0, Z[0]))
-        assert_pass(check_crossing_tilde(params, S0, Z[0]))
+        assert_pass(check_crossing(params, S0, Z[0], twisted=True))
 
     def test_gamma_removal_control(self):
         assert_control_fails(
-            check_crossing_tilde(PARAMS, S0, Z[0], corruption="drop_gamma")
+            check_crossing(PARAMS, S0, Z[0], twisted=True, corruption="drop_gamma")
         )
 
 
@@ -219,6 +219,15 @@ class TestSuite:
         names = all_check_names()
         assert "dybe.negctrl" in names
         assert "cor22chain" in names
+
+    def test_registry_keys_name_their_reports(self):
+        grid = GridSpec()
+        pt = grid.sample_points()[0]
+        for key, runner in _REGISTRY.items():
+            reports = runner(grid, pt)
+            assert reports, key
+            for rep in reports:
+                assert rep.name == key or rep.name.startswith(key + "."), (key, rep.name)
 
     def test_resolve_prefixes(self):
         assert resolve_check_names(["magic"]) == ["magic.critical", "magic.negctrl"]

@@ -67,10 +67,23 @@ class TestCheckCommand:
         )
         assert rc == 1
 
-    def test_bad_nome_is_config_error(self, capsys):
-        rc = main(["check", "--p", "1.5", "--points", "2"])
+    @pytest.mark.parametrize(
+        "p,causes",
+        [
+            pytest.param("1.5", ["|p| must be < 1"], id="divergent"),
+            # the automatic order stops at 200; p = 0.9 needs 263 at 1e-9
+            pytest.param(
+                "0.9", ["capped at 200", "263", "--truncation-order"],
+                id="beyond-auto-order",
+            ),
+        ],
+    )
+    def test_bad_nome_is_config_error(self, capsys, p, causes):
+        rc = main(["check", "--p", p, "--points", "2"])
         assert rc == 2
-        assert "|p| must be < 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        for cause in causes:
+            assert cause in err
 
     def test_unknown_check_is_config_error(self, capsys):
         rc = main(["check", "--checks", "bogus", "--points", "2"])

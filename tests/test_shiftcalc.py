@@ -301,6 +301,16 @@ class TestMatrixBasics:
         with pytest.raises(SingularPointError):
             zero.inv(1e-6).at(0.0)
 
+    def test_inverse_is_evaluated_only_where_read(self):
+        # the inverse is singular at s0 - 2 and s0 + 2, but the shifts below
+        # cancel, so every entry of the product reads it at s0 only
+        s0 = 0.37 + 0.11j
+        f = DynScalar(lambda s: (s - s0 - 2) * (s - s0 + 2))
+        minv = DynMatrix.diagonal(2, lambda i: f).inv(1e-6)
+        dmix = weight_shift_matrix(2, 1, -1) @ weight_shift_matrix(2, 2, +1)
+        coeffs = (dmix @ minv.shift_row({1: +1, 2: -1})).coeffs_at(s0)
+        assert np.allclose(sum(coeffs.values()), np.eye(4) / f(s0))
+
     def test_embed_spectators_identity(self):
         m = rand_matrix(1, RNG)
         e = m.embed(3, (2,))
