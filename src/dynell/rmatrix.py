@@ -124,7 +124,7 @@ def _r_array(z: complex, s: complex, params: Params, twisted: bool) -> np.ndarra
     cb = th(q2) * th(z / w) / (thwi * thq2z)
 
     rho = rho_norm(z, params)
-    return rho * np.array(
+    r = rho * np.array(
         [
             [1.0, 0.0, 0.0, 0.0],
             [0.0, b, c, 0.0],
@@ -133,6 +133,9 @@ def _r_array(z: complex, s: complex, params: Params, twisted: bool) -> np.ndarra
         ],
         dtype=complex,
     )
+    # the lru_cache hands this same array to every caller
+    r.flags.writeable = False
+    return r
 
 
 def _r_dyn(z: complex, params: Params, twisted: bool) -> DynMatrix:

@@ -7,6 +7,15 @@ n_1 + ... + n_m < order.  With every base of modulus < 1 the neglected
 factors differ from 1 by O(max|base|^order), so the truncation error is
 controlled by the Params invariant max(|p|, |q|^4)^order <= tolerance*1e-3.
 
+The two-base product (z; b1, b2) is multiplied in one vectorised pass over
+a factor table cached per (b2, order): b2^{n2} for every n1 + n2 < order,
+laid out in rows of fixed n1.  One call forms z b1^{n1} by a cumulative
+product, expands it over the rows, forms every factor 1 - z b1^{n1} b2^{n2}
+in one broadcast, multiplies each row (np.multiply.reduceat) and then the
+rows.  Every product runs left to right in the same order as a loop over n1
+of np.prod over n2 would, so the result is the same to the last bit.  The
+cached power and factor tables are read-only.
+
 Evaluations that land within ``singular_guard`` of a vanishing denominator
 raise SingularPointError instead of returning huge values; the R-matrix has
 genuine pole lattices and silent infinities would corrupt residuals.
@@ -143,13 +152,30 @@ class Params:
             ) from None
 
 
+@lru_cache(maxsize=16)
 def _powers(base: complex, n: int) -> np.ndarray:
-    """[1, base, base^2, ..., base^{n-1}] without pow-edge cases at base = 0."""
+    """[1, base, base^2, ..., base^{n-1}] without pow-edge cases at base = 0;
+    read-only, shared by every caller."""
     out = np.empty(n, dtype=complex)
     out[0] = 1.0
     if n > 1:
         np.cumprod(np.full(n - 1, base, dtype=complex), out=out[1:])
+    out.flags.writeable = False
     return out
+
+
+@lru_cache(maxsize=16)
+def _poch2_table(b2: complex, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factor table of the two-base product: b2^{n2} for every n1 + n2 < order,
+    in rows of fixed n1 (row n1 is powers[:order - n1]), with the row lengths
+    and the row offsets into the flat table.  All three are read-only."""
+    powers = _powers(b2, order)
+    lengths = np.arange(order, 0, -1)
+    table = np.concatenate([powers[:n] for n in lengths])
+    offsets = np.cumsum(lengths) - lengths
+    for a in (table, lengths, offsets):
+        a.flags.writeable = False
+    return table, lengths, offsets
 
 
 @lru_cache(maxsize=1 << 16)
@@ -163,14 +189,24 @@ def _poch1(z: complex, base: complex, order: int) -> complex:
 def _poch2(z: complex, b1: complex, b2: complex, order: int) -> complex:
     if order <= 0:
         return 1.0 + 0.0j
-    pw2 = _powers(b2, order)
-    acc = 1.0 + 0.0j
-    zn = complex(z)
-    for n1 in range(order):
-        # keep n1 + n2 < order
-        acc *= complex(np.prod(1.0 - zn * pw2[: order - n1]))
-        zn *= b1
-    return acc
+    table, lengths, offsets = _poch2_table(b2, order)
+    # zn[n1] = z b1^n1, rounded as the repeated zn *= b1 of Python complex
+    # arithmetic: numpy accumulates two or more steps in its scalar loop,
+    # which rounds as Python does, but a single step in its vector loop,
+    # which does not; so take all `order` steps, the last one unused.
+    steps = np.full(order + 1, b1, dtype=complex)
+    steps[0] = z
+    zn = np.cumprod(steps)[:order]
+    # the factors 1 - zn[n1] b2^n2, formed in one buffer: a fresh array per
+    # step costs more than the arithmetic at high orders
+    f = np.repeat(zn, lengths)
+    f *= table
+    np.subtract(1.0, f, out=f)
+    # each row multiplied left to right, as np.prod of that row alone would
+    rows = np.multiply.reduceat(f, offsets)
+    # multiplied into 1, not started from the first row: 1 * row can differ
+    # from row in the sign of a zero part
+    return complex(np.prod(rows, initial=1.0 + 0.0j))
 
 
 def qpochhammer(z: complex, bases, order: int) -> complex:

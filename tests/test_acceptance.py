@@ -34,7 +34,15 @@ from dynell.checks import (
     suite_passes,
     summarize,
 )
-from dynell.special import SingularPointError, _poch1, _poch2, _theta, theta
+from dynell.special import (
+    SingularPointError,
+    _poch1,
+    _poch2,
+    _poch2_table,
+    _powers,
+    _theta,
+    theta,
+)
 from dynell.rmatrix import _r_array
 
 from helpers import make_params
@@ -45,7 +53,7 @@ TOL = GRID.tolerance
 
 
 def _clear_caches():
-    for fn in (_poch1, _poch2, _theta, _r_array):
+    for fn in (_powers, _poch1, _poch2_table, _poch2, _theta, _r_array):
         fn.cache_clear()
 
 

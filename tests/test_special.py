@@ -8,10 +8,12 @@ package implementation existed.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dynell import Params, SingularPointError, qpochhammer, rho_norm, theta, unitarity_scalar
+from dynell.rmatrix import _r_array
+from dynell.special import _poch1, _poch2, _poch2_table, _powers
 
 from helpers import make_params
 
@@ -54,6 +56,66 @@ class TestQPochhammer:
             qpochhammer(0.5, [0.1], -1)
 
 
+def _loop_powers(base, n):
+    out = np.empty(n, dtype=complex)
+    out[0] = 1.0
+    if n > 1:
+        np.cumprod(np.full(n - 1, base, dtype=complex), out=out[1:])
+    return out
+
+
+def _loop_poch1(z, base, order):
+    if order <= 0:
+        return 1.0 + 0.0j
+    return complex(np.prod(1.0 - z * _loop_powers(base, order)))
+
+
+def _loop_poch2(z, b1, b2, order):
+    """The reference kernel: one np.prod per row of fixed n1."""
+    if order <= 0:
+        return 1.0 + 0.0j
+    pw2 = _loop_powers(b2, order)
+    acc = 1.0 + 0.0j
+    zn = complex(z)
+    for n1 in range(order):
+        acc *= complex(np.prod(1.0 - zn * pw2[: order - n1]))
+        zn *= b1
+    return acc
+
+
+KERNEL_ZS = (0.6 + 0.2j, -1.3 + 0j, 0j, 1.0 + 0j)
+KERNEL_BASES = (
+    (0.31 + 0j, 0.0488 + 0j),
+    (0.5 + 0.3j, -0.2 + 0.6j),
+    (0j, 0.3 + 0j),
+    (0.4 - 0.1j, 0j),
+)
+
+
+class TestKernels:
+    @pytest.mark.parametrize("order", (0, 1, 2, 15, 61, 200))
+    def test_equal_to_the_reference_loop(self, order):
+        for z in KERNEL_ZS:
+            for b1, b2 in KERNEL_BASES:
+                want2 = _loop_poch2(z, b1, b2, order)
+                assert _poch2(z, b1, b2, order) == want2
+                assert qpochhammer(z, [b1, b2], order) == want2
+                want1 = _loop_poch1(z, b1, order)
+                assert _poch1(z, b1, order) == want1
+                assert qpochhammer(z, [b1], order) == want1
+
+    def test_cached_arrays_are_read_only(self):
+        params = make_params()
+        arrays = (
+            _powers(0.3 + 0j, 5),
+            *_poch2_table(0.3 + 0j, 5),
+            _r_array(Z0, 0.3 + 0.1j, params, False),
+        )
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+
 class TestTheta:
     def test_p_zero_collapses_to_linear_factor(self):
         params = Params.make(0.6, 0.0)
@@ -72,10 +134,12 @@ class TestTheta:
         r=st.floats(min_value=0.55, max_value=1.9),
         phi=st.floats(min_value=0.0, max_value=2 * np.pi),
     )
+    @example(r=1.0, phi=0.0)  # z = 1
     def test_quasi_periodicity_on_annulus(self, r, phi):
         params = make_params()
         z = r * complex(np.cos(phi), np.sin(phi))
         t = theta(z, params)
+        assume(t != 0)  # z = 1 is the zero test_zero_at_one covers
         assert abs(theta(params.p * z, params) + t / z) / abs(t) < params.tolerance
 
     @settings(max_examples=25, deadline=None)
@@ -83,10 +147,12 @@ class TestTheta:
         r=st.floats(min_value=0.55, max_value=1.9),
         phi=st.floats(min_value=0.0, max_value=2 * np.pi),
     )
+    @example(r=1.0, phi=0.0)  # z = 1
     def test_inversion_identity(self, r, phi):
         params = make_params()
         z = r * complex(np.cos(phi), np.sin(phi))
         t = theta(z, params)
+        assume(t != 0)  # z = 1 is the zero test_zero_at_one covers
         assert abs(theta(1 / z, params) + t / z) / abs(t) < params.tolerance
 
     def test_truncation_convergence(self):
