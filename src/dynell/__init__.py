@@ -12,8 +12,6 @@ from .special import (
 )
 from .shiftcalc import (
     DynMatrix,
-    DynScalar,
-    ShiftElement,
     promote_shifted_scalar,
     shift_scalar,
     skew_mul,
@@ -42,8 +40,6 @@ __all__ = [
     "theta",
     "rho_norm",
     "unitarity_scalar",
-    "DynScalar",
-    "ShiftElement",
     "DynMatrix",
     "shift_scalar",
     "skew_mul",

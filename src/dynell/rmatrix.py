@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .special import Params, guarded, qpochhammer, rho_norm, theta
-from .shiftcalc import DynMatrix, DynScalar, weight
+from .shiftcalc import DynMatrix, guarded_div, weight
 
 __all__ = [
     "RPoint",
@@ -82,7 +82,9 @@ class RPoint:
         _r_array(self.z, self.s, self.params, False)
 
 
-_R_PATTERN = ((0, 0), (1, 1), (1, 2), (2, 1), (2, 2), (3, 3))
+_R_PATTERN = np.zeros((4, 4), dtype=bool)
+_R_PATTERN[[0, 1, 1, 2, 2, 3], [0, 1, 2, 1, 2, 3]] = True
+_R_PATTERN.flags.writeable = False
 
 
 @lru_cache(maxsize=1 << 15)
@@ -139,16 +141,11 @@ def _r_array(z: complex, s: complex, params: Params, twisted: bool) -> np.ndarra
 
 
 def _r_dyn(z: complex, params: Params, twisted: bool) -> DynMatrix:
+    """One matrix-valued leaf: every demand reads the whole cached array."""
     z = complex(z)
-
-    def ent(i, j):
-        if (i, j) not in _R_PATTERN:
-            return None
-        return DynScalar(
-            lambda s, i=i, j=j: _r_array(z, s, params, twisted)[i, j]
-        )
-
-    return DynMatrix.from_entries(2, ent)
+    return DynMatrix(
+        2, {0: _R_PATTERN}, lambda s, need: {0: _r_array(z, s, params, twisted)}
+    )
 
 
 def build_r(point: RPoint) -> DynMatrix:
@@ -162,9 +159,9 @@ def build_r_twisted(point: RPoint) -> DynMatrix:
     return _r_dyn(point.z, point.params, twisted=True)
 
 
-def gauge_g(params: Params) -> DynMatrix:
-    """The spectral-parameter-independent diagonal twist gauge:
-    diag(1, q^{-s} (w; p)(p q^2/w; p))."""
+def _g22(params: Params):
+    """The gauge's second diagonal entry q^{-s} (w; p)(p q^2/w; p), which is
+    also det g (the first entry is 1)."""
     p, n = params.p, params.truncation_order
     q2 = params.q * params.q
 
@@ -176,9 +173,14 @@ def gauge_g(params: Params) -> DynMatrix:
             * qpochhammer(p * q2 / w, [p], n)
         )
 
-    return DynMatrix.diagonal(
-        1, lambda i: DynScalar.const(1.0) if i == 0 else DynScalar(g22)
-    )
+    return g22
+
+
+def gauge_g(params: Params) -> DynMatrix:
+    """The spectral-parameter-independent diagonal twist gauge:
+    diag(1, q^{-s} (w; p)(p q^2/w; p))."""
+    g22 = _g22(params)
+    return DynMatrix.diagonal(1, lambda i: 1.0 if i == 0 else g22)
 
 
 def twist_of_r(point: RPoint) -> DynMatrix:
@@ -193,12 +195,12 @@ def twist_of_r(point: RPoint) -> DynMatrix:
     return left @ build_r(point) @ right
 
 
-def upsilon(params: Params) -> DynScalar:
+def upsilon(params: Params):
     """The crossing scalar q^{-s} Theta(q^{2s}) as a function of s."""
-    return DynScalar(lambda s: _qpow(-s, params) * theta(dyn_w(s, params), params))
+    return lambda s: _qpow(-s, params) * theta(dyn_w(s, params), params)
 
 
-def ups_ratio(k_num: int, k_den: int, params: Params) -> DynScalar:
+def ups_ratio(k_num: int, k_den: int, params: Params):
     """Branch-free ratio of the crossing scalar at integer-shifted arguments:
     s -> upsilon(s + k_num) / upsilon(s + k_den)
        = q^{-(k_num - k_den)} Theta(w q^{2 k_num}) / Theta(w q^{2 k_den})."""
@@ -212,7 +214,7 @@ def ups_ratio(k_num: int, k_den: int, params: Params) -> DynScalar:
         den = guarded(theta(w * q2**k_den, params), label, g)
         return pref * theta(w * q2**k_num, params) / den
 
-    return DynScalar(ev)
+    return ev
 
 
 def upsilon_ratio(s: complex, k: int, params: Params) -> complex:
@@ -235,38 +237,17 @@ def trace_weight_direct(params: Params) -> DynMatrix:
     return DynMatrix.diagonal(1, lambda i: ups_ratio(-weight(i), 0, params))
 
 
-def _diag_entries(m: DynMatrix) -> list:
-    return [m.cells[i][i] for i in range(m.dim)]
-
-
-def _diag_det(m: DynMatrix) -> DynScalar:
-    """Product of the diagonal entries of a diagonal function-valued matrix."""
-    fns = []
-    for e in _diag_entries(m):
-        if not e.is_scalar:
-            raise ValueError("diagonal determinant needs a function-valued matrix")
-        fns.append(e.coeff(0).fn)
-
-    def ev(s):
-        out = 1.0 + 0.0j
-        for f in fns:
-            out *= f(s)
-        return out
-
-    return DynScalar(ev)
-
-
 def gamma_twist(params: Params) -> DynMatrix:
     """Gamma = (det g) g^{-1} g^{-sc}, the diagonal factor relating the
     crossing identity of the twist-gauged R-matrix to the plain one."""
     g = gauge_g(params)
-    det_g = _diag_det(g)
-    return (g.inv(params.singular_guard) @ g.shift_col({1: -1})).scale(det_g)
+    return (g.inv(params.singular_guard) @ g.shift_col({1: -1})).scale(_g22(params))
 
 
-def mu_scalar(params: Params) -> DynScalar:
+def mu_scalar(params: Params):
     """mu = upsilon / ((det g)(det g^{-sc})), the scalar appearing in the
-    crossing-unitarity reduction."""
-    g = gauge_g(params)
-    den = _diag_det(g) * _diag_det(g.shift_col({1: -1}))
-    return upsilon(params).guarded_div(den, params.singular_guard)
+    crossing-unitarity reduction; det g^{-sc}(s) = det g(s + 1)."""
+    g22 = _g22(params)
+    return guarded_div(
+        upsilon(params), lambda s: g22(s) * g22(s + 1), params.singular_guard
+    )

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from dynell import DynMatrix, DynScalar, Params
+from dynell import DynMatrix, Params
 
 # Reference parameter context: q = q_half^2 = 0.47, p = 0.31.
 Q_HALF = 0.6855654600401044
@@ -19,20 +19,6 @@ def resid(lhs, rhs):
     return abs(lhs - rhs).max() / max(1.0, abs(lhs).max())
 
 
-def skew_resid(lhs: DynMatrix, rhs: DynMatrix, samples):
-    worst = 0.0
-    shape = (lhs.dim, lhs.dim)
-    for s in samples:
-        lc = lhs.coeffs_at(s)
-        rc = rhs.coeffs_at(s)
-        norm = max([1.0] + [abs(m).max() for m in lc.values()])
-        for k in set(lc) | set(rc):
-            l = lc.get(k, np.zeros(shape))
-            r = rc.get(k, np.zeros(shape))
-            worst = max(worst, abs(l - r).max() / norm)
-    return worst
-
-
 def rand_fourier(rng):
     """Random trigonometric-style scalar: entire in s, shift-closed."""
     cs = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -40,7 +26,7 @@ def rand_fourier(rng):
     def ev(s, cs=cs):
         return cs[0] + cs[1] * np.exp(0.3j * s) + cs[2] * np.exp(-0.2 * s)
 
-    return DynScalar(ev)
+    return ev
 
 
 def rand_matrix(nlegs, rng):

@@ -305,3 +305,11 @@ def test_criterion_11_full_suite():
     )
     assert counts == {"pass": 971, "fail": 0, "skipped": 29}
     assert skipped == {"crossunit": 15, "magic": 10, "cor22chain": 4}
+    det_families = ("crossunit.negctrl", "crossunit.r", "crossunit.rtilde",
+                    "magic.critical", "magic.negctrl")
+    assert sorted(
+        (r.name, r.point["index"]) for r in reports if r.status == "skipped-singular"
+    ) == sorted(
+        [("cor22chain.step2", i) for i in (1, 11, 18, 22)]
+        + [(name, i) for name in det_families for i in (1, 5, 11, 18, 22)]
+    )

@@ -7,6 +7,7 @@ import pytest
 
 from dynell.checks import (
     _REGISTRY,
+    _skew_resid,
     CONTROL_THRESHOLD,
     GridSpec,
     all_check_names,
@@ -27,7 +28,7 @@ from dynell.checks import (
 )
 from dynell import DynMatrix, Params, weight_shift_matrix
 
-from helpers import make_params, skew_resid
+from helpers import make_params
 
 PARAMS = make_params()
 S0 = 0.37 + 0.11j
@@ -137,7 +138,7 @@ class TestLemmaP1:
         d1p = weight_shift_matrix(2, 1, +1)
         lhs = (eye @ d1m @ m1 @ d1p @ eye).partial_trace(1)
         core = (d1m @ m1 @ d1p).partial_trace(1)
-        assert skew_resid(lhs, core, [S0, S0 + 0.4]) < 1e-12
+        assert _skew_resid(lhs, core, [S0, S0 + 0.4]) < 1e-12
 
     def test_swapped_dressing_control(self):
         assert_control_fails(check_lemma_p1(PARAMS, 11, corruption="swap_sl_sc"))

@@ -7,17 +7,18 @@ from hypothesis import strategies as st
 
 from dynell import (
     DynMatrix,
-    DynScalar,
-    ShiftElement,
+    SingularPointError,
     promote_shifted_scalar,
     shift_scalar,
     skew_mul,
     weight_shift_matrix,
     zero_weight_check,
 )
+from dynell.checks import _skew_element as elem
+from dynell.checks import _skew_resid as skew_resid
 from dynell.shiftcalc import PAULI_Y, index_bits, weight
 
-from helpers import rand_fourier, rand_matrix, sample_s, skew_resid
+from helpers import rand_fourier, rand_matrix, sample_s
 
 RNG = np.random.default_rng(20240811)
 S_SAMPLES = sample_s(np.random.default_rng(99))
@@ -41,22 +42,24 @@ class TestShiftScalar:
             assert g(s) == pytest.approx(f(s))
 
     def test_shift_unfolds_argument(self):
-        f = DynScalar(lambda s: s * s + 1j)
+        def f(s):
+            return s * s + 1j
+
         assert shift_scalar(f, 3)(0.5) == pytest.approx((3.5) ** 2 + 1j)
 
 
 class TestSkewRing:
     def test_defining_relation(self):
         f = rand_fourier(RNG)
-        lhs = skew_mul(ShiftElement.unit(1), ShiftElement.scalar(f))
-        assert lhs.degrees == (1,)
+        lhs = skew_mul(elem({1: 1.0}), elem({0: f}))
+        assert set(lhs.masks) == {1}
         for s in S_SAMPLES:
-            assert lhs.coeff(1)(s) == pytest.approx(f(s + 1))
+            assert lhs.coeffs_at(s)[1][0, 0] == pytest.approx(f(s + 1))
 
     def test_inverse_shifts_cancel(self):
-        prod = skew_mul(ShiftElement.unit(1), ShiftElement.unit(-1))
-        assert prod.degrees == (0,)
-        assert prod.coeff(0)(0.3 + 0.1j) == 1
+        prod = skew_mul(elem({1: 1.0}), elem({-1: 1.0}))
+        assert set(prod.masks) == {0}
+        assert prod.coeffs_at(0.3 + 0.1j)[0][0, 0] == 1
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
@@ -65,30 +68,46 @@ class TestSkewRing:
 
         def rand_elem():
             degs = rng.choice(np.arange(-2, 3), size=2, replace=False)
-            return ShiftElement({int(d): rand_fourier(rng) for d in degs})
+            return elem({int(d): rand_fourier(rng) for d in degs})
 
         a, b, c = rand_elem(), rand_elem(), rand_elem()
-        lhs = (a * b) * c
-        rhs = a * (b * c)
+        lhs = skew_mul(skew_mul(a, b), c)
+        rhs = skew_mul(a, skew_mul(b, c))
         for s in sample_s(rng, 3):
-            lv, rv = lhs.at(s), rhs.at(s)
+            lv, rv = lhs.coeffs_at(s), rhs.coeffs_at(s)
             assert set(lv) == set(rv)
             for k in lv:
-                assert lv[k] == pytest.approx(rv[k], abs=1e-9)
+                assert lv[k][0, 0] == pytest.approx(rv[k][0, 0], abs=1e-9)
 
     def test_addition_merges_degrees(self):
-        a = ShiftElement({0: DynScalar.const(2.0), 1: DynScalar.const(1.0)})
-        b = ShiftElement({1: DynScalar.const(-1.0)})
-        tot = (a + b).at(0.0)
-        assert tot[0] == 2.0 and tot[1] == 0.0
+        a = elem({0: 2.0, 1: 1.0})
+        b = elem({1: -1.0})
+        tot = (a + b).coeffs_at(0.0)
+        assert tot[0][0, 0] == 2.0 and tot[1][0, 0] == 0.0
 
 
 class TestWeightShiftMatrix:
     def test_single_leg_diagonal(self):
         d = weight_shift_matrix(1, 1, +1)
-        assert d.cells[0][0].degrees == (1,)
-        assert d.cells[1][1].degrees == (-1,)
-        assert not d.cells[0][1].terms
+        assert set(d.masks) == {1, -1}
+        assert d.masks[1].tolist() == [[True, False], [False, False]]
+        assert d.masks[-1].tolist() == [[False, False], [False, True]]
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: weight_shift_matrix(2, 0, +1),
+            lambda: weight_shift_matrix(2, 3, +1),
+            lambda: promote_shifted_scalar(lambda s: s, 2, {0: 1}),
+            lambda: promote_shifted_scalar(lambda s: s, 2, {3: 1}),
+            lambda: DynMatrix.identity(2).conj_by_shift(0),
+            lambda: DynMatrix.identity(2).conj_by_shift(3),
+        ],
+        ids=["wsm-0", "wsm-3", "promote-0", "promote-3", "conj-0", "conj-3"],
+    )
+    def test_leg_out_of_range(self, build):
+        with pytest.raises(ValueError, match="out of range"):
+            build()
 
     def test_opposite_signs_cancel(self):
         prod = weight_shift_matrix(1, 1, +1) @ weight_shift_matrix(1, 1, -1)
@@ -201,14 +220,16 @@ class TestConjugateByShift:
         m = DynMatrix.from_entries(1, lambda i, j: fs[i][j])
         c = m.conj_by_shift(1)
         s = 0.37 + 0.11j
-        assert c.cells[0][0].degrees == (0,)
-        assert c.cells[0][0].coeff(0)(s) == pytest.approx(fs[0][0](s - 1))
-        assert c.cells[0][1].degrees == (-2,)
-        assert c.cells[0][1].coeff(-2)(s) == pytest.approx(fs[0][1](s - 1))
-        assert c.cells[1][0].degrees == (2,)
-        assert c.cells[1][0].coeff(2)(s) == pytest.approx(fs[1][0](s + 1))
-        assert c.cells[1][1].degrees == (0,)
-        assert c.cells[1][1].coeff(0)(s) == pytest.approx(fs[1][1](s + 1))
+        assert {k: m.tolist() for k, m in c.masks.items()} == {
+            0: [[True, False], [False, True]],
+            -2: [[False, True], [False, False]],
+            2: [[False, False], [True, False]],
+        }
+        got = c.coeffs_at(s)
+        assert got[0][0, 0] == pytest.approx(fs[0][0](s - 1))
+        assert got[-2][0, 1] == pytest.approx(fs[0][1](s - 1))
+        assert got[2][1, 0] == pytest.approx(fs[1][0](s + 1))
+        assert got[0][1, 1] == pytest.approx(fs[1][1](s + 1))
 
     def test_joint_conjugation_fixes_zero_weight_constants(self):
         arr = np.zeros((4, 4), dtype=complex)
@@ -239,7 +260,7 @@ class TestPromoteShiftedScalar:
         assert np.allclose(m.at(s), expect)
 
     def test_constant_promotes_to_constant(self):
-        m = promote_shifted_scalar(DynScalar.const(3.0 - 1j), 1, {1: -1})
+        m = promote_shifted_scalar(lambda s: 3.0 - 1j, 1, {1: -1})
         assert np.allclose(m.at(0.7), (3.0 - 1j) * np.eye(2))
 
 
@@ -295,8 +316,6 @@ class TestMatrixBasics:
             assert np.allclose(prod.at(s), np.eye(4), atol=1e-10)
 
     def test_inverse_guard_raises(self):
-        from dynell import SingularPointError
-
         zero = DynMatrix.from_entries(2, lambda i, j: 1e-12 if i == j else None)
         with pytest.raises(SingularPointError):
             zero.inv(1e-6).at(0.0)
@@ -305,11 +324,91 @@ class TestMatrixBasics:
         # the inverse is singular at s0 - 2 and s0 + 2, but the shifts below
         # cancel, so every entry of the product reads it at s0 only
         s0 = 0.37 + 0.11j
-        f = DynScalar(lambda s: (s - s0 - 2) * (s - s0 + 2))
+
+        def f(s):
+            return (s - s0 - 2) * (s - s0 + 2)
+
         minv = DynMatrix.diagonal(2, lambda i: f).inv(1e-6)
         dmix = weight_shift_matrix(2, 1, -1) @ weight_shift_matrix(2, 2, +1)
         coeffs = (dmix @ minv.shift_row({1: +1, 2: -1})).coeffs_at(s0)
         assert np.allclose(sum(coeffs.values()), np.eye(4) / f(s0))
+
+    @pytest.mark.parametrize(
+        "read, expect",
+        [
+            (lambda m, f: m.shift_row({1: -1}).shift_col({1: +1}), 2 * np.eye(4)),
+            (lambda m, f: m.shift_col({2: +1}).shift_row({2: -1}), 2 * np.eye(4)),
+            (
+                lambda m, f: m.shift_col({1: +1}).transpose_leg(1).shift_col({1: -1}),
+                2 * np.eye(4),
+            ),
+            (
+                lambda m, f: m.shift_col({1: +1}).swap_legs(1, 2).shift_col({2: -1}),
+                2 * np.eye(4),
+            ),
+            (
+                lambda m, f: m.shift_col({1: +1}).embed(3, (1, 3)).shift_col({1: -1}),
+                2 * np.eye(8),
+            ),
+            (
+                lambda m, f: m.shift_col({2: +1}).partial_trace(1).shift_col({1: -1}),
+                4 * np.eye(2),
+            ),
+            (
+                lambda m, f: m.shift_col({1: +1}).scale(3.0).shift_col({1: -1})
+                .scale(f),
+                12 * np.eye(4),
+            ),
+            (
+                lambda m, f: (m.shift_col({1: +1}) + m.shift_col({1: +1})).shift_col(
+                    {1: -1}
+                ),
+                4 * np.eye(4),
+            ),
+            (
+                lambda m, f: weight_shift_matrix(2, 1, +1) @ m.shift_row({1: -1}),
+                2 * np.eye(4),
+            ),
+        ],
+        ids=[
+            "shift_col", "shift_row", "transpose_leg", "swap_legs", "embed",
+            "partial_trace", "scale", "add", "weight_shift_product",
+        ],
+    )
+    def test_entries_are_evaluated_only_where_read(self, read, expect):
+        # every read below moves the argument and moves it back, so each
+        # demanded entry reads f at s0 only; f is singular everywhere else
+        s0 = 0.37 + 0.11j
+
+        def f(s):
+            if abs(s - s0) > 1e-12:
+                raise SingularPointError(f"f read at s = {s}")
+            return 2.0
+
+        m = DynMatrix.diagonal(2, lambda i: f)
+        coeffs = read(m, f).coeffs_at(s0)
+        assert np.allclose(sum(coeffs.values()), expect)
+
+    def test_kept_arrays_are_read_only(self):
+        s = 0.37 + 0.11j
+        held = [
+            DynMatrix.constant(PAULI_Y).at(0.0),
+            rand_matrix(2, RNG).inv(1e-9).at(s),
+        ]
+        for arr in held:
+            with pytest.raises(ValueError):
+                arr[0, 0] = 7.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "array",
+        [np.zeros((0, 0)), np.array(1.0), np.zeros(2), np.zeros((3, 3)),
+         np.zeros((2, 4)), np.zeros((2, 2, 2))],
+        ids=["empty", "0-d", "1-d", "3x3", "2x4", "3-d"],
+    )
+    def test_constant_rejects_bad_shape(self, array):
+        with pytest.raises(ValueError, match="square of dimension 2\\^n"):
+            DynMatrix.constant(array)
 
     def test_embed_spectators_identity(self):
         m = rand_matrix(1, RNG)
