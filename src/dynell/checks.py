@@ -147,21 +147,18 @@ def _name(base: str, corruption) -> str:
 
 
 def _skew_resid(lhs: DynMatrix, rhs: DynMatrix, samples) -> float:
-    """Coefficient-wise residual per E-degree over the sample points."""
+    """Coefficient-wise residual per E-degree, normalised per sample point,
+    worst over the sample points (all evaluated in one batch)."""
+    samples = list(samples)
+    lc = lhs.coeffs_at(samples)
+    rc = rhs.coeffs_at(samples)
+    zero = np.zeros((len(samples), lhs.dim, lhs.dim))
+    peaks = [abs(m).max(axis=(1, 2)) for m in lc.values()]
+    norm = np.max([np.ones(len(samples))] + peaks, axis=0)
     worst = 0.0
-    shape = (lhs.dim, lhs.dim)
-    for s in samples:
-        lc = lhs.coeffs_at(s)
-        rc = rhs.coeffs_at(s)
-        norm = max([1.0] + [abs(m).max() for m in lc.values()])
-        for k in set(lc) | set(rc):
-            l = lc.get(k)
-            r = rc.get(k)
-            if l is None:
-                l = np.zeros(shape)
-            if r is None:
-                r = np.zeros(shape)
-            worst = max(worst, float(abs(l - r).max() / norm))
+    for k in set(lc) | set(rc):
+        diff = abs(lc.get(k, zero) - rc.get(k, zero)).max(axis=(1, 2))
+        worst = max(worst, float((diff / norm).max()))
     return worst
 
 
@@ -215,8 +212,22 @@ def _rand_laurent(rng, params):
     return ev
 
 
-def _rand_matrix(nlegs, rng, params) -> DynMatrix:
-    return DynMatrix.from_entries(nlegs, lambda i, j: _rand_laurent(rng, params))
+def _rand_matrix(nlegs, rng, params, pattern=None) -> DynMatrix:
+    """One leaf of _rand_laurent entries on the pattern (default: all), drawn
+    in row-major order; w is computed once per sample."""
+    d = 1 << nlegs
+    if pattern is None:
+        pattern = np.ones((d, d), dtype=bool)
+    raw = rng.standard_normal((int(pattern.sum()), 2, 5))
+    coeffs = np.zeros((5, d * d), dtype=complex)
+    coeffs[:, pattern.reshape(-1)] = (raw[:, 0] + 1j * raw[:, 1]).T
+
+    def ev(s, need):
+        w = np.array([dyn_w(x, params) for x in s.tolist()])
+        powers = np.stack([1.0 / (w * w), 1.0 / w, np.ones_like(w), w, w * w], axis=1)
+        return {0: (powers @ coeffs).reshape(len(s), d, d)}
+
+    return DynMatrix(nlegs, {0: pattern}, ev)
 
 
 def _rand_samples(rng, n=8):
@@ -507,6 +518,11 @@ def check_proof_chain_cor22(
         )
 
     if corruption != "drop_detg_sc":
+        # built once, so that the steps share each inverse's per-s cache
+        g1i = g1.inv(g)
+        g1s2i = g1s2.inv(g)
+        m12 = g1 @ _r_dyn(1.0 / z, params, True).inv(g) @ g1s2i
+
         # step 1: inverse of the gauged crossing relation
         def step1():
             uinv = _ups_diag(2, {}, {2: +1}, params)
@@ -516,7 +532,7 @@ def check_proof_chain_cor22(
                 @ sy.at(s)
                 @ g1s2.at(s)
                 @ x.inv(g).at(s)
-                @ g1.inv(g).at(s)
+                @ g1i.at(s)
                 @ sy.at(s)
             )
             return _resid(lhs, _r_dyn(1.0 / z, params, True).at(s))
@@ -526,7 +542,7 @@ def check_proof_chain_cor22(
         # step 2: zero-weight shift commutation for the inverted dressed matrix
         def step2():
             x4 = _r_dyn(1.0 / (z * q**4), params, True).transpose_leg(1).shift_row({1: -1})
-            m = (g1 @ x4 @ g1s2.inv(g)).inv(g)
+            m = (g1 @ x4 @ g1s2i).inv(g)
             if not zero_weight_check(m.transpose_leg(1), [s], 1e-8):
                 raise AssertionError("commutation precondition violated")
             dmix = weight_shift_matrix(2, 1, -1) @ weight_shift_matrix(2, 2, +1)
@@ -537,19 +553,14 @@ def check_proof_chain_cor22(
         # step 3: sl_1 - sl_2 dressing of the gauged matrix in components
         def step3():
             x4 = _r_dyn(1.0 / (z * q**4), params, True).transpose_leg(1)
-            lhs = (g1 @ x4.shift_row({1: -1}) @ g1s2.inv(g)).shift_row({1: +1, 2: -1})
-            rhs = (
-                g1m2.shift_col({1: +1})
-                @ x4.shift_row({2: -1})
-                @ g1.inv(g).shift_col({1: +1})
-            )
+            lhs = (g1 @ x4.shift_row({1: -1}) @ g1s2i).shift_row({1: +1, 2: -1})
+            rhs = g1m2.shift_col({1: +1}) @ x4.shift_row({2: -1}) @ g1i.shift_col({1: +1})
             return _resid(lhs.at(s), rhs.at(s))
 
         step("step3", step3)
 
         # step 4: sigma_y / shift-column exchange on a zero-weight matrix
         def step4():
-            m12 = g1 @ _r_dyn(1.0 / z, params, True).inv(g) @ g1s2.inv(g)
             dp = weight_shift_matrix(2, 1, +1) @ weight_shift_matrix(2, 2, +1)
             dmix = weight_shift_matrix(2, 1, -1) @ weight_shift_matrix(2, 2, +1)
             lhs = (m12.transpose_leg(1) @ sy).shift_col({1: +1}) @ dp
@@ -576,10 +587,7 @@ def check_proof_chain_cor22(
             )
             rhs = (
                 ups1.at(s)
-                @ (g1 @ _r_dyn(1.0 / z, params, True).inv(g) @ g1s2.inv(g))
-                .transpose_leg(1)
-                .shift_col({2: -1})
-                .at(s)
+                @ m12.transpose_leg(1).shift_col({2: -1}).at(s)
                 @ mur.at(s)
             )
             return _resid(lhs, rhs)
@@ -588,15 +596,10 @@ def check_proof_chain_cor22(
 
         # step 6: unitarity in components
         def step6():
-            lhs = (
-                (g1 @ _r_dyn(1.0 / z, params, True).inv(g) @ g1s2.inv(g))
-                .transpose_leg(1)
-                .shift_col({2: -1})
-                .at(s)
-            )
+            lhs = m12.transpose_leg(1).shift_col({2: -1}).at(s)
             rhs = (
                 (1.0 / unitarity_scalar(z, params))
-                * g1.inv(g).at(s)
+                * g1i.at(s)
                 @ _r_dyn(z, params, True)
                 .swap_legs(1, 2)
                 .transpose_leg(1)
@@ -621,11 +624,8 @@ def check_proof_chain_cor22(
             1, lambda i: guarded_div(mu, shift_scalar(ups, weight(i)), g)
         )
         gsc = gm.shift_col({1: +1})
-        target = cross_gauge(params)
-        return max(
-            _resid(gm.at(x) @ mid.at(x) @ gsc.at(x), target.at(x))
-            for x in samples
-        )
+        lhs = gm.at(samples) @ mid.at(samples) @ gsc.at(samples)
+        return max(map(_resid, lhs, cross_gauge(params).at(samples)))
 
     step("step7", step7)
     return reports
@@ -714,14 +714,13 @@ def check_zero_weight_commutation(params: Params, rng) -> float:
     """M . e^{(-sz1+sz2) d} = e^{(-sz1+sz2) d} . M^{sl1-sl2} whenever M^{t1}
     is zero-weight."""
     bt = [index_bits(i, 2) for i in range(4)]
-
-    def entry(i, j):
-        # nonzero only where the leg-1-transposed matrix is zero-weight
-        if weight(bt[j][0]) + weight(bt[i][1]) == weight(bt[i][0]) + weight(bt[j][1]):
-            return _rand_laurent(rng, params)
-        return None
-
-    m = DynMatrix.from_entries(2, entry)
+    # nonzero only where the leg-1-transposed matrix is zero-weight
+    pattern = np.array([
+        [weight(bt[j][0]) + weight(bt[i][1]) == weight(bt[i][0]) + weight(bt[j][1])
+         for j in range(4)]
+        for i in range(4)
+    ])
+    m = _rand_matrix(2, rng, params, pattern)
     dmix = weight_shift_matrix(2, 1, -1) @ weight_shift_matrix(2, 2, +1)
     return _skew_resid(m @ dmix, dmix @ m.shift_row({1: +1, 2: -1}), _rand_samples(rng, 4))
 
@@ -732,10 +731,8 @@ def check_sigma_y_transpose(params: Params, rng) -> float:
     sy = _sigma_y1()
     lhs = (sy @ a @ sy).transpose_leg(1)
     rhs = sy @ a.transpose_leg(1) @ sy
-    worst = 0.0
-    for s in _rand_samples(rng, 4):
-        worst = max(worst, _resid(lhs.at(s), rhs.at(s)))
-    return worst
+    samples = _rand_samples(rng, 4)
+    return max(map(_resid, lhs.at(samples), rhs.at(samples)))
 
 
 def _skew_element(terms: dict) -> DynMatrix:

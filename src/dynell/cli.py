@@ -106,10 +106,11 @@ def _apply_config(args: argparse.Namespace, cfg: dict):
 
 
 class _Tracking(argparse.Action):
-    """Store the value and remember that the flag was given explicitly."""
+    """Store the value (const for a flag without arguments) and remember that
+    the flag was given explicitly."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
+        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
         setattr(namespace, f"_set_{self.dest}", True)
 
 
@@ -149,7 +150,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      default="text")
     chk.add_argument("--output", action=_Tracking, default=None,
                      help="write the report to this path instead of stdout")
-    chk.add_argument("--no-timestamp", dest="no_timestamp", action="store_true",
+    chk.add_argument("--no-timestamp", dest="no_timestamp", action=_Tracking,
+                     nargs=0, const=True, default=False,
                      help="omit the timestamp field (byte-stable reruns)")
     chk.add_argument("--alpha-beta-offset", dest="alpha_beta_offset", type=float,
                      action=_Tracking, default=0.0,

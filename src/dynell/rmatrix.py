@@ -32,8 +32,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special import Params, guarded, qpochhammer, rho_norm, theta
-from .shiftcalc import DynMatrix, guarded_div, weight
+from .special import Params, _poch1, guarded, rho_norm, theta
+from .shiftcalc import DynMatrix, _stack, guarded_div, weight
 
 __all__ = [
     "RPoint",
@@ -101,20 +101,20 @@ def _r_array(z: complex, s: complex, params: Params, twisted: bool) -> np.ndarra
     thwi = guarded(th(1.0 / w), "Theta(1/w)", g, " at z={}, s={}", z, s)
     thz = th(z)
     if twisted:
-        pw = guarded(qpochhammer(p / w, [p], n), "(p/w; p)", g, " at s={}", s)
-        ww = guarded(qpochhammer(w, [p], n), "(w; p)", g, " at s={}", s)
+        pw = guarded(_poch1(p / w, p, n), "(p/w; p)", g, " at s={}", s)
+        ww = guarded(_poch1(w, p, n), "(w; p)", g, " at s={}", s)
         b = (
             q
-            * qpochhammer(p * q2 / w, [p], n)
-            * qpochhammer(p / (q2 * w), [p], n)
+            * _poch1(p * q2 / w, p, n)
+            * _poch1(p / (q2 * w), p, n)
             / (pw * pw)
             * thz
             / thq2z
         )
         bb = (
             q
-            * qpochhammer(q2 * w, [p], n)
-            * qpochhammer(w / q2, [p], n)
+            * _poch1(q2 * w, p, n)
+            * _poch1(w / q2, p, n)
             / (ww * ww)
             * thz
             / thq2z
@@ -141,11 +141,14 @@ def _r_array(z: complex, s: complex, params: Params, twisted: bool) -> np.ndarra
 
 
 def _r_dyn(z: complex, params: Params, twisted: bool) -> DynMatrix:
-    """One matrix-valued leaf: every demand reads the whole cached array."""
+    """One matrix-valued leaf: every demand reads the whole cached array, one
+    per sample."""
     z = complex(z)
-    return DynMatrix(
-        2, {0: _R_PATTERN}, lambda s, need: {0: _r_array(z, s, params, twisted)}
-    )
+
+    def ev(s, need):
+        return {0: _stack([_r_array(z, x, params, twisted) for x in s.tolist()])}
+
+    return DynMatrix(2, {0: _R_PATTERN}, ev)
 
 
 def build_r(point: RPoint) -> DynMatrix:
@@ -167,11 +170,7 @@ def _g22(params: Params):
 
     def g22(s):
         w = dyn_w(s, params)
-        return (
-            _qpow(-s, params)
-            * qpochhammer(w, [p], n)
-            * qpochhammer(p * q2 / w, [p], n)
-        )
+        return _qpow(-s, params) * _poch1(w, p, n) * _poch1(p * q2 / w, p, n)
 
     return g22
 

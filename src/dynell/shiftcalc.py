@@ -22,14 +22,18 @@ Conventions used throughout the package:
 A DynMatrix is a d x d matrix (d = 2^nlegs) of skew-ring elements, held as
 a pattern and an evaluator.  ``masks`` maps each E-degree to the boolean
 d x d pattern of its structurally nonzero entries; a skew-ring element is a
-matrix on 0 legs.  ``ev(s, need)`` takes a demand {degree: boolean d x d
-mask} inside the pattern and returns {degree: complex d x d array} for the
-same degrees, exact on the demanded entries, zero off the pattern and
-finite elsewhere.  Every operation works out from the patterns alone which
-entries of its operands the demanded entries read, and at which shifts of
-s, and evaluates only those: a guarded entry or an inverse is evaluated
-only where a result reads it.  Arrays an evaluator keeps (constant leaves,
-cached inverses) are read-only.
+matrix on 0 legs.  ``ev(s, need)`` takes a 1-D complex array of n samples
+s and a demand {degree: boolean d x d mask} inside the pattern, and returns
+{degree: complex (n, d, d) array}, slice i at s[i], exact on the demanded
+entries, zero off the pattern and finite elsewhere.  Every operation works
+out from the patterns alone which entries of its operands the demanded
+entries read, and at which shifts of s, and evaluates only those, for the
+whole batch at once: a guarded entry or an inverse is evaluated only where
+a result reads it.  Scalar entry functions still see one sample at a time.
+``at``/``coeffs_at`` take a scalar s (a batch of one, read out as d x d
+arrays) or a sequence of samples; batched values equal per-sample values
+exactly.  Arrays an evaluator keeps (constant leaves, cached inverses) are
+read-only, and so is what a scalar read returns from them.
 """
 
 from __future__ import annotations
@@ -136,6 +140,12 @@ def _nonempty(masks) -> dict:
     return {k: m for k, m in masks.items() if m.any()}
 
 
+def _stack(arrays: list) -> np.ndarray:
+    """Stack per-sample d x d arrays; a batch of one is a view of its array,
+    so a read-only array stays read-only."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
 _GATHER_TABLES: dict = {}
 
 
@@ -231,13 +241,15 @@ class DynMatrix:
         def ev(s, need):
             out = {}
             for k, n in need.items():
-                arr = consts[k]
+                arr = _stack([consts[k]] * len(s))
                 if fns[k]:
+                    wanted = n.reshape(-1)
+                    todo = [(ij, f) for ij, f in fns[k] if wanted[ij]]
                     arr = arr.copy()
-                    flat, wanted = arr.reshape(-1), n.reshape(-1)
-                    for ij, f in fns[k]:
-                        if wanted[ij]:
-                            flat[ij] = f(s)
+                    # one sample at a time, each entry in row-major order
+                    for row, x in zip(arr.reshape(len(s), d * d), s.tolist()):
+                        for ij, f in todo:
+                            row[ij] = f(x)
                 out[k] = arr
             return out
 
@@ -339,7 +351,7 @@ class DynMatrix:
         f = factor if callable(factor) else (lambda s, c=complex(factor): c)
 
         def ev(s, need):
-            v = f(s)
+            v = np.array([f(x) for x in s.tolist()])[:, None, None]
             return {k: v * arr for k, arr in src.ev(s, need).items()}
 
         return DynMatrix(self.nlegs, self.masks, ev)
@@ -368,10 +380,12 @@ class DynMatrix:
 
         def ev(s, need):
             vals = src.ev(s, plan(need))
+            n = len(s)
             out = {}
             for k in need:
-                flat = np.append(vals[k].reshape(-1), 0.0)
-                out[k] = flat[table].sum(axis=0).reshape(dout, dout)
+                flat = np.zeros((n, d * d + 1), dtype=complex)
+                flat[:, :-1] = vals[k].reshape(n, d * d)
+                out[k] = flat[:, table].sum(axis=1).reshape(n, dout, dout)
             return out
 
         return DynMatrix(nlegs, masks, ev)
@@ -435,14 +449,15 @@ class DynMatrix:
         groups = _shift_groups(self.nlegs, tuple(sorted(spec.items())), use_rows)
         src, d = self, self.dim
 
+        @_planned
+        def plan(need):
+            picked = [(k, sel, need[0] & sel) for k, sel in groups]
+            return [(k, sel, {0: nk}) for k, sel, nk in picked if nk.any()]
+
         def ev(s, need):
-            n = need[0]
-            out = np.zeros((d, d), dtype=complex)
-            for k, sel in groups:
-                nk = n & sel
-                if nk.any():
-                    v = src.ev(s + k, {0: nk})[0]
-                    out[sel] = v[sel]
+            out = np.zeros((len(s), d, d), dtype=complex)
+            for k, sel, nk in plan(need):
+                np.copyto(out, src.ev(s + k, nk)[0], where=sel)
             return {0: out}
 
         return DynMatrix(self.nlegs, self.masks, ev)
@@ -464,35 +479,49 @@ class DynMatrix:
 
     # -- evaluation ---------------------------------------------------------
 
-    def at(self, s: complex) -> np.ndarray:
-        """Evaluate a function-valued matrix to a complex array."""
+    def at(self, s) -> np.ndarray:
+        """Evaluate a function-valued matrix: a d x d array at a scalar s, an
+        (n, d, d) stack at a sequence of n samples."""
         if any(k != 0 for k in self.masks):
             raise ValueError("matrix carries nonzero shift degrees; use coeffs_at")
-        if not self.masks:
-            return np.zeros((self.dim, self.dim), dtype=complex)
-        return self.ev(s, self.masks)[0]
+        vals = self._read(s)
+        return vals[0] if vals else np.zeros(np.shape(s) + (self.dim,) * 2, complex)
 
-    def coeffs_at(self, s: complex) -> dict[int, np.ndarray]:
-        """Evaluate degree by degree: {E-degree: complex array}."""
-        return self.ev(s, self.masks) if self.masks else {}
+    def coeffs_at(self, s) -> dict[int, np.ndarray]:
+        """Evaluate degree by degree: {E-degree: complex array}, each a d x d
+        array at a scalar s, an (n, d, d) stack at a sequence of n samples."""
+        return self._read(s)
+
+    def _read(self, s) -> dict[int, np.ndarray]:
+        xs = np.asarray(s, dtype=complex)
+        if xs.ndim > 1:
+            raise ValueError("samples must be a scalar or a 1-D sequence")
+        if not self.masks:
+            return {}
+        vals = self.ev(xs.reshape(-1), self.masks)
+        return vals if xs.ndim else {k: v[0] for k, v in vals.items()}
 
     def inv(self, guard: float = DEFAULT_GUARD) -> "DynMatrix":
         """Lazy matrix inverse of a function-valued matrix.
 
-        The inverse is itself a DynMatrix (evaluable at shifted s); each
-        evaluation inverts the full matrix once per sample point and raises
-        SingularPointError when |det| falls below the guard.
+        The inverse is itself a DynMatrix (evaluable at shifted s).  It
+        inverts the full matrix once per sample point, keeping each inverse
+        for later reads at that point, and raises SingularPointError when
+        |det| falls below the guard, trying the samples of a batch in order.
         """
         self._require_function_valued("inverse")
         cache: dict[complex, np.ndarray] = {}
         base = self
 
         def ev(s, need):
-            if s not in cache:
-                arr = inv_guarded(base.at(s), guard, " at s = {}", s)
-                arr.flags.writeable = False
-                cache[s] = arr
-            return {0: cache[s]}
+            xs = s.tolist()
+            new = list(dict.fromkeys(x for x in xs if x not in cache))
+            if new:
+                for x, arr in zip(new, base.at(new)):
+                    arr = inv_guarded(arr, guard, " at s = {}", x)
+                    arr.flags.writeable = False
+                    cache[x] = arr
+            return {0: _stack([cache[x] for x in xs])}
 
         return DynMatrix(self.nlegs, {0: np.ones((self.dim, self.dim), dtype=bool)}, ev)
 
@@ -534,8 +563,5 @@ def zero_weight_check(m: DynMatrix, samples, tol: float) -> bool:
     need = _nonempty({k: mk & off for k, mk in m.masks.items()})
     if not need:
         return True
-    for s in samples:
-        vals = m.ev(s, need)
-        if any(abs(vals[k][n]).max() > tol for k, n in need.items()):
-            return False
-    return True
+    vals = m.ev(np.asarray(samples, dtype=complex).reshape(-1), need)
+    return not any(abs(vals[k][:, n]).max() > tol for k, n in need.items())

@@ -26,7 +26,7 @@ from dynell.checks import (
     suite_passes,
     summarize,
 )
-from dynell import DynMatrix, Params, weight_shift_matrix
+from dynell import DynMatrix, Params, checks, shiftcalc, weight_shift_matrix
 
 from helpers import make_params
 
@@ -115,11 +115,59 @@ class TestProofChain:
         for rep in check_proof_chain_cor22(params, S0, Z[0]):
             assert_pass(rep)
 
+    def test_steps_share_their_inverses(self, monkeypatch):
+        # one chain run at the first default-grid point inverts no array twice
+        inverted = []
+        inv_guarded = shiftcalc.inv_guarded
+
+        def counting(arr, *args):
+            inverted.append(np.asarray(arr).tobytes())
+            return inv_guarded(arr, *args)
+
+        monkeypatch.setattr(shiftcalc, "inv_guarded", counting)
+        monkeypatch.setattr(checks, "inv_guarded", counting)
+        grid = GridSpec()
+        reports = check_proof_chain_cor22(
+            *checks._chain_samples(grid, grid.sample_points()[0])
+        )
+        assert len(reports) == 7
+        assert inverted
+        assert len(set(inverted)) == len(inverted)
+
     def test_mu_factor_control(self):
         reports = check_proof_chain_cor22(PARAMS, S0, Z[0], corruption="drop_detg_sc")
         assert len(reports) == 1
         assert reports[0].name == "cor22chain.negctrl"
         assert_control_fails(reports[0])
+
+
+class TestRandomLaurentLeaf:
+    @pytest.mark.parametrize(
+        "pattern", [None, np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]],
+        ids=["full", "x"],
+    )
+    def test_leaf_matches_the_per_entry_polynomials(self, pattern, monkeypatch):
+        samples = [S0, -0.6 + 0.3j, 0.9 - 0.45j]
+        leaf = checks._rand_matrix(2, np.random.default_rng(4), PARAMS, pattern)
+        # the same draws, entry by entry in row-major order
+        rng = np.random.default_rng(4)
+        mask = np.ones((4, 4), dtype=bool) if pattern is None else pattern
+        entries = [
+            [checks._rand_laurent(rng, PARAMS) if mask[i, j] else None for j in range(4)]
+            for i in range(4)
+        ]
+        expect = np.array(
+            [[[0.0 if e is None else e(s) for e in row] for row in entries] for s in samples]
+        )
+        calls = []
+        dyn_w = checks.dyn_w
+        monkeypatch.setattr(checks, "dyn_w", lambda s, p: calls.append(s) or dyn_w(s, p))
+        got = leaf.at(samples)
+        assert calls == samples  # w once per sample, one sample at a time
+        assert np.array_equal(got[:, ~mask], expect[:, ~mask])
+        # the contraction rounds differently from the per-entry sum
+        assert abs(got - expect).max() <= 64 * np.finfo(float).eps * abs(expect).max()
+        assert leaf.masks[0].tolist() == mask.tolist()
 
 
 class TestLemmaP1:

@@ -1,6 +1,10 @@
 """Command-line interface: argument handling, exit codes, report formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +113,23 @@ class TestCheckCommand:
               "--format", "json", "--no-timestamp", "--output", str(out)])
         assert "timestamp" not in json.loads(out.read_text())
 
+    def test_module_entry_point_is_byte_stable(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env.pop("DYNELL_CONFIG", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        cmd = [sys.executable, "-m", "dynell", "check", "--points", "1",
+               "--checks", "theta", "--format", "json", "--no-timestamp"]
+        runs = [
+            subprocess.run(cmd, env=env, cwd=tmp_path, capture_output=True,
+                           timeout=120, check=True).stdout
+            for _ in range(2)
+        ]
+        assert json.loads(runs[0])["summary"]["fail"] == 0
+        assert runs[0] == runs[1]
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path, capsys):
@@ -133,6 +154,14 @@ class TestConfigFile:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["config_echo"]["points"] == 2
+
+    def test_explicit_no_timestamp_wins_over_config(self, tmp_path, capsys):
+        cfg = tmp_path / "dynell.cfg"
+        cfg.write_text("no_timestamp = no\npoints = 1\nchecks = theta.inversion\n")
+        rc = main(["check", "--config", str(cfg), "--no-timestamp",
+                   "--format", "json"])
+        assert rc == 0
+        assert "timestamp" not in json.loads(capsys.readouterr().out)
 
     def test_env_var_default_path(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "env.cfg"

@@ -14,16 +14,18 @@ from dynell import (
     gamma_twist,
     gauge_g,
     mu_scalar,
-    rho_norm,
     trace_weight,
     trace_weight_direct,
     twist_of_r,
+    qpochhammer,
+    rho_norm,
+    theta,
     unitarity_scalar,
     upsilon,
     upsilon_ratio,
     zero_weight_check,
 )
-from dynell.rmatrix import dyn_w
+from dynell.rmatrix import _g22, _qpow, _r_array, dyn_w
 from dynell.shiftcalc import PAULI_Y, guarded_div, shift_scalar, weight
 
 from helpers import make_params, resid
@@ -151,6 +153,28 @@ class TestTwistGauge:
     def test_det_equals_second_entry(self):
         g = gauge_g(PARAMS).at(S0)
         assert np.linalg.det(g) == pytest.approx(g[1, 1])
+
+    @pytest.mark.parametrize("s", [S0, -0.8 + 0.4j, 1.3 - 0.45j])
+    def test_single_base_products_equal_the_wrapper_form(self, s):
+        # the gauge entry and the twisted b, bbar call _poch1 directly; their
+        # values are the qpochhammer wrapper's, bit for bit
+        p, n = PARAMS.p, PARAMS.truncation_order
+        q = PARAMS.q
+        q2 = q * q
+        w = dyn_w(s, PARAMS)
+
+        def poch(x):
+            return qpochhammer(x, [p], n)
+
+        g22 = _qpow(-s, PARAMS) * poch(w) * poch(p * q2 / w)
+        assert _g22(PARAMS)(s) == g22
+        thz, thq2z = theta(Z0, PARAMS), theta(q2 * Z0, PARAMS)
+        pw, ww = poch(p / w), poch(w)
+        b = q * poch(p * q2 / w) * poch(p / (q2 * w)) / (pw * pw) * thz / thq2z
+        bb = q * poch(q2 * w) * poch(w / q2) / (ww * ww) * thz / thq2z
+        r = _r_array(Z0, s, PARAMS, True)
+        assert r[1, 1] == (rho_norm(Z0, PARAMS) * np.array([b]))[0]
+        assert r[2, 2] == (rho_norm(Z0, PARAMS) * np.array([bb]))[0]
 
 
 class TestUpsilon:

@@ -1,5 +1,7 @@
 """Skew shift ring and tensor-leg matrix operations."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from dynell import (
 )
 from dynell.checks import _skew_element as elem
 from dynell.checks import _skew_resid as skew_resid
-from dynell.shiftcalc import PAULI_Y, index_bits, weight
+from dynell.shiftcalc import PAULI_Y, guarded_div, index_bits, weight
 
 from helpers import rand_fourier, rand_matrix, sample_s
 
@@ -330,8 +332,11 @@ class TestMatrixBasics:
 
         minv = DynMatrix.diagonal(2, lambda i: f).inv(1e-6)
         dmix = weight_shift_matrix(2, 1, -1) @ weight_shift_matrix(2, 2, +1)
-        coeffs = (dmix @ minv.shift_row({1: +1, 2: -1})).coeffs_at(s0)
+        read = dmix @ minv.shift_row({1: +1, 2: -1})
+        coeffs = read.coeffs_at(s0)
         assert np.allclose(sum(coeffs.values()), np.eye(4) / f(s0))
+        batch = read.coeffs_at([s0])
+        assert np.allclose(sum(batch.values()), [np.eye(4) / f(s0)])
 
     @pytest.mark.parametrize(
         "read, expect",
@@ -388,6 +393,8 @@ class TestMatrixBasics:
         m = DynMatrix.diagonal(2, lambda i: f)
         coeffs = read(m, f).coeffs_at(s0)
         assert np.allclose(sum(coeffs.values()), expect)
+        batch = read(m, f).coeffs_at([s0])
+        assert np.allclose(sum(batch.values()), [expect])
 
     def test_kept_arrays_are_read_only(self):
         s = 0.37 + 0.11j
@@ -421,3 +428,102 @@ class TestMatrixBasics:
         d = weight_shift_matrix(1, 1, +1)
         with pytest.raises(ValueError):
             d.at(0.0)
+
+
+def _scalar(s):
+    return 1.5 - 0.5j + 0.2 * s * s
+
+
+class TestBatchedEvaluation:
+    """A batch of samples evaluates to the stacked per-sample values, exactly."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda a, b: a @ b,
+            lambda a, b: a @ weight_shift_matrix(2, 1, +1) @ b,
+            lambda a, b: a.shift_col({1: +1, 2: -1}),
+            lambda a, b: a.shift_row({2: +1}) @ b.shift_row({1: -1}),
+            lambda a, b: a.transpose_leg(1),
+            lambda a, b: a.swap_legs(1, 2),
+            lambda a, b: a.embed(3, (1, 3)),
+            lambda a, b: (a @ weight_shift_matrix(2, 1, -1)).partial_trace(1),
+            lambda a, b: a.scale(_scalar).scale(2.0 - 1j),
+            lambda a, b: a + b.shift_col({1: +1}),
+            lambda a, b: a.inv(1e-9) @ b,
+            lambda a, b: a.inv(1e-9).shift_col({1: +1}) @ a.inv(1e-9),
+        ],
+        ids=[
+            "matmul", "skew_matmul", "shift_col", "shift_row", "transpose_leg",
+            "swap_legs", "embed", "partial_trace", "scale", "add", "inv",
+            "inv_shifted",
+        ],
+    )
+    def test_batch_equals_stacked_samples(self, build):
+        rng = np.random.default_rng(17)
+        a, b = rand_matrix(2, rng), rand_matrix(2, rng)
+        samples = S_SAMPLES + [S_SAMPLES[0]]
+        # separate builds, so that inverses do not share their per-s caches
+        batch = build(a, b).coeffs_at(samples)
+        m = build(a, b)
+        singles = [m.coeffs_at(s) for s in samples]
+        assert set(batch) == set(singles[0])
+        for k, v in batch.items():
+            assert v.shape == (len(samples),) + singles[0][k].shape
+            assert np.array_equal(v, np.stack([c[k] for c in singles]))
+        if set(batch) == {0}:
+            assert np.array_equal(build(a, b).at(samples), batch[0])
+            assert np.array_equal(m.at(samples[1]), singles[1][0])
+
+    def test_scalar_read_keeps_read_only_arrays_read_only(self):
+        m = DynMatrix.constant(PAULI_Y)
+        assert m.at([0.0, 1.0]).shape == (2, 2, 2)
+        assert not m.at(0.0).flags.writeable
+
+    def test_empty_pattern_reads_zeros(self):
+        zero = DynMatrix.from_entries(1, lambda i, j: None)
+        assert np.array_equal(zero.at(0.3), np.zeros((2, 2)))
+        assert np.array_equal(zero.at([0.3, 0.4]), np.zeros((2, 2, 2)))
+        assert zero.coeffs_at([0.3]) == {}
+
+    def test_rejects_nested_samples(self):
+        with pytest.raises(ValueError, match="1-D"):
+            DynMatrix.identity(1).at([[0.1, 0.2]])
+
+    def test_singular_sample_in_a_batch_is_named(self):
+        bad = 0.25 - 0.1j
+        batch = [0.1 + 0.2j, bad, -0.4 + 0.3j]
+
+        def f(s):
+            return s - bad
+
+        msg = re.escape(f"at s = {bad}")
+        m = DynMatrix.diagonal(2, lambda i: f)
+        with pytest.raises(SingularPointError, match=r"\|det\|.*" + msg):
+            m.inv(1e-6).at(batch)
+        ratio = DynMatrix.diagonal(1, lambda i: guarded_div(lambda s: 1.0, f))
+        with pytest.raises(SingularPointError, match="denominator.*" + msg):
+            ratio.at(batch)
+        good = [batch[0], batch[2]]
+        assert np.allclose(m.inv(1e-6).at(good), [np.eye(4) / f(s) for s in good])
+
+    def test_skew_resid_over_a_batch_is_the_worst_sample(self):
+        rng = np.random.default_rng(23)
+        a, b = rand_matrix(2, rng), rand_matrix(2, rng)
+        lhs = a @ weight_shift_matrix(2, 1, +1)
+        rhs = b.shift_col({2: -1})
+        worst = skew_resid(lhs, rhs, S_SAMPLES)
+        assert worst > 0
+        assert worst == max(skew_resid(lhs, rhs, [s]) for s in S_SAMPLES)
+
+    def test_zero_weight_check_reads_every_sample(self):
+        bad = S_SAMPLES[3]
+
+        def entry(i, j):
+            if (i, j) == (0, 3):  # row weight +2, column weight -2
+                return lambda s: 1e-3 if s == bad else 0.0
+            return 1.0 if i == j else None
+
+        m = DynMatrix.from_entries(2, entry)
+        assert zero_weight_check(m, S_SAMPLES[:3], 1e-6)
+        assert not zero_weight_check(m, S_SAMPLES, 1e-6)
