@@ -34,6 +34,16 @@ a result reads it.  Scalar entry functions still see one sample at a time.
 arrays) or a sequence of samples; batched values equal per-sample values
 exactly.  Arrays an evaluator keeps (constant leaves, cached inverses) are
 read-only, and so is what a scalar read returns from them.
+
+Patterns are interned ``Pattern`` objects: read-only dicts of read-only
+masks, one object per distinct pattern, where the order of the degrees is
+part of the pattern (it sets the order in which a skew product sums its
+terms).  What an operation derives from patterns alone -- its output masks,
+its index tables and, per demand, its plan -- lives in one process-wide
+table keyed by the operation, its operands' patterns and the demand, so a
+graph rebuilt with new leaves but the same patterns derives nothing again.
+Every demand an operation passes on is interned; a plain-dict demand handed
+to ``ev`` is interned on entry.  Values never depend on that table's state.
 """
 
 from __future__ import annotations
@@ -118,26 +128,58 @@ def guarded_div(num, den, guard: float = DEFAULT_GUARD):
     return ev
 
 
-def _key(need) -> tuple:
-    return tuple(sorted((k, m.tobytes()) for k, m in need.items()))
+class Pattern(dict):
+    """A read-only {E-degree: boolean d x d mask} mapping, interned: equal
+    patterns with their degrees in the same order are one object, so a
+    pattern hashes and compares by identity."""
+
+    __slots__ = ()
+    __hash__ = object.__hash__
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a Pattern is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
 
 
-def _planned(plan):
-    """Memoize plan(need), which depends on patterns only, per demand."""
-    cache = {}
-
-    def get(need):
-        key = _key(need)
-        p = cache.get(key)
-        if p is None:
-            p = cache[key] = plan(need)
-        return p
-
-    return get
+# The interned patterns, by (degree, shape, bytes) of each mask in order, and
+# what the operations derive from them, keyed by the operation and Pattern
+# objects themselves (never an id()), which _PATTERNS keeps alive.
+_PATTERNS: dict = {}
+_DERIVED: dict = {}
 
 
-def _nonempty(masks) -> dict:
-    return {k: m for k, m in masks.items() if m.any()}
+def _intern(masks) -> Pattern:
+    """The one Pattern equal to masks, degrees in masks' order; a Pattern is
+    returned as it is."""
+    if type(masks) is Pattern:
+        return masks
+    masks = {k: np.asarray(m, dtype=bool) for k, m in masks.items()}
+    key = tuple((k, m.shape, m.tobytes()) for k, m in masks.items())
+    pattern = _PATTERNS.get(key)
+    if pattern is None:
+        for k, m in masks.items():
+            masks[k] = m = m.copy()
+            m.flags.writeable = False
+        pattern = _PATTERNS[key] = Pattern(masks)
+    return pattern
+
+
+def _pattern(masks) -> Pattern:
+    """The Pattern of masks' nonempty masks."""
+    return _intern({k: m for k, m in masks.items() if m.any()})
+
+
+def _derived(key, derive, *args):
+    """The process-wide entry for key (an operation, its operands' patterns
+    and, for a plan, the demand), computed as derive(*args) on first use."""
+    value = _DERIVED.get(key)
+    if value is None:
+        value = _DERIVED[key] = derive(*args)
+    return value
 
 
 def _stack(arrays: list) -> np.ndarray:
@@ -146,31 +188,86 @@ def _stack(arrays: list) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
-_GATHER_TABLES: dict = {}
+def _matmul_masks(pa: Pattern, pb: Pattern) -> Pattern:
+    masks: dict[int, np.ndarray] = {}
+    for da, ma in pa.items():
+        for db, mb in pb.items():
+            m = ma @ mb
+            masks[da + db] = masks[da + db] | m if da + db in masks else m
+    return _pattern(masks)
 
 
-def _gather_table(key, nlegs_in: int, nlegs_out: int, sources) -> np.ndarray:
-    """Flat index table of a leg operation, cached per leg layout.  Column
-    I * D + J lists the flat input entries i * d + j that sum into output
-    entry (I, J), as sources(row bits, column bits) gives them; the pad index
-    d * d reads 0."""
-    table = _GATHER_TABLES.get(key)
-    if table is None:
-        d = 1 << nlegs_in
-        bt = _bit_table(nlegs_out)
-        cols = [
-            [_from_bits(r) * d + _from_bits(c) for r, c in sources(list(rb), list(cb))]
-            for rb in bt
-            for cb in bt
-        ]
-        width = max(map(len, cols))
-        table = np.array([c + [d * d] * (width - len(c)) for c in cols]).T
-        table.flags.writeable = False
-        _GATHER_TABLES[key] = table
+def _matmul_plan(pa: Pattern, pb: Pattern, need: Pattern) -> tuple:
+    """(demand on A, {degree of A: demand on B}, the (da, db) pairs summed)."""
+    need_a: dict[int, np.ndarray] = {}
+    need_b: dict[int, dict[int, np.ndarray]] = {}
+    pairs = []
+    for da, ma in pa.items():
+        for db, mb in pb.items():
+            nc = need.get(da + db)
+            if nc is None:
+                continue
+            na = ma & (nc @ mb.T)
+            if not na.any():
+                continue
+            nb = mb & (ma.T @ nc)
+            need_a[da] = need_a[da] | na if da in need_a else na
+            nbs = need_b.setdefault(da, {})
+            nbs[db] = nbs[db] | nb if db in nbs else nb
+            pairs.append((da, db))
+    need_b = {da: _intern(n) for da, n in need_b.items()}
+    return _intern(need_a), need_b, tuple(pairs)
+
+
+def _add_masks(pa: Pattern, pb: Pattern) -> Pattern:
+    masks = dict(pa)
+    for k, m in pb.items():
+        masks[k] = masks[k] | m if k in masks else m
+    return _pattern(masks)
+
+
+def _add_plan(pa: Pattern, pb: Pattern, need: Pattern) -> tuple:
+    """The demand on each term, empty where it reads nothing."""
+    return tuple(
+        _pattern({k: n & p[k] for k, n in need.items() if k in p}) for p in (pa, pb)
+    )
+
+
+def _gather_table(nlegs_in: int, nlegs_out: int, sources) -> np.ndarray:
+    """Flat index table of a leg operation.  Column I * D + J lists the flat
+    input entries i * d + j that sum into output entry (I, J), as
+    sources(row bits, column bits) gives them; the pad index d * d reads 0."""
+    d = 1 << nlegs_in
+    bt = _bit_table(nlegs_out)
+    cols = [
+        [_from_bits(r) * d + _from_bits(c) for r, c in sources(list(rb), list(cb))]
+        for rb in bt
+        for cb in bt
+    ]
+    width = max(map(len, cols))
+    table = np.array([c + [d * d] * (width - len(c)) for c in cols]).T
+    table.flags.writeable = False
     return table
 
 
-@lru_cache(maxsize=None)
+def _gather_masks(table: np.ndarray, dout: int, p: Pattern) -> Pattern:
+    return _pattern(
+        {
+            k: np.append(m.reshape(-1), False)[table].any(axis=0).reshape(dout, dout)
+            for k, m in p.items()
+        }
+    )
+
+
+def _gather_plan(table: np.ndarray, d: int, p: Pattern, need: Pattern) -> Pattern:
+    need_in = {}
+    for k, n in need.items():
+        flat = np.zeros(d * d + 1, dtype=bool)
+        flat[table[:, n.reshape(-1)]] = True
+        need_in[k] = flat[:-1].reshape(d, d) & p[k]
+    return _pattern(need_in)
+
+
 def _shift_groups(nlegs: int, spec: tuple, use_rows: bool) -> tuple:
     """(shift, entries moved by it) pairs of an sc (columns) or sl (rows)
     dressing."""
@@ -183,6 +280,13 @@ def _shift_groups(nlegs: int, spec: tuple, use_rows: bool) -> tuple:
         sel.flags.writeable = False
         groups.append((k, sel))
     return tuple(groups)
+
+
+def _shift_plan(groups: tuple, need: Pattern) -> tuple:
+    """(shift, entries moved by it, demand at that shift) for each shift a
+    demand reads."""
+    picked = [(k, sel, need[0] & sel) for k, sel in groups]
+    return tuple((k, sel, _intern({0: nk})) for k, sel, nk in picked if nk.any())
 
 
 class DynMatrix:
@@ -199,7 +303,7 @@ class DynMatrix:
 
     def __init__(self, nlegs: int, masks: dict, ev):
         self.nlegs = nlegs
-        self.masks = _nonempty(masks)
+        self.masks = masks if type(masks) is Pattern else _pattern(masks)
         self.ev = ev
 
     @property
@@ -282,34 +386,13 @@ class DynMatrix:
         if self.nlegs != other.nlegs:
             raise ValueError("leg count mismatch")
         a, b = self, other
-        masks: dict[int, np.ndarray] = {}
-        for da, ma in a.masks.items():
-            for db, mb in b.masks.items():
-                m = ma @ mb
-                masks[da + db] = masks[da + db] | m if da + db in masks else m
-
-        @_planned
-        def plan(need):
-            need_a: dict[int, np.ndarray] = {}
-            need_b: dict[int, dict[int, np.ndarray]] = {}
-            pairs = []
-            for da, ma in a.masks.items():
-                for db, mb in b.masks.items():
-                    nc = need.get(da + db)
-                    if nc is None:
-                        continue
-                    na = ma & (nc @ mb.T)
-                    if not na.any():
-                        continue
-                    nb = mb & (ma.T @ nc)
-                    need_a[da] = need_a[da] | na if da in need_a else na
-                    nbs = need_b.setdefault(da, {})
-                    nbs[db] = nbs[db] | nb if db in nbs else nb
-                    pairs.append((da, db))
-            return need_a, need_b, pairs
+        pa, pb = a.masks, b.masks
 
         def ev(s, need):
-            need_a, need_b, pairs = plan(need)
+            need = _intern(need)
+            need_a, need_b, pairs = _derived(
+                ("@", pa, pb, need), _matmul_plan, pa, pb, need
+            )
             va = a.ev(s, need_a)
             vb = {da: b.ev(s + da, nb) for da, nb in need_b.items()}
             out: dict[int, np.ndarray] = {}
@@ -319,28 +402,26 @@ class DynMatrix:
                 out[dc] = out[dc] + term if dc in out else term
             return out
 
+        masks = _derived(("@", pa, pb), _matmul_masks, pa, pb)
         return DynMatrix(self.nlegs, masks, ev)
 
     def __add__(self, other: "DynMatrix") -> "DynMatrix":
         if self.nlegs != other.nlegs:
             raise ValueError("leg count mismatch")
         terms = (self, other)
-        masks = dict(self.masks)
-        for k, m in other.masks.items():
-            masks[k] = masks[k] | m if k in masks else m
+        pa, pb = self.masks, other.masks
 
         def ev(s, need):
+            need = _intern(need)
+            plan = _derived(("+", pa, pb, need), _add_plan, pa, pb, need)
             out: dict[int, np.ndarray] = {}
-            for t in terms:
-                nt = _nonempty(
-                    {k: n & t.masks[k] for k, n in need.items() if k in t.masks}
-                )
+            for t, nt in zip(terms, plan):
                 if nt:
                     for k, v in t.ev(s, nt).items():
                         out[k] = out[k] + v if k in out else v
             return out
 
-        return DynMatrix(self.nlegs, masks, ev)
+        return DynMatrix(self.nlegs, _derived(("+", pa, pb), _add_masks, pa, pb), ev)
 
     def __sub__(self, other: "DynMatrix") -> "DynMatrix":
         return self + other.scale(-1.0)
@@ -361,25 +442,15 @@ class DynMatrix:
     def _gather(self, key, nlegs: int, sources) -> "DynMatrix":
         """The leg operation whose output entries sum the input entries that
         sources(row bits, column bits) lists."""
-        src = self
+        src, p = self, self.masks
         d, dout = self.dim, 1 << nlegs
-        table = _gather_table((self.nlegs,) + key, self.nlegs, nlegs, sources)
-        masks = {
-            k: np.append(m.reshape(-1), False)[table].any(axis=0).reshape(dout, dout)
-            for k, m in self.masks.items()
-        }
-
-        @_planned
-        def plan(need):
-            need_in = {}
-            for k, n in need.items():
-                flat = np.zeros(d * d + 1, dtype=bool)
-                flat[table[:, n.reshape(-1)]] = True
-                need_in[k] = flat[:-1].reshape(d, d) & src.masks[k]
-            return _nonempty(need_in)
+        layout = (self.nlegs,) + key
+        table = _derived(layout, _gather_table, self.nlegs, nlegs, sources)
 
         def ev(s, need):
-            vals = src.ev(s, plan(need))
+            need = _intern(need)
+            plan = _derived((layout, p, need), _gather_plan, table, d, p, need)
+            vals = src.ev(s, plan)
             n = len(s)
             out = {}
             for k in need:
@@ -388,6 +459,7 @@ class DynMatrix:
                 out[k] = flat[:, table].sum(axis=1).reshape(n, dout, dout)
             return out
 
+        masks = _derived((layout, p), _gather_masks, table, dout, p)
         return DynMatrix(nlegs, masks, ev)
 
     def transpose_leg(self, leg: int) -> "DynMatrix":
@@ -446,17 +518,14 @@ class DynMatrix:
 
     def _shift(self, spec: dict[int, int], use_rows: bool) -> "DynMatrix":
         self._require_function_valued("shift dressing")
-        groups = _shift_groups(self.nlegs, tuple(sorted(spec.items())), use_rows)
+        dressing = ("shift", self.nlegs, tuple(sorted(spec.items())), use_rows)
+        groups = _derived(dressing, _shift_groups, *dressing[1:])
         src, d = self, self.dim
 
-        @_planned
-        def plan(need):
-            picked = [(k, sel, need[0] & sel) for k, sel in groups]
-            return [(k, sel, {0: nk}) for k, sel, nk in picked if nk.any()]
-
         def ev(s, need):
+            need = _intern(need)
             out = np.zeros((len(s), d, d), dtype=complex)
-            for k, sel, nk in plan(need):
+            for k, sel, nk in _derived((dressing, need), _shift_plan, groups, need):
                 np.copyto(out, src.ev(s + k, nk)[0], where=sel)
             return {0: out}
 
@@ -555,12 +624,17 @@ def promote_shifted_scalar(f, nlegs: int, spec: dict[int, int]) -> DynMatrix:
     return DynMatrix.diagonal(nlegs, lambda i: shift_scalar(f, ks[i]))
 
 
+def _off_weight(nlegs: int, p: Pattern) -> Pattern:
+    """The entries of p whose row and column weight sums differ."""
+    w = np.array([sum(weight(b) for b in bits) for bits in _bit_table(nlegs)])
+    off = w[:, None] != w[None, :]
+    return _pattern({k: m & off for k, m in p.items()})
+
+
 def zero_weight_check(m: DynMatrix, samples, tol: float) -> bool:
     """True iff every entry whose row and column weight sums differ vanishes
     below tol at all sample points (all shift degrees included)."""
-    w = np.array([sum(weight(b) for b in bits) for bits in _bit_table(m.nlegs)])
-    off = w[:, None] != w[None, :]
-    need = _nonempty({k: mk & off for k, mk in m.masks.items()})
+    need = _derived(("off-weight", m.nlegs, m.masks), _off_weight, m.nlegs, m.masks)
     if not need:
         return True
     vals = m.ev(np.asarray(samples, dtype=complex).reshape(-1), need)

@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dynell import Params, RPoint, build_r_twisted, twist_of_r
+from dynell import Params, RPoint, build_r_twisted, shiftcalc, twist_of_r
 from dynell.checks import (
     CONTROL_THRESHOLD,
     GridSpec,
@@ -55,6 +55,10 @@ TOL = GRID.tolerance
 def _clear_caches():
     for fn in (_powers, _poch1, _poch2_table, _poch2, _theta, _r_array):
         fn.cache_clear()
+    # the interned patterns and what is derived from them, so each criterion
+    # still times a cold start
+    shiftcalc._PATTERNS.clear()
+    shiftcalc._DERIVED.clear()
 
 
 def record(num, ok, message):

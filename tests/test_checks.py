@@ -134,6 +134,35 @@ class TestProofChain:
         assert inverted
         assert len(set(inverted)) == len(inverted)
 
+    def test_pattern_work_happens_once_per_pattern(self, monkeypatch):
+        # a second grid point rebuilds the same pattern graphs: every mask
+        # and plan comes from the table the first point filled
+        derived = []
+        for name in (
+            "_matmul_masks", "_matmul_plan", "_add_masks", "_add_plan",
+            "_gather_table", "_gather_masks", "_gather_plan", "_shift_groups",
+            "_shift_plan", "_off_weight",
+        ):
+            fn = getattr(shiftcalc, name)
+
+            def counting(*args, fn=fn):
+                derived.append(fn)
+                return fn(*args)
+
+            monkeypatch.setattr(shiftcalc, name, counting)
+        monkeypatch.setattr(shiftcalc, "_PATTERNS", {})
+        monkeypatch.setattr(shiftcalc, "_DERIVED", {})
+        grid = GridSpec()
+        points = grid.sample_points()
+        sizes = []
+        for pt in (points[0], points[2]):
+            reports = check_proof_chain_cor22(*checks._chain_samples(grid, pt))
+            assert [r.status for r in reports] == ["pass"] * 7
+            tables = (shiftcalc._PATTERNS, shiftcalc._DERIVED, derived)
+            sizes.append(tuple(map(len, tables)))
+        assert sizes[0][2] == sizes[0][1] > 0
+        assert sizes[1] == sizes[0]
+
     def test_mu_factor_control(self):
         reports = check_proof_chain_cor22(PARAMS, S0, Z[0], corruption="drop_detg_sc")
         assert len(reports) == 1

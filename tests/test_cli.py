@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dynell.checks import format_complex
+from dynell.checks import GridSpec, format_complex, run_suite
 from dynell.cli import main, parse_complex
 
 
@@ -129,6 +129,25 @@ class TestCheckCommand:
         ]
         assert json.loads(runs[0])["summary"]["fail"] == 0
         assert runs[0] == runs[1]
+
+    def test_results_do_not_depend_on_cache_state(self, tmp_path, monkeypatch):
+        # a fresh interpreter against one whose pattern tables and kernel
+        # caches another grid has already filled
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env.pop("DYNELL_CONFIG", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        args = ["check", "--points", "3", "--format", "json", "--no-timestamp"]
+        cold = subprocess.run([sys.executable, "-m", "dynell"] + args, env=env,
+                              cwd=tmp_path, capture_output=True, timeout=300)
+        run_suite(GridSpec(seed=1, n_points=3))
+        monkeypatch.delenv("DYNELL_CONFIG", raising=False)
+        warm = tmp_path / "warm.json"
+        assert main(args + ["--output", str(warm)]) == cold.returncode
+        assert json.loads(cold.stdout)["summary"]["pass"] > 0
+        assert warm.read_bytes() == cold.stdout
 
 
 class TestConfigFile:

@@ -91,9 +91,11 @@ class TestSkewRing:
 class TestWeightShiftMatrix:
     def test_single_leg_diagonal(self):
         d = weight_shift_matrix(1, 1, +1)
-        assert set(d.masks) == {1, -1}
+        assert list(d.masks) == [1, -1]  # from_entries keeps first-seen order
         assert d.masks[1].tolist() == [[True, False], [False, False]]
         assert d.masks[-1].tolist() == [[False, False], [False, True]]
+        assert d.masks is weight_shift_matrix(1, 1, +1).masks
+        assert not d.masks[1].flags.writeable
 
     @pytest.mark.parametrize(
         "build",
@@ -227,6 +229,9 @@ class TestConjugateByShift:
             -2: [[False, True], [False, False]],
             2: [[False, False], [True, False]],
         }
+        # the skew product lists degrees in the order its pairs first reach them
+        assert list(c.masks) == [0, -2, 2]
+        assert c.masks is m.scale(2.0).conj_by_shift(1).masks
         got = c.coeffs_at(s)
         assert got[0][0, 0] == pytest.approx(fs[0][0](s - 1))
         assert got[-2][0, 1] == pytest.approx(fs[0][1](s - 1))
@@ -527,3 +532,64 @@ class TestBatchedEvaluation:
         m = DynMatrix.from_entries(2, entry)
         assert zero_weight_check(m, S_SAMPLES[:3], 1e-6)
         assert not zero_weight_check(m, S_SAMPLES, 1e-6)
+
+
+class TestPatterns:
+    """Patterns are interned and read-only; degree order is part of one."""
+
+    def test_equal_patterns_are_one_object(self):
+        rng = np.random.default_rng(31)
+        a, b = rand_matrix(2, rng), rand_matrix(2, rng)
+        c, d = rand_matrix(2, rng), rand_matrix(2, rng)
+        assert a.masks is c.masks
+        for build in (
+            lambda x, y: x @ weight_shift_matrix(2, 1, +1) @ y,
+            lambda x, y: x + y.shift_col({1: +1}),
+            lambda x, y: x.partial_trace(2),
+        ):
+            assert build(a, b).masks is build(c, d).masks
+        assert a.masks is not a.embed(3, (1, 2)).masks
+
+    def test_interned_masks_are_read_only(self):
+        mask = np.array([[True, False], [False, False]])
+        m = DynMatrix(1, {0: mask}, lambda s, need: {0: np.ones((len(s), 2, 2))})
+        assert mask.flags.writeable  # interning copies what it keeps
+        assert m.masks[0].tolist() == mask.tolist()
+        assert not m.masks[0].flags.writeable
+        with pytest.raises(ValueError):
+            m.masks[0][1, 1] = True
+        with pytest.raises(TypeError, match="read-only"):
+            m.masks[1] = mask
+        with pytest.raises(TypeError, match="read-only"):
+            m.masks.update({1: mask})
+        with pytest.raises(TypeError, match="read-only"):
+            del m.masks[0]
+
+    def test_degree_order_is_part_of_a_pattern(self):
+        def f(s):
+            return s
+
+        up, down = elem({0: f, 1: 2.0}), elem({1: 2.0, 0: f})
+        assert list(up.masks) == [0, 1] and list(down.masks) == [1, 0]
+        assert up.masks is not down.masks
+        prod = skew_mul(elem({1: f, 0: 3.0}), elem({0: 1.0, -1: f}))
+        assert list(prod.masks) == [1, 0, -1]
+        assert list(skew_mul(up, down).masks) == [1, 0, 2]
+
+    def test_plain_dict_demand_reads_as_its_pattern(self):
+        rng = np.random.default_rng(37)
+        a, b = rand_matrix(2, rng), rand_matrix(2, rng)
+        c = (a @ weight_shift_matrix(2, 1, +1) @ b.shift_row({2: -1})).swap_legs(
+            1, 2
+        ) + a.inv(1e-9).transpose_leg(2)
+        xs = np.asarray(S_SAMPLES, dtype=complex)
+        plain = {k: m.copy() for k, m in c.masks.items()}
+        got = c.ev(xs, plain)
+        want = c.ev(xs, c.masks)
+        assert list(got) == list(want)
+        for k in want:
+            assert np.array_equal(got[k], want[k])
+        assert all(m.flags.writeable for m in plain.values())
+        one = np.zeros((4, 4), dtype=bool)
+        one[1, 2] = True
+        assert c.ev(xs, {0: one})[0][:, 1, 2].tolist() == want[0][:, 1, 2].tolist()
