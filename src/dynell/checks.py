@@ -18,6 +18,7 @@ green is also demonstrably sensitive.
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass, replace
 
@@ -36,6 +37,7 @@ from .shiftcalc import (
     guarded_div,
     index_bits,
     inv_guarded,
+    point_blocks,
     shift_scalar,
     weight,
     weight_shift_matrix,
@@ -146,20 +148,27 @@ def _name(base: str, corruption) -> str:
     return f"{base}.negctrl" if corruption else base
 
 
-def _skew_resid(lhs: DynMatrix, rhs: DynMatrix, samples) -> float:
+def _skew_resids(lhs: DynMatrix, rhs: DynMatrix, samples, points: int = 1) -> list:
     """Coefficient-wise residual per E-degree, normalised per sample point,
-    worst over the sample points (all evaluated in one batch)."""
+    worst over each grid point's block of samples (all evaluated in one
+    batch): one residual per grid point."""
     samples = list(samples)
     lc = lhs.coeffs_at(samples)
     rc = rhs.coeffs_at(samples)
     zero = np.zeros((len(samples), lhs.dim, lhs.dim))
     peaks = [abs(m).max(axis=(1, 2)) for m in lc.values()]
     norm = np.max([np.ones(len(samples))] + peaks, axis=0)
-    worst = 0.0
+    worst = [0.0] * points
     for k in set(lc) | set(rc):
         diff = abs(lc.get(k, zero) - rc.get(k, zero)).max(axis=(1, 2))
-        worst = max(worst, float((diff / norm).max()))
+        block = (diff / norm).reshape(points, -1).max(axis=1).tolist()
+        worst = list(map(max, worst, block))
     return worst
+
+
+def _skew_resid(lhs: DynMatrix, rhs: DynMatrix, samples) -> float:
+    """_skew_resids at one point: the worst over all the samples."""
+    return _skew_resids(lhs, rhs, samples)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -201,39 +210,77 @@ def _scalar_ratio_diag(f, nlegs, num: dict, den: dict, params) -> DynMatrix:
     return DynMatrix.diagonal(nlegs, entry)
 
 
+def _laurent(cs, w):
+    return cs[0] / (w * w) + cs[1] / w + cs[2] + cs[3] * w + cs[4] * w * w
+
+
 def _rand_laurent(rng, params):
     """Random Laurent polynomial of degree <= 2 in w = q^{2s}."""
     cs = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    return lambda s: _laurent(cs, dyn_w(s, params))
 
-    def ev(s, cs=cs):
-        w = dyn_w(s, params)
-        return cs[0] / (w * w) + cs[1] / w + cs[2] + cs[3] * w + cs[4] * w * w
 
-    return ev
+def _rand_skew_element(degs, rng, params) -> DynMatrix:
+    """sum_k f_k E^k over degs, each f_k drawn as by _rand_laurent in degs'
+    order, as one 0-leg leaf that computes w once per sample."""
+    cs = {int(k): rng.standard_normal(5) + 1j * rng.standard_normal(5) for k in degs}
+
+    def ev(s, need):
+        ws = [dyn_w(x, params) for x in s.tolist()]
+        return {
+            k: np.array([_laurent(cs[k], w) for w in ws], complex).reshape(-1, 1, 1)
+            for k in need
+        }
+
+    return DynMatrix(0, {k: np.ones((1, 1), dtype=bool) for k in cs}, ev)
 
 
 def _rand_matrix(nlegs, rng, params, pattern=None) -> DynMatrix:
-    """One leaf of _rand_laurent entries on the pattern (default: all), drawn
-    in row-major order; w is computed once per sample."""
+    """A grid leaf of _rand_laurent entries on the pattern (default: all);
+    rng and params are per point (or one point's).  Each point draws from
+    its rng in row-major order; w is computed once per sample."""
+    if isinstance(params, Params):
+        rng, params = [rng], [params]
     d = 1 << nlegs
     if pattern is None:
         pattern = np.ones((d, d), dtype=bool)
-    raw = rng.standard_normal((int(pattern.sum()), 2, 5))
-    coeffs = np.zeros((5, d * d), dtype=complex)
-    coeffs[:, pattern.reshape(-1)] = (raw[:, 0] + 1j * raw[:, 1]).T
+    coeffs = np.zeros((len(params), 5, d * d), dtype=complex)
+    for table, r in zip(coeffs, rng):
+        raw = r.standard_normal((int(pattern.sum()), 2, 5))
+        table[:, pattern.reshape(-1)] = (raw[:, 0] + 1j * raw[:, 1]).T
 
     def ev(s, need):
-        w = np.array([dyn_w(x, params) for x in s.tolist()])
-        powers = np.stack([1.0 / (w * w), 1.0 / w, np.ones_like(w), w, w * w], axis=1)
+        blocks = point_blocks(s, len(params)).tolist()
+        w = np.array([[dyn_w(x, p) for x in b] for p, b in zip(params, blocks)], complex)
+        powers = np.stack([1.0 / (w * w), 1.0 / w, np.ones_like(w), w, w * w], axis=-1)
         return {0: (powers @ coeffs).reshape(len(s), d, d)}
 
-    return DynMatrix(nlegs, {0: pattern}, ev)
+    return DynMatrix(nlegs, {0: pattern}, ev, len(params))
 
 
-def _rand_samples(rng, n=8):
+def _rand_samples(rngs, n):
+    """n samples of s per grid point, each from its point's rng, point-major."""
     return [
-        complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.5, 0.5)) for _ in range(n)
+        complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.5, 0.5))
+        for rng in rngs
+        for _ in range(n)
     ]
+
+
+def _over_points(check):
+    """Batch check over grid points: check takes each per-point input as a
+    sequence over the points (params first) and returns one result per point.
+    The batched check also takes one point's inputs and returns that point's
+    result, as a batch of one."""
+
+    @functools.wraps(check)
+    def run(params, *args, **options):
+        if isinstance(params, Params):
+            return check([params], *([a] for a in args), **options)[0]
+        return check(params, *args, **options)
+
+    run.over_points = True
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -454,38 +501,38 @@ def check_a_equals_n(params: Params, z1, z2) -> CheckReport:
     return _guarded("aequalsn", point, params.tolerance, run)
 
 
-def check_lemma_p1(params: Params, seed, corruption=None) -> CheckReport:
+@_over_points
+def check_lemma_p1(params, seed, corruption=None) -> list[CheckReport]:
     """Trace-exchange lemma: tr_1(A e^{-sz d} M_1 e^{sz d} C) equals the
     t_2-transpose of tr_1((C^{sl1.t2} A^{sc1.t2})^{-sc1} e^{-sz d} M_1
     e^{sz d}).  A, C are random function-valued two-leg matrices, M a random
     function-valued one-leg matrix; both sides live in the skew ring and are
-    compared per E-degree."""
-    point = {"q": params.q, "p": params.p, "seed": int(seed)}
-
-    name = _name("lemmap1", corruption)
-
-    def run():
-        rng = np.random.default_rng(seed)
-        a = _rand_matrix(2, rng, params)
-        c = _rand_matrix(2, rng, params)
-        m1 = _rand_matrix(1, rng, params).embed(2, (1,))
-        d1m = weight_shift_matrix(2, 1, -1)
-        d1p = weight_shift_matrix(2, 1, +1)
-        lhs = (a @ d1m @ m1 @ d1p @ c).partial_trace(1)
-        if corruption == "swap_sl_sc":
-            prod = c.shift_col({1: +1}).transpose_leg(2) @ a.shift_row(
-                {1: +1}
-            ).transpose_leg(2)
-            dressed = prod.shift_row({1: -1})
-        else:
-            prod = c.shift_row({1: +1}).transpose_leg(2) @ a.shift_col(
-                {1: +1}
-            ).transpose_leg(2)
-            dressed = prod.shift_col({1: -1})
-        rhs = (dressed @ d1m @ m1 @ d1p).partial_trace(1).transpose_leg(1)
-        return _skew_resid(lhs, rhs, _rand_samples(rng))
-
-    return _guarded(name, point, params.tolerance, run, control=bool(corruption))
+    compared per E-degree.  Batched over grid points (_over_points); each
+    point draws from np.random.default_rng of its seed."""
+    rng = [np.random.default_rng(x) for x in seed]
+    a = _rand_matrix(2, rng, params)
+    c = _rand_matrix(2, rng, params)
+    m1 = _rand_matrix(1, rng, params).embed(2, (1,))
+    d1m = weight_shift_matrix(2, 1, -1)
+    d1p = weight_shift_matrix(2, 1, +1)
+    lhs = (a @ d1m @ m1 @ d1p @ c).partial_trace(1)
+    if corruption == "swap_sl_sc":
+        prod = c.shift_col({1: +1}).transpose_leg(2) @ a.shift_row(
+            {1: +1}
+        ).transpose_leg(2)
+        dressed = prod.shift_row({1: -1})
+    else:
+        prod = c.shift_row({1: +1}).transpose_leg(2) @ a.shift_col(
+            {1: +1}
+        ).transpose_leg(2)
+        dressed = prod.shift_col({1: -1})
+    rhs = (dressed @ d1m @ m1 @ d1p).partial_trace(1).transpose_leg(1)
+    resids = _skew_resids(lhs, rhs, _rand_samples(rng, 8), len(rng))
+    name, control = _name("lemmap1", corruption), bool(corruption)
+    return [
+        _report(name, {"q": p.q, "p": p.p, "seed": int(x)}, r, p.tolerance, control=control)
+        for p, x, r in zip(params, seed, resids)
+    ]
 
 
 def check_proof_chain_cor22(
@@ -674,43 +721,45 @@ def integration_trace_check(params: Params, s, z1, z2, u, corruption=None) -> Ch
 # ---------------------------------------------------------------------------
 # shift-calculus property checks (rerun inside the suite as named checks)
 
-def check_sc_operator_form(params: Params, rng) -> float:
+@_over_points
+def check_sc_operator_form(params, rng) -> list[float]:
     """Component shift-column equals (D M^t)^t D^{-1} through the skew ring."""
-    worst = 0.0
+    worst = [0.0] * len(rng)
     for nlegs in (1, 2):
         m = _rand_matrix(nlegs, rng, params)
         d = weight_shift_matrix(nlegs, 1, +1)
         di = weight_shift_matrix(nlegs, 1, -1)
         op = (d @ m.transpose_leg(1)).transpose_leg(1) @ di
-        worst = max(
-            worst, _skew_resid(m.shift_col({1: +1}), op, _rand_samples(rng, 4))
-        )
+        resids = _skew_resids(m.shift_col({1: +1}), op, _rand_samples(rng, 4), len(rng))
+        worst = list(map(max, worst, resids))
     return worst
 
 
-def check_sl_operator_form(params: Params, rng) -> float:
+@_over_points
+def check_sl_operator_form(params, rng) -> list[float]:
     """Component shift-row equals ((D M)^t D^{-1})^t through the skew ring."""
-    worst = 0.0
+    worst = [0.0] * len(rng)
     for nlegs in (1, 2):
         m = _rand_matrix(nlegs, rng, params)
         d = weight_shift_matrix(nlegs, 1, +1)
         di = weight_shift_matrix(nlegs, 1, -1)
         op = ((d @ m).transpose_leg(1) @ di).transpose_leg(1)
-        worst = max(
-            worst, _skew_resid(m.shift_row({1: +1}), op, _rand_samples(rng, 4))
-        )
+        resids = _skew_resids(m.shift_row({1: +1}), op, _rand_samples(rng, 4), len(rng))
+        worst = list(map(max, worst, resids))
     return worst
 
 
-def check_transpose_shift_exchange(params: Params, rng) -> float:
+@_over_points
+def check_transpose_shift_exchange(params, rng) -> list[float]:
     """(M^{t1})^{sc1} = (M^{sl1})^{t1} on random function-valued matrices."""
     m = _rand_matrix(2, rng, params)
     lhs = m.transpose_leg(1).shift_col({1: +1})
     rhs = m.shift_row({1: +1}).transpose_leg(1)
-    return _skew_resid(lhs, rhs, _rand_samples(rng, 4))
+    return _skew_resids(lhs, rhs, _rand_samples(rng, 4), len(rng))
 
 
-def check_zero_weight_commutation(params: Params, rng) -> float:
+@_over_points
+def check_zero_weight_commutation(params, rng) -> list[float]:
     """M . e^{(-sz1+sz2) d} = e^{(-sz1+sz2) d} . M^{sl1-sl2} whenever M^{t1}
     is zero-weight."""
     bt = [index_bits(i, 2) for i in range(4)]
@@ -722,17 +771,21 @@ def check_zero_weight_commutation(params: Params, rng) -> float:
     ])
     m = _rand_matrix(2, rng, params, pattern)
     dmix = weight_shift_matrix(2, 1, -1) @ weight_shift_matrix(2, 2, +1)
-    return _skew_resid(m @ dmix, dmix @ m.shift_row({1: +1, 2: -1}), _rand_samples(rng, 4))
+    rhs = dmix @ m.shift_row({1: +1, 2: -1})
+    return _skew_resids(m @ dmix, rhs, _rand_samples(rng, 4), len(rng))
 
 
-def check_sigma_y_transpose(params: Params, rng) -> float:
+@_over_points
+def check_sigma_y_transpose(params, rng) -> list[float]:
     """Conjugation by sigma_y on leg 1 commutes with the leg-1 transpose."""
     a = _rand_matrix(2, rng, params)
     sy = _sigma_y1()
     lhs = (sy @ a @ sy).transpose_leg(1)
     rhs = sy @ a.transpose_leg(1) @ sy
     samples = _rand_samples(rng, 4)
-    return max(map(_resid, lhs.at(samples), rhs.at(samples)))
+    shape = (len(rng), -1, 4, 4)
+    blocks = zip(lhs.at(samples).reshape(shape), rhs.at(samples).reshape(shape))
+    return [max(map(_resid, lb, rb)) for lb, rb in blocks]
 
 
 def _skew_element(terms: dict) -> DynMatrix:
@@ -743,10 +796,10 @@ def _skew_element(terms: dict) -> DynMatrix:
 def check_skew_associativity(params: Params, rng) -> float:
     def rand_elem():
         degs = rng.choice(np.arange(-2, 3), size=3, replace=False)
-        return _skew_element({int(d): _rand_laurent(rng, params) for d in degs})
+        return _rand_skew_element(degs, rng, params)
 
     a, b, c = rand_elem(), rand_elem(), rand_elem()
-    return _skew_resid((a @ b) @ c, a @ (b @ c), _rand_samples(rng, 4))
+    return _skew_resid((a @ b) @ c, a @ (b @ c), _rand_samples([rng], 4))
 
 
 def check_skew_defining(params: Params, rng) -> float:
@@ -754,7 +807,7 @@ def check_skew_defining(params: Params, rng) -> float:
     f = _rand_laurent(rng, params)
     lhs = _skew_element({1: 1.0}) @ _skew_element({0: f})
     rhs = _skew_element({1: shift_scalar(f, 1)})
-    return _skew_resid(lhs, rhs, _rand_samples(rng, 4))
+    return _skew_resid(lhs, rhs, _rand_samples([rng], 4))
 
 
 # ---------------------------------------------------------------------------
@@ -892,7 +945,7 @@ def _rng(tag):
 
 def _chain_samples(grid, pt):
     """The chain and its control share s plus three random samples."""
-    samples = [pt.s] + _rand_samples(_rng_for(grid, pt, "cor22chain"), 3)
+    samples = [pt.s] + _rand_samples([_rng_for(grid, pt, "cor22chain")], 3)
     return pt.params, pt.s, pt.zs[0], samples
 
 
@@ -946,19 +999,37 @@ _SUITE = (
 
 
 def _runner(name, check, inputs, options):
-    """The suite runner of one row: grid point -> list of CheckReports."""
+    """The suite runner of one row: (grid, points) -> the points' CheckReports
+    in point order.  A check batched by _over_points runs once over all the
+    points, and point by point only if a singular guard trips in the batch."""
 
-    def run(grid: GridSpec, pt: GridPoint) -> list[CheckReport]:
-        point = {"q": pt.params.q, "p": pt.params.p, "s": pt.s, "z": pt.zs}
+    def one(grid, pt):
         try:
-            out = check(*inputs(grid, pt), **options)
-        except SingularPointError as exc:  # only property checks let it out
-            return [CheckReport(name, point, None, "skipped-singular", str(exc))]
-        if isinstance(out, CheckReport):
-            return [out]
-        if isinstance(out, list):
-            return out
-        return [_report(name, point, out, pt.params.tolerance)]
+            return check(*inputs(grid, pt), **options)
+        except SingularPointError as exc:  # property and batched checks let it out
+            return exc
+
+    def run(grid: GridSpec, points: list[GridPoint]) -> list[CheckReport]:
+        outs = None
+        if getattr(check, "over_points", False):
+            try:
+                columns = zip(*(inputs(grid, pt) for pt in points))
+                outs = check(*map(list, columns), **options)
+            except SingularPointError:
+                pass
+        if outs is None:
+            outs = [one(grid, pt) for pt in points]
+        reports = []
+        for pt, out in zip(points, outs):
+            point = {"q": pt.params.q, "p": pt.params.p, "s": pt.s, "z": pt.zs}
+            if isinstance(out, SingularPointError):
+                out = CheckReport(name, point, None, "skipped-singular", str(out))
+            elif not isinstance(out, (CheckReport, list)):
+                out = _report(name, point, out, pt.params.tolerance)
+            for rep in out if isinstance(out, list) else [out]:
+                rep.point = {**rep.point, "index": pt.index}
+                reports.append(rep)
+        return reports
 
     return run
 
@@ -989,15 +1060,7 @@ def run_suite(grid: GridSpec) -> list[CheckReport]:
     reports are ordered by check name, then point index."""
     names = resolve_check_names(grid.checks)
     points = grid.sample_points()
-    reports: list[CheckReport] = []
-    for name in names:
-        runner = _REGISTRY[name]
-        for pt in points:
-            for rep in runner(grid, pt):
-                rep.point = dict(rep.point)
-                rep.point["index"] = pt.index
-                reports.append(rep)
-    return reports
+    return [rep for name in names for rep in _REGISTRY[name](grid, points)]
 
 
 def summarize(reports) -> dict:

@@ -210,7 +210,7 @@ def ups_ratio(k_num: int, k_den: int, params: Params):
     def ev(s):
         w = dyn_w(s, params)
         q2 = params.q * params.q
-        den = guarded(theta(w * q2**k_den, params), label, g)
+        den = guarded(theta(w * q2**k_den, params), label, g, " at s = {}", s)
         return pref * theta(w * q2**k_num, params) / den
 
     return ev

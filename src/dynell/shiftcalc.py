@@ -35,6 +35,14 @@ arrays) or a sequence of samples; batched values equal per-sample values
 exactly.  Arrays an evaluator keeps (constant leaves, cached inverses) are
 read-only, and so is what a scalar read returns from them.
 
+The batch may run over the points of a grid: a grid read lays its samples
+out in P equal, point-major blocks, and as every operation maps sample i to
+sample i, block p holds point p's values.  A grid leaf evaluates block p
+with point p's data (``point_blocks`` rejects a batch that is not P equal
+blocks), and ``points`` records the P of the grid leaves a matrix holds (0
+for none); a single point is the batch of one.  ``inv`` caches by the value
+of s, which would mix points, so it refuses a matrix that holds a grid leaf.
+
 Patterns are interned ``Pattern`` objects: read-only dicts of read-only
 masks, one object per distinct pattern, where the order of the degrees is
 part of the pattern (it sets the order in which a skew product sums its
@@ -66,6 +74,7 @@ __all__ = [
     "promote_shifted_scalar",
     "zero_weight_check",
     "inv_guarded",
+    "point_blocks",
 ]
 
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -180,6 +189,20 @@ def _derived(key, derive, *args):
     if value is None:
         value = _DERIVED[key] = derive(*args)
     return value
+
+
+def point_blocks(s: np.ndarray, points: int) -> np.ndarray:
+    """The samples s of a grid read as a (points, m) array, one row per point;
+    raises ValueError unless s is points equal blocks."""
+    if len(s) % points:
+        raise ValueError(f"{len(s)} samples are not {points} equal point blocks")
+    return s.reshape(points, len(s) // points)
+
+
+def _points(a: "DynMatrix", b: "DynMatrix") -> int:
+    if a.points and b.points and a.points != b.points:
+        raise ValueError("operands hold grid leaves over different point counts")
+    return a.points or b.points
 
 
 def _stack(arrays: list) -> np.ndarray:
@@ -299,12 +322,13 @@ class DynMatrix:
     through ``coeffs_at``.
     """
 
-    __slots__ = ("nlegs", "masks", "ev")
+    __slots__ = ("nlegs", "masks", "ev", "points")
 
-    def __init__(self, nlegs: int, masks: dict, ev):
+    def __init__(self, nlegs: int, masks: dict, ev, points: int = 0):
         self.nlegs = nlegs
         self.masks = masks if type(masks) is Pattern else _pattern(masks)
         self.ev = ev
+        self.points = points
 
     @property
     def dim(self) -> int:
@@ -396,14 +420,17 @@ class DynMatrix:
             va = a.ev(s, need_a)
             vb = {da: b.ev(s + da, nb) for da, nb in need_b.items()}
             out: dict[int, np.ndarray] = {}
-            for da, db in pairs:
-                term = va[da] @ vb[da][db]
+            for da, db in pairs:  # each term is fresh: sum in place
+                term = va[da] @ vb[da].pop(db)
                 dc = da + db
-                out[dc] = out[dc] + term if dc in out else term
+                if dc in out:
+                    out[dc] += term
+                else:
+                    out[dc] = term
             return out
 
         masks = _derived(("@", pa, pb), _matmul_masks, pa, pb)
-        return DynMatrix(self.nlegs, masks, ev)
+        return DynMatrix(self.nlegs, masks, ev, _points(a, b))
 
     def __add__(self, other: "DynMatrix") -> "DynMatrix":
         if self.nlegs != other.nlegs:
@@ -421,7 +448,8 @@ class DynMatrix:
                         out[k] = out[k] + v if k in out else v
             return out
 
-        return DynMatrix(self.nlegs, _derived(("+", pa, pb), _add_masks, pa, pb), ev)
+        masks = _derived(("+", pa, pb), _add_masks, pa, pb)
+        return DynMatrix(self.nlegs, masks, ev, _points(self, other))
 
     def __sub__(self, other: "DynMatrix") -> "DynMatrix":
         return self + other.scale(-1.0)
@@ -435,7 +463,7 @@ class DynMatrix:
             v = np.array([f(x) for x in s.tolist()])[:, None, None]
             return {k: v * arr for k, arr in src.ev(s, need).items()}
 
-        return DynMatrix(self.nlegs, self.masks, ev)
+        return DynMatrix(self.nlegs, self.masks, ev, self.points)
 
     # -- leg operations -----------------------------------------------------
 
@@ -460,7 +488,7 @@ class DynMatrix:
             return out
 
         masks = _derived((layout, p), _gather_masks, table, dout, p)
-        return DynMatrix(nlegs, masks, ev)
+        return DynMatrix(nlegs, masks, ev, self.points)
 
     def transpose_leg(self, leg: int) -> "DynMatrix":
         """Transpose on a single leg only."""
@@ -529,7 +557,7 @@ class DynMatrix:
                 np.copyto(out, src.ev(s + k, nk)[0], where=sel)
             return {0: out}
 
-        return DynMatrix(self.nlegs, self.masks, ev)
+        return DynMatrix(self.nlegs, self.masks, ev, self.points)
 
     def shift_col(self, spec: dict[int, int]) -> "DynMatrix":
         """Shift-column dressing: entry arguments move by the signed weights
@@ -577,8 +605,11 @@ class DynMatrix:
         inverts the full matrix once per sample point, keeping each inverse
         for later reads at that point, and raises SingularPointError when
         |det| falls below the guard, trying the samples of a batch in order.
+        A matrix that holds a grid leaf has no inverse (module docstring).
         """
         self._require_function_valued("inverse")
+        if self.points:
+            raise ValueError("inverse of a matrix that holds a grid leaf")
         cache: dict[complex, np.ndarray] = {}
         base = self
 

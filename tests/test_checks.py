@@ -198,6 +198,82 @@ class TestRandomLaurentLeaf:
         assert abs(got - expect).max() <= 64 * np.finfo(float).eps * abs(expect).max()
         assert leaf.masks[0].tolist() == mask.tolist()
 
+    def test_skew_element_leaf_equals_the_per_degree_polynomials(self, monkeypatch):
+        samples = [S0, -0.6 + 0.3j, 0.9 - 0.45j]
+        degs = np.array([2, -1, 0])
+        leaf = checks._rand_skew_element(degs, np.random.default_rng(5), PARAMS)
+        # the same draws, degree by degree in degs' order
+        rng = np.random.default_rng(5)
+        polys = {int(k): checks._rand_laurent(rng, PARAMS) for k in degs}
+        calls = []
+        dyn_w = checks.dyn_w
+        monkeypatch.setattr(checks, "dyn_w", lambda s, p: calls.append(s) or dyn_w(s, p))
+        got = leaf.coeffs_at(samples)
+        assert calls == samples  # w once per sample for all three degrees
+        assert list(leaf.masks) == [2, -1, 0]
+        for k, f in polys.items():
+            assert got[k][:, 0, 0].tolist() == [f(s) for s in samples]
+
+
+# the rows that run once over all grid points
+BATCHED = (
+    "lemmap1", "lemmap1.negctrl", "shiftcalc.sc_operator_form",
+    "shiftcalc.sl_operator_form", "shiftcalc.transpose_exchange",
+    "shiftcalc.zero_weight_commutation", "shiftcalc.sigma_y_transpose",
+)
+
+
+class TestGridBatch:
+    """Batching a check over the grid moves no point's result."""
+
+    def test_batched_rows(self):
+        rows = {name: check for name, check, *_ in checks._SUITE}
+        batched = {n for n, c in rows.items() if getattr(c, "over_points", False)}
+        assert batched == set(BATCHED)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_batch_equals_batches_of_one(self, seed):
+        grid = GridSpec(seed=seed)
+        points = grid.sample_points()
+        for name in BATCHED:
+            runner = _REGISTRY[name]
+            batch = runner(grid, points)
+            alone = [rep for pt in points for rep in runner(grid, [pt])]
+            assert len(batch) == len(alone) == len(points)
+            for b, a, pt in zip(batch, alone, points):
+                assert b.residual == a.residual, (name, pt.index)
+                assert b.to_dict() == a.to_dict()
+                assert b.point["index"] == pt.index
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_three_points_equal_the_first_three_of_the_grid(self, seed):
+        small = run_suite(GridSpec(seed=seed, n_points=3, checks=("lemmap1", "shiftcalc")))
+        full = run_suite(GridSpec(seed=seed, checks=("lemmap1", "shiftcalc")))
+        head = [r.to_dict() for r in full if r.point["index"] < 3]
+        assert [r.to_dict() for r in small] == head
+        assert len(head) == 3 * len(resolve_check_names(("lemmap1", "shiftcalc")))
+
+    def test_guard_trip_in_a_batch_skips_only_its_point(self):
+        @checks._over_points
+        def check(params, index):
+            if 1 in index:
+                raise checks.SingularPointError(f"at index 1 of {list(index)}")
+            return [float(i) * 1e-12 for i in index]
+
+        grid = GridSpec()
+        run = checks._runner("probe", check, lambda grid, pt: (pt.params, pt.index), {})
+        reports = run(grid, grid.sample_points()[:3])
+        assert [r.status for r in reports] == ["pass", "skipped-singular", "pass"]
+        assert reports[1].detail == "at index 1 of [1]"
+        assert [r.residual for r in reports] == [0.0, None, 2e-12]
+        assert [r.point["index"] for r in reports] == [0, 1, 2]
+
+    def test_single_point_call_is_the_batch_of_one(self):
+        reports = check_lemma_p1([PARAMS, PARAMS], [3, 4])
+        assert [r.to_dict() for r in reports] == [
+            check_lemma_p1(PARAMS, seed).to_dict() for seed in (3, 4)
+        ]
+
 
 class TestLemmaP1:
     def test_twenty_seeds(self):
@@ -302,7 +378,7 @@ class TestSuite:
         grid = GridSpec()
         pt = grid.sample_points()[0]
         for key, runner in _REGISTRY.items():
-            reports = runner(grid, pt)
+            reports = runner(grid, [pt])
             assert reports, key
             for rep in reports:
                 assert rep.name == key or rep.name.startswith(key + "."), (key, rep.name)

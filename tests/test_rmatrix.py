@@ -25,7 +25,7 @@ from dynell import (
     upsilon_ratio,
     zero_weight_check,
 )
-from dynell.rmatrix import _g22, _qpow, _r_array, dyn_w
+from dynell.rmatrix import _g22, _qpow, _r_array, dyn_w, ups_ratio
 from dynell.shiftcalc import PAULI_Y, guarded_div, shift_scalar, weight
 
 from helpers import make_params, resid
@@ -209,6 +209,13 @@ class TestUpsilon:
         # w = 1 (s = 0) is a zero of theta
         with pytest.raises(SingularPointError):
             upsilon_ratio(0.0, 1, PARAMS)
+
+    def test_ratio_guard_names_s(self):
+        # w q^2 = 1 at s = -1: the denominator Theta(w q^2) vanishes
+        with pytest.raises(SingularPointError) as info:
+            ups_ratio(0, 1, PARAMS)(-1.0 + 0j)
+        assert str(info.value).startswith("singular point: |Theta(w q^{2})| = ")
+        assert str(info.value).endswith(" below guard at s = (-1+0j)")
 
 
 class TestDressingFactors:

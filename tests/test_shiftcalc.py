@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dynell import (
     DynMatrix,
+    Params,
     SingularPointError,
     promote_shifted_scalar,
     shift_scalar,
@@ -17,10 +18,11 @@ from dynell import (
     zero_weight_check,
 )
 from dynell.checks import _skew_element as elem
+from dynell.checks import _rand_matrix as rand_matrix_over_points
 from dynell.checks import _skew_resid as skew_resid
 from dynell.shiftcalc import PAULI_Y, guarded_div, index_bits, weight
 
-from helpers import rand_fourier, rand_matrix, sample_s
+from helpers import make_params, rand_fourier, rand_matrix, sample_s
 
 RNG = np.random.default_rng(20240811)
 S_SAMPLES = sample_s(np.random.default_rng(99))
@@ -532,6 +534,58 @@ class TestBatchedEvaluation:
         m = DynMatrix.from_entries(2, entry)
         assert zero_weight_check(m, S_SAMPLES[:3], 1e-6)
         assert not zero_weight_check(m, S_SAMPLES, 1e-6)
+
+
+class TestGridLeaves:
+    """A grid leaf evaluates block p of a batch with point p's data."""
+
+    PARAMS = (make_params(), Params.make(0.61, 0.27))
+
+    def leaf(self, nlegs=2, points=2, seed=41):
+        rngs = [np.random.default_rng(seed + i) for i in range(points)]
+        params = [self.PARAMS[i % 2] for i in range(points)]
+        return rand_matrix_over_points(nlegs, rngs, params)
+
+    def test_block_p_reads_point_p(self):
+        grid = self.leaf()
+        alone = [
+            rand_matrix_over_points(2, np.random.default_rng(41 + i), self.PARAMS[i])
+            for i in range(2)
+        ]
+        got = grid.at(S_SAMPLES[:4])
+        assert np.array_equal(got[:2], alone[0].at(S_SAMPLES[:2]))
+        assert np.array_equal(got[2:], alone[1].at(S_SAMPLES[2:4]))
+        op = lambda m: (m @ weight_shift_matrix(2, 1, +1)).partial_trace(2)
+        vals = op(grid).coeffs_at(S_SAMPLES[:4])
+        for k, v in vals.items():
+            assert np.array_equal(v[:2], op(alone[0]).coeffs_at(S_SAMPLES[:2])[k])
+            assert np.array_equal(v[2:], op(alone[1]).coeffs_at(S_SAMPLES[2:4])[k])
+
+    def test_batch_that_is_not_equal_blocks_raises(self):
+        grid = self.leaf()
+        assert grid.points == 2
+        with pytest.raises(ValueError, match="not 2 equal point blocks"):
+            grid.at(S_SAMPLES[:3])
+        with pytest.raises(ValueError, match="not 2 equal point blocks"):
+            grid.at(S_SAMPLES[0])
+        dressed = grid.shift_row({1: +1}).transpose_leg(2) @ weight_shift_matrix(2, 2, -1)
+        assert dressed.points == 2
+        with pytest.raises(ValueError, match="not 2 equal point blocks"):
+            dressed.coeffs_at(S_SAMPLES[:5])
+
+    def test_inverse_of_a_graph_with_a_grid_leaf_raises(self):
+        for grid in (self.leaf(points=1), self.leaf()):
+            for m in (grid, (grid @ DynMatrix.identity(2)).swap_legs(1, 2)):
+                with pytest.raises(ValueError, match="grid leaf"):
+                    m.inv(1e-9)
+        assert DynMatrix.identity(2).points == 0
+        DynMatrix.identity(2).inv(1e-9)
+
+    def test_grids_of_different_sizes_do_not_combine(self):
+        with pytest.raises(ValueError, match="different point counts"):
+            self.leaf(points=2) @ self.leaf(points=3)
+        with pytest.raises(ValueError, match="different point counts"):
+            self.leaf(points=3) + self.leaf(points=2)
 
 
 class TestPatterns:
