@@ -1,18 +1,21 @@
 """One check per certified matrix identity.
 
 Each check builds both sides of an identity from the R-matrix and
-shift-calculus layers, computes a normalized residual and returns a
-CheckReport.  The residual convention throughout is
+shift-calculus layers and returns the normalized residual as a float.  The
+residual convention throughout is
 
     residual = max-entry |LHS - RHS| / max(1, max-entry |LHS|),
 
 with shift-valued sides compared coefficient-wise per E-degree at sampled
-values of the dynamical coordinate.  Evaluations that hit a singular guard
-produce status "skipped-singular" rather than a failure.
+values of the dynamical coordinate.  An evaluation that hits a singular guard
+raises SingularPointError out of the check.
 
-Negative controls are first-class: every corruptible check accepts a named
-corruption of one side, and the corresponding "*.negctrl" suite entry counts
-as pass exactly when the corrupted residual exceeds 1e-3, so a suite that is
+The suite runner alone turns residuals into CheckReports: it names each
+report after its row of the _SUITE table, takes the point from the row's
+inputs, and records a SingularPointError as status "skipped-singular" rather
+than a failure.  Negative controls are first-class: every corruptible check
+accepts a named corruption of one side, and a row named "*.negctrl" counts as
+pass exactly when the corrupted residual exceeds 1e-3, so a suite that is
 green is also demonstrably sensitive.
 """
 
@@ -34,6 +37,7 @@ from .special import (
 from .shiftcalc import (
     PAULI_Y,
     DynMatrix,
+    _leg_shifts,
     guarded_div,
     index_bits,
     inv_guarded,
@@ -119,33 +123,10 @@ class CheckReport:
         }
 
 
-def _report(name, point, residual, tol, detail="", control=False) -> CheckReport:
-    if control:
-        ok = residual > CONTROL_THRESHOLD
-        note = f"negative control: expected residual > {CONTROL_THRESHOLD:g}"
-        detail = f"{note}; {detail}" if detail else note
-        status = "pass" if ok else "fail"
-    else:
-        status = "pass" if residual <= tol else "fail"
-    return CheckReport(name, point, residual, status, detail)
-
-
-def _guarded(name, point, tol, fn, detail="", control=False) -> CheckReport:
-    try:
-        residual = fn()
-    except SingularPointError as exc:
-        return CheckReport(name, point, None, "skipped-singular", str(exc))
-    return _report(name, point, residual, tol, detail=detail, control=control)
-
-
 def _resid(lhs: np.ndarray, rhs: np.ndarray) -> float:
     lhs = np.asarray(lhs)
     rhs = np.asarray(rhs)
     return float(abs(lhs - rhs).max() / max(1.0, abs(lhs).max()))
-
-
-def _name(base: str, corruption) -> str:
-    return f"{base}.negctrl" if corruption else base
 
 
 def _skew_resids(lhs: DynMatrix, rhs: DynMatrix, samples, points: int = 1) -> list:
@@ -186,28 +167,19 @@ def _sigma_y1(nlegs: int = 2) -> DynMatrix:
 def _ups_diag(nlegs, num: dict, den: dict, params) -> DynMatrix:
     """Diagonal matrix of crossing-scalar ratios; the shifts in numerator and
     denominator are signed leg weights of the diagonal index."""
-
-    def entry(i):
-        bits = index_bits(i, nlegs)
-        kn = sum(sg * weight(bits[l - 1]) for l, sg in num.items())
-        kd = sum(sg * weight(bits[l - 1]) for l, sg in den.items())
-        return ups_ratio(kn, kd, params)
-
-    return DynMatrix.diagonal(nlegs, entry)
+    kn, kd = _leg_shifts(nlegs, num), _leg_shifts(nlegs, den)
+    return DynMatrix.diagonal(nlegs, lambda i: ups_ratio(kn[i], kd[i], params))
 
 
 def _scalar_ratio_diag(f, nlegs, num: dict, den: dict, params) -> DynMatrix:
     """Diagonal matrix with entries f(s + num-shift) / f(s + den-shift)."""
-
-    def entry(i):
-        bits = index_bits(i, nlegs)
-        kn = sum(sg * weight(bits[l - 1]) for l, sg in num.items())
-        kd = sum(sg * weight(bits[l - 1]) for l, sg in den.items())
-        return guarded_div(
-            shift_scalar(f, kn), shift_scalar(f, kd), params.singular_guard
-        )
-
-    return DynMatrix.diagonal(nlegs, entry)
+    kn, kd = _leg_shifts(nlegs, num), _leg_shifts(nlegs, den)
+    return DynMatrix.diagonal(
+        nlegs,
+        lambda i: guarded_div(
+            shift_scalar(f, kn[i]), shift_scalar(f, kd[i]), params.singular_guard
+        ),
+    )
 
 
 def _laurent(cs, w):
@@ -329,148 +301,100 @@ def check_n_periodicity(params: Params, zs) -> float:
 
 def check_dybe(
     params: Params, s, z1, z2, z3, twisted=False, corruption=None
-) -> CheckReport:
+) -> float:
     """Dynamical Yang-Baxter equation on three legs, spectator-leg shifts."""
-    name = _name("dybe", corruption) if corruption else (
-        f"dybe.{'rtilde' if twisted else 'r'}"
-    )
-    point = {"q": params.q, "p": params.p, "s": s, "z": (z1, z2, z3)}
-
-    def run():
-        r12 = _r_dyn(z1 / z2, params, twisted).embed(3, (1, 2))
-        r13 = _r_dyn(z1 / z3, params, twisted).embed(3, (1, 3))
-        r23 = _r_dyn(z2 / z3, params, twisted).embed(3, (2, 3))
-        r23_s1 = r23 if corruption == "drop_spectator_shift" else r23.shift_col({1: +1})
-        lhs = r12.shift_col({3: +1}).at(s) @ r13.at(s) @ r23_s1.at(s)
-        rhs = r23.at(s) @ r13.shift_col({2: +1}).at(s) @ r12.at(s)
-        return _resid(lhs, rhs)
-
-    return _guarded(name, point, params.tolerance, run, control=bool(corruption))
+    r12 = _r_dyn(z1 / z2, params, twisted).embed(3, (1, 2))
+    r13 = _r_dyn(z1 / z3, params, twisted).embed(3, (1, 3))
+    r23 = _r_dyn(z2 / z3, params, twisted).embed(3, (2, 3))
+    r23_s1 = r23 if corruption == "drop_spectator_shift" else r23.shift_col({1: +1})
+    lhs = r12.shift_col({3: +1}).at(s) @ r13.at(s) @ r23_s1.at(s)
+    rhs = r23.at(s) @ r13.shift_col({2: +1}).at(s) @ r12.at(s)
+    return _resid(lhs, rhs)
 
 
-def check_unitarity(params: Params, s, z, twisted=False, corruption=None) -> CheckReport:
+def check_unitarity(params: Params, s, z, twisted=False, corruption=None) -> float:
     """R_12(z) R_21(1/z) equals the unitarity scalar times the identity."""
-    name = _name("unitarity", corruption) if corruption else (
-        f"unitarity.{'rtilde' if twisted else 'r'}"
-    )
-    point = {"q": params.q, "p": params.p, "s": s, "z": (z,)}
-
-    def run():
-        a = _r_dyn(z, params, twisted).at(s)
-        if corruption == "rescale":
-            a = 2.0 * a
-        b = _r_dyn(1.0 / z, params, twisted).swap_legs(1, 2).at(s)
-        rhs = unitarity_scalar(z, params) * np.eye(4)
-        return _resid(a @ b, rhs)
-
-    return _guarded(name, point, params.tolerance, run, control=bool(corruption))
+    a = _r_dyn(z, params, twisted).at(s)
+    if corruption == "rescale":
+        a = 2.0 * a
+    b = _r_dyn(1.0 / z, params, twisted).swap_legs(1, 2).at(s)
+    rhs = unitarity_scalar(z, params) * np.eye(4)
+    return _resid(a @ b, rhs)
 
 
-def check_crossing(params: Params, s, z, twisted=False, corruption=None) -> CheckReport:
+def check_crossing(params: Params, s, z, twisted=False, corruption=None) -> float:
     """Crossing relation: the leg-1 transposed, shift-row-dressed matrix at
     1/(z q^2), conjugated by sigma_y on leg 1 and weighted by the
     crossing-scalar ratio, inverts R at 1/z.  The twist-gauged matrix is also
     dressed by the diagonal Gamma on leg 1; its negative control
     ("drop_gamma") drops Gamma."""
-    name = _name("crossing", corruption) if corruption else (
-        f"crossing.{'rtilde' if twisted else 'r'}"
-    )
-    point = {"q": params.q, "p": params.p, "s": s, "z": (z,)}
     q2 = params.q * params.q
     g = params.singular_guard
-
-    def run():
-        sy = _sigma_y1().at(s)
-        x = _r_dyn(1.0 / (z * q2), params, twisted).transpose_leg(1).shift_row({1: -1})
-        u = _ups_diag(2, {2: +1}, {}, params)
-        if twisted:
-            if corruption == "drop_gamma":
-                g1 = g1s2 = DynMatrix.identity(2)
-            else:
-                g1 = gamma_twist(params).embed(2, (1,))
-                g1s2 = g1.shift_col({2: +1})
-            lhs = sy @ g1.at(s) @ x.at(s) @ g1s2.inv(g).at(s) @ sy @ u.at(s)
+    sy = _sigma_y1().at(s)
+    x = _r_dyn(1.0 / (z * q2), params, twisted).transpose_leg(1).shift_row({1: -1})
+    u = _ups_diag(2, {2: +1}, {}, params)
+    if twisted:
+        if corruption == "drop_gamma":
+            g1 = g1s2 = DynMatrix.identity(2)
         else:
-            lhs = sy @ x.at(s) @ sy @ u.at(s)
-        rhs = _r_dyn(1.0 / z, params, twisted).inv(g).at(s)
-        return _resid(lhs, rhs)
-
-    return _guarded(name, point, params.tolerance, run, control=bool(corruption))
+            g1 = gamma_twist(params).embed(2, (1,))
+            g1s2 = g1.shift_col({2: +1})
+        lhs = sy @ g1.at(s) @ x.at(s) @ g1s2.inv(g).at(s) @ sy @ u.at(s)
+    else:
+        lhs = sy @ x.at(s) @ sy @ u.at(s)
+    rhs = _r_dyn(1.0 / z, params, twisted).inv(g).at(s)
+    return _resid(lhs, rhs)
 
 
 def check_crossing_unitarity(
     params: Params, s, z, twisted=True, corruption=None
-) -> CheckReport:
+) -> float:
     """Crossing-unitarity: the inverse of the sl_2-dressed, leg-1 transposed
     matrix at 1/(z q^4) against the sc_2-dressed transposed swap at z, dressed
     by the gauge G and divided by the unitarity scalar."""
-    name = _name("crossunit", corruption) if corruption else (
-        f"crossunit.{'rtilde' if twisted else 'r'}"
-    )
-    point = {"q": params.q, "p": params.p, "s": s, "z": (z,)}
     q = params.q
     g = params.singular_guard
     arg = 1.0 / (z * q * q) if corruption == "wrong_shift_arg" else 1.0 / (z * q**4)
-
-    def run():
-        g1 = cross_gauge(params).embed(2, (1,))
-        lhs = inv_guarded(
-            _r_dyn(arg, params, twisted).shift_row({2: -1}).transpose_leg(1).at(s), g
-        )
-        r21t1 = _r_dyn(z, params, twisted).swap_legs(1, 2).transpose_leg(1)
-        rhs = (
-            (1.0 / unitarity_scalar(z, params))
-            * g1.inv(g).at(s)
-            @ r21t1.shift_col({2: -1}).at(s)
-            @ g1.shift_col({2: -1}).at(s)
-        )
-        return _resid(lhs, rhs)
-
-    return _guarded(name, point, params.tolerance, run, control=bool(corruption))
+    g1 = cross_gauge(params).embed(2, (1,))
+    lhs = inv_guarded(
+        _r_dyn(arg, params, twisted).shift_row({2: -1}).transpose_leg(1).at(s), g
+    )
+    r21t1 = _r_dyn(z, params, twisted).swap_legs(1, 2).transpose_leg(1)
+    rhs = (
+        (1.0 / unitarity_scalar(z, params))
+        * g1.inv(g).at(s)
+        @ r21t1.shift_col({2: -1}).at(s)
+        @ g1.shift_col({2: -1}).at(s)
+    )
+    return _resid(lhs, rhs)
 
 
-def check_n_forms(params: Params, s, corruption=None) -> CheckReport:
+def check_n_forms(params: Params, s, corruption=None) -> float:
     """The two constructions of the trace weight N agree: the -sc dressing of
     G versus the direct shifted-ratio form."""
-    point = {"q": params.q, "p": params.p, "s": s}
     sign = +1 if corruption == "flip_sc_sign" else -1
-
-    def run():
-        form_sc = cross_gauge(params).shift_col({1: sign})
-        return _resid(form_sc.at(s), trace_weight_direct(params).at(s))
-
-    return _guarded(
-        _name("nforms", corruption), point, params.tolerance, run,
-        control=bool(corruption),
-    )
+    form_sc = cross_gauge(params).shift_col({1: sign})
+    return _resid(form_sc.at(s), trace_weight_direct(params).at(s))
 
 
-def check_magic(params: Params, s, z1, z2, alpha, beta) -> CheckReport:
+def check_magic(params: Params, s, z1, z2, alpha, beta) -> float:
     """The sufficient trace-reduction identity with supplied alpha, beta and
     N = G^{-sc}; holds iff alpha*beta = q^{-4} (the critical-charge locus)."""
-    point = {"q": params.q, "p": params.p, "s": s, "z": (z1, z2)}
-    q = params.q
     g = params.singular_guard
-    gap = abs(alpha * beta - q**-4)
-    detail = f"|alpha*beta - q^-4| = {gap:.6e}"
-
-    def run():
-        n = trace_weight(params)
-        n1_sc = n.embed(2, (1,)).shift_col({1: +1})
-        n1_m2_sc = n.embed(2, (1,)).shift_col({1: +1, 2: -1})
-        x = _r_dyn(beta * z1 / z2, params, False).shift_row({2: -1}).transpose_leg(1)
-        lhs = inv_guarded(x.at(s), g)
-        a = unitarity_scalar(alpha * z2 / z1, params)
-        r21t1 = _r_dyn(alpha * z2 / z1, params, False).swap_legs(1, 2).transpose_leg(1)
-        rhs = (
-            (1.0 / a)
-            * n1_sc.inv(g).at(s)
-            @ r21t1.shift_col({2: -1}).at(s)
-            @ n1_m2_sc.at(s)
-        )
-        return _resid(lhs, rhs)
-
-    return _guarded("magic", point, params.tolerance, run, detail=detail)
+    n = trace_weight(params)
+    n1_sc = n.embed(2, (1,)).shift_col({1: +1})
+    n1_m2_sc = n.embed(2, (1,)).shift_col({1: +1, 2: -1})
+    x = _r_dyn(beta * z1 / z2, params, False).shift_row({2: -1}).transpose_leg(1)
+    lhs = inv_guarded(x.at(s), g)
+    a = unitarity_scalar(alpha * z2 / z1, params)
+    r21t1 = _r_dyn(alpha * z2 / z1, params, False).swap_legs(1, 2).transpose_leg(1)
+    rhs = (
+        (1.0 / a)
+        * n1_sc.inv(g).at(s)
+        @ r21t1.shift_col({2: -1}).at(s)
+        @ n1_m2_sc.at(s)
+    )
+    return _resid(lhs, rhs)
 
 
 _A_EQ_N_ROWS = (
@@ -482,27 +406,22 @@ _A_EQ_N_ROWS = (
 )
 
 
-def check_a_equals_n(params: Params, z1, z2) -> CheckReport:
+def check_a_equals_n(params: Params, z1, z2) -> float:
     """For each generating-functional/Lax pairing at its critical central
     charge, the trace-reduction scalar a = n(alpha z2/z1) equals the exchange
     normalization from the pairing table (via q^4-periodicity of n)."""
-    point = {"q": params.q, "p": params.p, "z": (z1, z2)}
     q = params.q
-
-    def run():
-        worst = 0.0
-        for _label, c, alpha_exp, norm_exp in _A_EQ_N_ROWS:
-            alpha = q ** alpha_exp(c)
-            a = unitarity_scalar(alpha * z2 / z1, params)
-            norm = unitarity_scalar(q ** norm_exp(c) * z2 / z1, params)
-            worst = max(worst, abs(a - norm) / max(1.0, abs(a)))
-        return worst
-
-    return _guarded("aequalsn", point, params.tolerance, run)
+    worst = 0.0
+    for _label, c, alpha_exp, norm_exp in _A_EQ_N_ROWS:
+        alpha = q ** alpha_exp(c)
+        a = unitarity_scalar(alpha * z2 / z1, params)
+        norm = unitarity_scalar(q ** norm_exp(c) * z2 / z1, params)
+        worst = max(worst, abs(a - norm) / max(1.0, abs(a)))
+    return worst
 
 
 @_over_points
-def check_lemma_p1(params, seed, corruption=None) -> list[CheckReport]:
+def check_lemma_p1(params, seed, corruption=None) -> list[float]:
     """Trace-exchange lemma: tr_1(A e^{-sz d} M_1 e^{sz d} C) equals the
     t_2-transpose of tr_1((C^{sl1.t2} A^{sc1.t2})^{-sc1} e^{-sz d} M_1
     e^{sz d}).  A, C are random function-valued two-leg matrices, M a random
@@ -527,136 +446,24 @@ def check_lemma_p1(params, seed, corruption=None) -> list[CheckReport]:
         ).transpose_leg(2)
         dressed = prod.shift_col({1: -1})
     rhs = (dressed @ d1m @ m1 @ d1p).partial_trace(1).transpose_leg(1)
-    resids = _skew_resids(lhs, rhs, _rand_samples(rng, 8), len(rng))
-    name, control = _name("lemmap1", corruption), bool(corruption)
-    return [
-        _report(name, {"q": p.q, "p": p.p, "seed": int(x)}, r, p.tolerance, control=control)
-        for p, x, r in zip(params, seed, resids)
-    ]
+    return _skew_resids(lhs, rhs, _rand_samples(rng, 8), len(rng))
 
 
 def check_proof_chain_cor22(
     params: Params, s, z, samples=None, corruption=None
-) -> list[CheckReport]:
+) -> dict | float:
     """Every intermediate identity in the derivation of crossing-unitarity
-    from the crossing relation, checked verbatim.  The negative control drops
-    the (det g^{-sc})^{-1} factor from the scalar mu in the final reduction.
+    from the crossing relation, checked verbatim: {"step1": ..., "step7": ...},
+    each step's residual or the SingularPointError that stopped it.  The
+    negative control drops the (det g^{-sc})^{-1} factor from the scalar mu in
+    the final reduction, and returns the residual of that step alone.
     """
-    point = {"q": params.q, "p": params.p, "s": s, "z": (z,)}
-    tol = params.tolerance
     q = params.q
     q2 = q * q
     g = params.singular_guard
     if samples is None:
         samples = [s]
-    reports: list[CheckReport] = []
-    control = bool(corruption)
-
     gm = gamma_twist(params)
-    g1 = gm.embed(2, (1,))
-    g1s2 = g1.shift_col({2: +1})
-    g1m2 = g1.shift_col({2: -1})
-    sy = _sigma_y1()
-
-    def step(tag, fn, detail=""):
-        name = "cor22chain.negctrl" if control else f"cor22chain.{tag}"
-        reports.append(
-            _guarded(name, point, tol, fn, detail=detail, control=control)
-        )
-
-    if corruption != "drop_detg_sc":
-        # built once, so that the steps share each inverse's per-s cache
-        g1i = g1.inv(g)
-        g1s2i = g1s2.inv(g)
-        m12 = g1 @ _r_dyn(1.0 / z, params, True).inv(g) @ g1s2i
-
-        # step 1: inverse of the gauged crossing relation
-        def step1():
-            uinv = _ups_diag(2, {}, {2: +1}, params)
-            x = _r_dyn(1.0 / (z * q2), params, True).transpose_leg(1).shift_row({1: -1})
-            lhs = (
-                uinv.at(s)
-                @ sy.at(s)
-                @ g1s2.at(s)
-                @ x.inv(g).at(s)
-                @ g1i.at(s)
-                @ sy.at(s)
-            )
-            return _resid(lhs, _r_dyn(1.0 / z, params, True).at(s))
-
-        step("step1", step1)
-
-        # step 2: zero-weight shift commutation for the inverted dressed matrix
-        def step2():
-            x4 = _r_dyn(1.0 / (z * q**4), params, True).transpose_leg(1).shift_row({1: -1})
-            m = (g1 @ x4 @ g1s2i).inv(g)
-            if not zero_weight_check(m.transpose_leg(1), [s], 1e-8):
-                raise AssertionError("commutation precondition violated")
-            dmix = weight_shift_matrix(2, 1, -1) @ weight_shift_matrix(2, 2, +1)
-            return _skew_resid(m @ dmix, dmix @ m.shift_row({1: +1, 2: -1}), samples)
-
-        step("step2", step2)
-
-        # step 3: sl_1 - sl_2 dressing of the gauged matrix in components
-        def step3():
-            x4 = _r_dyn(1.0 / (z * q**4), params, True).transpose_leg(1)
-            lhs = (g1 @ x4.shift_row({1: -1}) @ g1s2i).shift_row({1: +1, 2: -1})
-            rhs = g1m2.shift_col({1: +1}) @ x4.shift_row({2: -1}) @ g1i.shift_col({1: +1})
-            return _resid(lhs.at(s), rhs.at(s))
-
-        step("step3", step3)
-
-        # step 4: sigma_y / shift-column exchange on a zero-weight matrix
-        def step4():
-            dp = weight_shift_matrix(2, 1, +1) @ weight_shift_matrix(2, 2, +1)
-            dmix = weight_shift_matrix(2, 1, -1) @ weight_shift_matrix(2, 2, +1)
-            lhs = (m12.transpose_leg(1) @ sy).shift_col({1: +1}) @ dp
-            rhs = dmix @ m12.transpose_leg(1).shift_col({2: -1}) @ sy
-            return _skew_resid(lhs, rhs, samples)
-
-        step("step4", step4)
-
-        # step 5: the comparison identity after eliminating sigma_y
-        def step5():
-            mu = mu_scalar(params)
-            ups1 = _ups_diag(2, {1: +1}, {1: +1, 2: -1}, params)
-            mur = _scalar_ratio_diag(mu, 2, {2: -1}, {}, params)
-            lhs = (
-                g1.shift_col({1: +1}).at(s)
-                @ inv_guarded(
-                    _r_dyn(1.0 / (z * q**4), params, True)
-                    .shift_row({2: -1})
-                    .transpose_leg(1)
-                    .at(s),
-                    g,
-                )
-                @ g1m2.inv(g).shift_col({1: +1}).at(s)
-            )
-            rhs = (
-                ups1.at(s)
-                @ m12.transpose_leg(1).shift_col({2: -1}).at(s)
-                @ mur.at(s)
-            )
-            return _resid(lhs, rhs)
-
-        step("step5", step5)
-
-        # step 6: unitarity in components
-        def step6():
-            lhs = m12.transpose_leg(1).shift_col({2: -1}).at(s)
-            rhs = (
-                (1.0 / unitarity_scalar(z, params))
-                * g1i.at(s)
-                @ _r_dyn(z, params, True)
-                .swap_legs(1, 2)
-                .transpose_leg(1)
-                .shift_col({2: -1})
-                .at(s)
-                @ g1m2.at(s)
-            )
-            return _resid(lhs, rhs)
-
-        step("step6", step6)
 
     # step 7: the Gamma-mu reduction back to the gauge ratio; evaluated at
     # every sample so the control corruption cannot hide at an accidental
@@ -674,48 +481,135 @@ def check_proof_chain_cor22(
         lhs = gm.at(samples) @ mid.at(samples) @ gsc.at(samples)
         return max(map(_resid, lhs, cross_gauge(params).at(samples)))
 
-    step("step7", step7)
-    return reports
+    if corruption:
+        return step7()
+
+    g1 = gm.embed(2, (1,))
+    g1s2 = g1.shift_col({2: +1})
+    g1m2 = g1.shift_col({2: -1})
+    sy = _sigma_y1()
+    # built once, so that the steps share each inverse's per-s cache
+    g1i = g1.inv(g)
+    g1s2i = g1s2.inv(g)
+    m12 = g1 @ _r_dyn(1.0 / z, params, True).inv(g) @ g1s2i
+
+    # step 1: inverse of the gauged crossing relation
+    def step1():
+        uinv = _ups_diag(2, {}, {2: +1}, params)
+        x = _r_dyn(1.0 / (z * q2), params, True).transpose_leg(1).shift_row({1: -1})
+        lhs = (
+            uinv.at(s)
+            @ sy.at(s)
+            @ g1s2.at(s)
+            @ x.inv(g).at(s)
+            @ g1i.at(s)
+            @ sy.at(s)
+        )
+        return _resid(lhs, _r_dyn(1.0 / z, params, True).at(s))
+
+    # step 2: zero-weight shift commutation for the inverted dressed matrix
+    def step2():
+        x4 = _r_dyn(1.0 / (z * q**4), params, True).transpose_leg(1).shift_row({1: -1})
+        m = (g1 @ x4 @ g1s2i).inv(g)
+        if not zero_weight_check(m.transpose_leg(1), [s], 1e-8):
+            raise AssertionError("commutation precondition violated")
+        dmix = weight_shift_matrix(2, 1, -1) @ weight_shift_matrix(2, 2, +1)
+        return _skew_resid(m @ dmix, dmix @ m.shift_row({1: +1, 2: -1}), samples)
+
+    # step 3: sl_1 - sl_2 dressing of the gauged matrix in components
+    def step3():
+        x4 = _r_dyn(1.0 / (z * q**4), params, True).transpose_leg(1)
+        lhs = (g1 @ x4.shift_row({1: -1}) @ g1s2i).shift_row({1: +1, 2: -1})
+        rhs = g1m2.shift_col({1: +1}) @ x4.shift_row({2: -1}) @ g1i.shift_col({1: +1})
+        return _resid(lhs.at(s), rhs.at(s))
+
+    # step 4: sigma_y / shift-column exchange on a zero-weight matrix
+    def step4():
+        dp = weight_shift_matrix(2, 1, +1) @ weight_shift_matrix(2, 2, +1)
+        dmix = weight_shift_matrix(2, 1, -1) @ weight_shift_matrix(2, 2, +1)
+        lhs = (m12.transpose_leg(1) @ sy).shift_col({1: +1}) @ dp
+        rhs = dmix @ m12.transpose_leg(1).shift_col({2: -1}) @ sy
+        return _skew_resid(lhs, rhs, samples)
+
+    # step 5: the comparison identity after eliminating sigma_y
+    def step5():
+        mu = mu_scalar(params)
+        ups1 = _ups_diag(2, {1: +1}, {1: +1, 2: -1}, params)
+        mur = _scalar_ratio_diag(mu, 2, {2: -1}, {}, params)
+        lhs = (
+            g1.shift_col({1: +1}).at(s)
+            @ inv_guarded(
+                _r_dyn(1.0 / (z * q**4), params, True)
+                .shift_row({2: -1})
+                .transpose_leg(1)
+                .at(s),
+                g,
+            )
+            @ g1m2.inv(g).shift_col({1: +1}).at(s)
+        )
+        rhs = (
+            ups1.at(s)
+            @ m12.transpose_leg(1).shift_col({2: -1}).at(s)
+            @ mur.at(s)
+        )
+        return _resid(lhs, rhs)
+
+    # step 6: unitarity in components
+    def step6():
+        lhs = m12.transpose_leg(1).shift_col({2: -1}).at(s)
+        rhs = (
+            (1.0 / unitarity_scalar(z, params))
+            * g1i.at(s)
+            @ _r_dyn(z, params, True)
+            .swap_legs(1, 2)
+            .transpose_leg(1)
+            .shift_col({2: -1})
+            .at(s)
+            @ g1m2.at(s)
+        )
+        return _resid(lhs, rhs)
+
+    out = {}
+    for n, step in enumerate((step1, step2, step3, step4, step5, step6, step7), 1):
+        try:
+            out[f"step{n}"] = step()
+        except SingularPointError as exc:
+            out[f"step{n}"] = exc
+    return out
 
 
-def integration_trace_check(params: Params, s, z1, z2, u, corruption=None) -> CheckReport:
+def integration_trace_check(params: Params, s, z1, z2, u, corruption=None) -> float:
     """End-to-end exercise of the quadratic trace functional in the
     evaluation model at central charge zero, where the Lax matrices are
     R-matrices against an auxiliary quantum leg and the conjugated kernel
     reduces to the identity.  Validates trace, shift-conjugation and
     sl-dressing bookkeeping; mathematically it reduces to shifted unitarity.
     """
-    name = _name("traceint", corruption)
-    point = {"q": params.q, "p": params.p, "s": s, "z": (z1, z2, u)}
     g = params.singular_guard
-
-    def run():
-        r13 = _r_dyn(z1 / u, params, False).embed(3, (1, 3))
-        conj_q = (r13.inv(g) @ r13).conj_by_shift(1)
-        n_direct = trace_weight_direct(params)
-        n1 = n_direct.embed(3, (1,))
-        t23 = (n1 @ conj_q).partial_trace(1)
-        r_loc = _r_dyn(z2 / u, params, False)
-        d_loc = weight_shift_matrix(2, 1, +1)
-        lhs = t23 @ r_loc @ d_loc
-        if corruption == "identity_n":
-            n1_shifted = DynMatrix.identity(3)
-        else:
-            n1_shifted = n1.shift_col({2: -1})
-        r21d = (
-            _r_dyn(z2 / z1, params, False)
-            .swap_legs(1, 2)
-            .embed(3, (1, 2))
-            .shift_row({1: -1, 2: -1})
-        )
-        r12d = _r_dyn(z1 / z2, params, False).embed(3, (1, 2)).shift_row({1: -1, 2: -1})
-        trace = (n1_shifted @ r21d @ conj_q @ r12d).partial_trace(1)
-        rhs = (r_loc @ d_loc @ trace).scale(
-            1.0 / unitarity_scalar(z2 / z1, params)
-        )
-        return _skew_resid(lhs, rhs, [s])
-
-    return _guarded(name, point, params.tolerance, run, control=bool(corruption))
+    r13 = _r_dyn(z1 / u, params, False).embed(3, (1, 3))
+    conj_q = (r13.inv(g) @ r13).conj_by_shift(1)
+    n_direct = trace_weight_direct(params)
+    n1 = n_direct.embed(3, (1,))
+    t23 = (n1 @ conj_q).partial_trace(1)
+    r_loc = _r_dyn(z2 / u, params, False)
+    d_loc = weight_shift_matrix(2, 1, +1)
+    lhs = t23 @ r_loc @ d_loc
+    if corruption == "identity_n":
+        n1_shifted = DynMatrix.identity(3)
+    else:
+        n1_shifted = n1.shift_col({2: -1})
+    r21d = (
+        _r_dyn(z2 / z1, params, False)
+        .swap_legs(1, 2)
+        .embed(3, (1, 2))
+        .shift_row({1: -1, 2: -1})
+    )
+    r12d = _r_dyn(z1 / z2, params, False).embed(3, (1, 2)).shift_row({1: -1, 2: -1})
+    trace = (n1_shifted @ r21d @ conj_q @ r12d).partial_trace(1)
+    rhs = (r_loc @ d_loc @ trace).scale(
+        1.0 / unitarity_scalar(z2 / z1, params)
+    )
+    return _skew_resid(lhs, rhs, [s])
 
 
 # ---------------------------------------------------------------------------
@@ -843,6 +737,8 @@ class GridSpec:
     p_fixed: complex | None = None
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.n_points < 1:
             raise ValueError("n_points must be >= 1")
         if self.n_z < 3:
@@ -888,75 +784,70 @@ def _rng_for(grid: GridSpec, pt: GridPoint, tag: str):
     )
 
 
-def _run_magic(grid, pt, control=False):
-    """Random alpha, beta with alpha*beta = q^-4 (times exp(offset), which is
-    0.1 for the negative control)."""
-    rng = _rng_for(grid, pt, "magic")
-    q = pt.params.q
-    t = np.exp(rng.uniform(-0.4, 0.4) + 1j * rng.uniform(-0.4, 0.4))
-    offset = 0.1 if control else grid.alpha_beta_offset
-    alpha = q**-2 * t * np.exp(offset / 2.0)
-    beta = q**-2 / t * np.exp(offset / 2.0)
-    rep = check_magic(pt.params, pt.s, pt.zs[0], pt.zs[1], alpha, beta)
-    if control:
-        return [_as_control(rep, "magic.negctrl", pt.params.tolerance)]
-    rep.name = "magic.critical"
-    if grid.alpha_beta_offset:
-        rep.detail += f"; alpha*beta offset exp({grid.alpha_beta_offset:g})"
-    return [rep]
-
-
-def _as_control(rep: CheckReport, name: str, tol: float) -> CheckReport:
-    if rep.status == "skipped-singular":
-        return CheckReport(name, rep.point, None, "skipped-singular", rep.detail)
-    return _report(name, rep.point, rep.residual, tol, detail=rep.detail, control=True)
-
-
-# Inputs of a check at a grid point: each returns the check's positional
-# arguments.
+# Inputs of a check at a grid point: each returns the report's point keys
+# (besides q, p and index) and the check's positional arguments, and may add
+# a detail for an evaluated report and a note for every report.
 
 def _zs(grid, pt):
-    return pt.params, pt.zs
+    return {"s": pt.s, "z": pt.zs}, (pt.params, pt.zs)
 
 
 def _s(grid, pt):
-    return pt.params, pt.s
+    return {"s": pt.s}, (pt.params, pt.s)
 
 
 def _s_z(grid, pt):
-    return pt.params, pt.s, pt.zs[0]
+    return {"s": pt.s, "z": pt.zs[:1]}, (pt.params, pt.s, pt.zs[0])
 
 
 def _s_z3(grid, pt):
-    return pt.params, pt.s, pt.zs[0], pt.zs[1], pt.zs[2]
+    return {"s": pt.s, "z": pt.zs[:3]}, (pt.params, pt.s, *pt.zs[:3])
 
 
 def _z_pair(grid, pt):
-    return pt.params, pt.zs[0], pt.zs[1]
-
-
-def _grid_pt(grid, pt):
-    return grid, pt
+    return {"z": pt.zs[:2]}, (pt.params, *pt.zs[:2])
 
 
 def _rng(tag):
-    return lambda grid, pt: (pt.params, _rng_for(grid, pt, tag))
+    return lambda grid, pt: (
+        {"s": pt.s, "z": pt.zs}, (pt.params, _rng_for(grid, pt, tag))
+    )
 
 
 def _chain_samples(grid, pt):
     """The chain and its control share s plus three random samples."""
     samples = [pt.s] + _rand_samples([_rng_for(grid, pt, "cor22chain")], 3)
-    return pt.params, pt.s, pt.zs[0], samples
+    return {"s": pt.s, "z": pt.zs[:1]}, (pt.params, pt.s, pt.zs[0], samples)
 
 
 def _lemma_seed(grid, pt):
-    return pt.params, int(_rng_for(grid, pt, "lemmap1").integers(1 << 31))
+    seed = int(_rng_for(grid, pt, "lemmap1").integers(1 << 31))
+    return {"seed": seed}, (pt.params, seed)
 
 
-# The suite: (name, check, inputs, keyword options), one row per check.  A
-# check returning CheckReports names them itself (the name is the row's, or
-# the row's followed by "." and a step); a check returning a bare residual is
-# a property check, reported under the row's name.
+def _magic_pair(offset=None):
+    """Random alpha, beta with alpha*beta = q^-4 times exp(offset), where the
+    offset is the grid's alpha_beta_offset unless given (0.1 for the negative
+    control).  A grid offset is noted on every report."""
+
+    def inputs(grid, pt):
+        rng = _rng_for(grid, pt, "magic")
+        q = pt.params.q
+        t = np.exp(rng.uniform(-0.4, 0.4) + 1j * rng.uniform(-0.4, 0.4))
+        off = grid.alpha_beta_offset if offset is None else offset
+        alpha = q**-2 * t * np.exp(off / 2.0)
+        beta = q**-2 / t * np.exp(off / 2.0)
+        gap = f"|alpha*beta - q^-4| = {abs(alpha * beta - q**-4):.6e}"
+        note = f"alpha*beta offset exp({off:g})" if offset is None and off else ""
+        args = (pt.params, pt.s, *pt.zs[:2], alpha, beta)
+        return {"s": pt.s, "z": pt.zs[:2]}, args, gap, note
+
+    return inputs
+
+
+# The suite: (name, check, inputs, keyword options), one row per check.  The
+# runner names a check's report after its row, and each step of a check that
+# returns {step: residual} after the row followed by "." and the step.
 _SUITE = (
     ("theta.quasiperiodicity", check_theta_quasiperiodicity, _zs, {}),
     ("theta.inversion", check_theta_inversion, _zs, {}),
@@ -981,8 +872,8 @@ _SUITE = (
      {"corruption": "drop_detg_sc"}),
     ("lemmap1", check_lemma_p1, _lemma_seed, {}),
     ("lemmap1.negctrl", check_lemma_p1, _lemma_seed, {"corruption": "swap_sl_sc"}),
-    ("magic.critical", _run_magic, _grid_pt, {"control": False}),
-    ("magic.negctrl", _run_magic, _grid_pt, {"control": True}),
+    ("magic.critical", check_magic, _magic_pair(), {}),
+    ("magic.negctrl", check_magic, _magic_pair(0.1), {}),
     ("aequalsn", check_a_equals_n, _z_pair, {}),
     ("nforms", check_n_forms, _s, {}),
     ("nforms.negctrl", check_n_forms, _s, {"corruption": "flip_sc_sign"}),
@@ -998,37 +889,55 @@ _SUITE = (
 )
 
 
+def _join(*parts) -> str:
+    return "; ".join(p for p in parts if p)
+
+
+def _report(name, point, out, tol, detail="", note="") -> CheckReport:
+    """The one maker of a CheckReport: from a residual, or from the
+    SingularPointError that stopped it.  A "*.negctrl" name is a negative
+    control, which passes when its residual exceeds CONTROL_THRESHOLD.  The
+    detail goes on an evaluated report; the note follows every report's."""
+    if isinstance(out, SingularPointError):
+        return CheckReport(name, point, None, "skipped-singular", _join(str(out), note))
+    if name.endswith(".negctrl"):
+        ok = out > CONTROL_THRESHOLD
+        control = f"negative control: expected residual > {CONTROL_THRESHOLD:g}"
+        detail = _join(control, detail)
+    else:
+        ok = out <= tol
+    return CheckReport(name, point, out, "pass" if ok else "fail", _join(detail, note))
+
+
 def _runner(name, check, inputs, options):
     """The suite runner of one row: (grid, points) -> the points' CheckReports
     in point order.  A check batched by _over_points runs once over all the
     points, and point by point only if a singular guard trips in the batch."""
 
-    def one(grid, pt):
+    def one(args):
         try:
-            return check(*inputs(grid, pt), **options)
-        except SingularPointError as exc:  # property and batched checks let it out
+            return check(*args, **options)
+        except SingularPointError as exc:
             return exc
 
     def run(grid: GridSpec, points: list[GridPoint]) -> list[CheckReport]:
+        ins = [inputs(grid, pt) for pt in points]
         outs = None
         if getattr(check, "over_points", False):
             try:
-                columns = zip(*(inputs(grid, pt) for pt in points))
-                outs = check(*map(list, columns), **options)
+                outs = check(*map(list, zip(*(i[1] for i in ins))), **options)
             except SingularPointError:
-                pass
+                # the batch drew from the inputs' generators: draw afresh
+                ins = [inputs(grid, pt) for pt in points]
         if outs is None:
-            outs = [one(grid, pt) for pt in points]
+            outs = [one(i[1]) for i in ins]
         reports = []
-        for pt, out in zip(points, outs):
-            point = {"q": pt.params.q, "p": pt.params.p, "s": pt.s, "z": pt.zs}
-            if isinstance(out, SingularPointError):
-                out = CheckReport(name, point, None, "skipped-singular", str(out))
-            elif not isinstance(out, (CheckReport, list)):
-                out = _report(name, point, out, pt.params.tolerance)
-            for rep in out if isinstance(out, list) else [out]:
-                rep.point = {**rep.point, "index": pt.index}
-                reports.append(rep)
+        for pt, (keys, _, *detail), out in zip(points, ins, outs):
+            steps = out.items() if isinstance(out, dict) else [("", out)]
+            for step, res in steps:
+                point = {"q": pt.params.q, "p": pt.params.p, **keys, "index": pt.index}
+                label = f"{name}.{step}" if step else name
+                reports.append(_report(label, point, res, pt.params.tolerance, *detail))
         return reports
 
     return run

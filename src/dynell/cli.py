@@ -16,6 +16,8 @@ import re
 import sys
 from datetime import datetime, timezone
 
+import numpy as np
+
 from .special import Params, SingularPointError, rho_norm, theta
 from .rmatrix import (
     RPoint,
@@ -78,6 +80,23 @@ def _read_config(path: str) -> dict:
     return out
 
 
+_FORMATS = ("text", "json")
+
+
+def _format(value: str) -> str:
+    if value not in _FORMATS:
+        raise ValueError(f"expected one of {', '.join(_FORMATS)}")
+    return value
+
+
+def _switch(value: str) -> bool:
+    text = value.lower()
+    if text not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError("expected 1/true/yes or 0/false/no")
+    return text in ("1", "true", "yes")
+
+
+# Each config key's parser; a value it rejects is an error, as for the flag.
 _CHECK_KEYS = {
     "q_half": str,
     "p": str,
@@ -88,9 +107,9 @@ _CHECK_KEYS = {
     "points": int,
     "z_samples": int,
     "checks": str,
-    "format": str,
+    "format": _format,
     "output": str,
-    "no_timestamp": lambda v: v.lower() in ("1", "true", "yes"),
+    "no_timestamp": _switch,
     "alpha_beta_offset": float,
 }
 
@@ -101,7 +120,11 @@ def _apply_config(args: argparse.Namespace, cfg: dict):
             raise ValueError(f"unknown config key: {key!r}")
         if getattr(args, f"_set_{key}", False):
             continue  # explicit flag wins
-        setattr(args, key, _CHECK_KEYS[key](value))
+        try:
+            parsed = _CHECK_KEYS[key](value)
+        except ValueError as exc:
+            raise ValueError(f"config key {key} = {value!r}: {exc}") from None
+        setattr(args, key, parsed)
         setattr(args, f"_set_{key}", True)
 
 
@@ -146,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="spectral samples per point (>= 3)")
     chk.add_argument("--checks", action=_Tracking, default="all",
                      help="comma-separated check names or prefixes, or 'all'")
-    chk.add_argument("--format", choices=("text", "json"), action=_Tracking,
+    chk.add_argument("--format", choices=_FORMATS, action=_Tracking,
                      default="text")
     chk.add_argument("--output", action=_Tracking, default=None,
                      help="write the report to this path instead of stdout")
@@ -276,24 +299,28 @@ def _cmd_eval(args) -> int:
     )
     z = parse_complex(args.z)
     s = parse_complex(args.s)
+    obj = args.object
     try:
-        if args.object == "theta":
-            print(f"theta({args.z}) = {format_complex(theta(z, params))}")
-        elif args.object == "rho":
-            print(f"rho({args.z}) = {format_complex(rho_norm(z, params))}")
-        elif args.object in ("R", "Rtilde"):
-            build = build_r if args.object == "R" else build_r_twisted
-            arr = build(RPoint(z, s, params)).at(s)
-            _print_matrix(args.object, arr)
-        elif args.object == "N":
-            _print_matrix("N", trace_weight(params).at(s))
-        elif args.object == "G":
-            _print_matrix("G", cross_gauge(params).at(s))
-        elif args.object == "Gamma":
-            _print_matrix("Gamma", gamma_twist(params).at(s))
+        if obj == "theta":
+            value, at = theta(z, params), f"z = {args.z}"
+        elif obj == "rho":
+            value, at = rho_norm(z, params), f"z = {args.z}"
+        elif obj in ("R", "Rtilde"):
+            build = build_r if obj == "R" else build_r_twisted
+            value, at = build(RPoint(z, s, params)).at(s), f"z = {args.z}, s = {args.s}"
+        else:
+            make = {"N": trace_weight, "G": cross_gauge, "Gamma": gamma_twist}[obj]
+            value, at = make(params).at(s), f"s = {args.s}"
     except SingularPointError as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    if not np.isfinite(value).all():
+        print(f"{obj} is not finite at {at} (floating-point overflow)", file=sys.stderr)
+        return 1
+    if np.ndim(value):
+        _print_matrix(obj, value)
+    else:
+        print(f"{obj}({args.z}) = {format_complex(value)}")
     return 0
 
 

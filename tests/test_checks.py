@@ -1,5 +1,6 @@
 """Identity checks, negative controls, and the suite harness."""
 
+import functools
 import json
 
 import numpy as np
@@ -27,6 +28,7 @@ from dynell.checks import (
     summarize,
 )
 from dynell import DynMatrix, Params, checks, shiftcalc, weight_shift_matrix
+from dynell.special import SingularPointError
 
 from helpers import make_params
 
@@ -35,15 +37,30 @@ S0 = 0.37 + 0.11j
 Z = (1.3 + 0.4j, 0.7 - 0.2j, 1.1 + 0.9j)
 
 
-def assert_pass(report, tol=None):
-    assert report.status == "pass", (report.name, report.status, report.detail)
-    assert report.residual <= (tol if tol is not None else PARAMS.tolerance)
+GRID = GridSpec()
+POINT0 = GRID.sample_points()[0]
 
 
-def assert_control_fails(report):
-    # a control report "passes" exactly when the corrupted identity fails
-    assert report.status == "pass", (report.name, report.detail)
-    assert report.residual > CONTROL_THRESHOLD
+def assert_pass(residual, tol=None):
+    assert isinstance(residual, float), residual
+    assert residual <= (tol if tol is not None else PARAMS.tolerance)
+
+
+def assert_control_fails(residual):
+    # a control "passes" exactly when the corrupted identity fails
+    assert isinstance(residual, float), residual
+    assert residual > CONTROL_THRESHOLD
+
+
+def suite_reports(name, points=(POINT0,), grid=GRID):
+    """The reports of one suite row at the given grid points."""
+    return _REGISTRY[name](grid, list(points))
+
+
+@functools.cache
+def one_point_reports():
+    """Every suite row's reports at the first default grid point."""
+    return {name: suite_reports(name) for name in _REGISTRY}
 
 
 class TestDybe:
@@ -56,9 +73,10 @@ class TestDybe:
         assert_pass(check_dybe(params, S0, *Z))
 
     def test_negative_control(self):
-        rep = check_dybe(PARAMS, S0, *Z, corruption="drop_spectator_shift")
-        assert rep.name == "dybe.negctrl"
-        assert_control_fails(rep)
+        assert_control_fails(check_dybe(PARAMS, S0, *Z, corruption="drop_spectator_shift"))
+        [rep] = suite_reports("dybe.negctrl")
+        assert (rep.name, rep.status) == ("dybe.negctrl", "pass")
+        assert_control_fails(rep.residual)
 
 
 class TestUnitarity:
@@ -105,15 +123,15 @@ class TestCrossingUnitarity:
 
 class TestProofChain:
     def test_all_steps_pass(self):
-        reports = check_proof_chain_cor22(PARAMS, S0, Z[0])
-        assert len(reports) == 7
-        for rep in reports:
-            assert_pass(rep)
+        steps = check_proof_chain_cor22(PARAMS, S0, Z[0])
+        assert list(steps) == [f"step{n}" for n in range(1, 8)]
+        for residual in steps.values():
+            assert_pass(residual)
 
     def test_trigonometric_limit(self):
         params = Params.make(0.6855654600401044, 0.0)
-        for rep in check_proof_chain_cor22(params, S0, Z[0]):
-            assert_pass(rep)
+        for residual in check_proof_chain_cor22(params, S0, Z[0]).values():
+            assert_pass(residual)
 
     def test_steps_share_their_inverses(self, monkeypatch):
         # one chain run at the first default-grid point inverts no array twice
@@ -126,11 +144,8 @@ class TestProofChain:
 
         monkeypatch.setattr(shiftcalc, "inv_guarded", counting)
         monkeypatch.setattr(checks, "inv_guarded", counting)
-        grid = GridSpec()
-        reports = check_proof_chain_cor22(
-            *checks._chain_samples(grid, grid.sample_points()[0])
-        )
-        assert len(reports) == 7
+        _, args = checks._chain_samples(GRID, POINT0)
+        assert len(check_proof_chain_cor22(*args)) == 7
         assert inverted
         assert len(set(inverted)) == len(inverted)
 
@@ -156,18 +171,21 @@ class TestProofChain:
         points = grid.sample_points()
         sizes = []
         for pt in (points[0], points[2]):
-            reports = check_proof_chain_cor22(*checks._chain_samples(grid, pt))
-            assert [r.status for r in reports] == ["pass"] * 7
+            _, args = checks._chain_samples(grid, pt)
+            for residual in check_proof_chain_cor22(*args).values():
+                assert_pass(residual)
             tables = (shiftcalc._PATTERNS, shiftcalc._DERIVED, derived)
             sizes.append(tuple(map(len, tables)))
         assert sizes[0][2] == sizes[0][1] > 0
         assert sizes[1] == sizes[0]
 
     def test_mu_factor_control(self):
-        reports = check_proof_chain_cor22(PARAMS, S0, Z[0], corruption="drop_detg_sc")
-        assert len(reports) == 1
-        assert reports[0].name == "cor22chain.negctrl"
-        assert_control_fails(reports[0])
+        assert_control_fails(
+            check_proof_chain_cor22(PARAMS, S0, Z[0], corruption="drop_detg_sc")
+        )
+        [rep] = suite_reports("cor22chain.negctrl")
+        assert (rep.name, rep.status) == ("cor22chain.negctrl", "pass")
+        assert_control_fails(rep.residual)
 
 
 class TestRandomLaurentLeaf:
@@ -261,7 +279,9 @@ class TestGridBatch:
             return [float(i) * 1e-12 for i in index]
 
         grid = GridSpec()
-        run = checks._runner("probe", check, lambda grid, pt: (pt.params, pt.index), {})
+        run = checks._runner(
+            "probe", check, lambda grid, pt: ({}, (pt.params, pt.index)), {}
+        )
         reports = run(grid, grid.sample_points()[:3])
         assert [r.status for r in reports] == ["pass", "skipped-singular", "pass"]
         assert reports[1].detail == "at index 1 of [1]"
@@ -269,10 +289,8 @@ class TestGridBatch:
         assert [r.point["index"] for r in reports] == [0, 1, 2]
 
     def test_single_point_call_is_the_batch_of_one(self):
-        reports = check_lemma_p1([PARAMS, PARAMS], [3, 4])
-        assert [r.to_dict() for r in reports] == [
-            check_lemma_p1(PARAMS, seed).to_dict() for seed in (3, 4)
-        ]
+        residuals = check_lemma_p1([PARAMS, PARAMS], [3, 4])
+        assert residuals == [check_lemma_p1(PARAMS, seed) for seed in (3, 4)]
 
 
 class TestLemmaP1:
@@ -313,16 +331,29 @@ class TestMagic:
     @pytest.mark.parametrize("delta", [0.1, -0.1])
     def test_off_critical_fails(self, delta):
         q = PARAMS.q
-        rep = check_magic(
+        residual = check_magic(
             PARAMS, S0, Z[0], Z[1], q**-2 * np.exp(delta), q**-2
         )
-        assert rep.status == "fail"
-        assert rep.residual > CONTROL_THRESHOLD
+        assert residual > PARAMS.tolerance
+        assert residual > CONTROL_THRESHOLD
 
     def test_detail_reports_product_gap(self):
-        q = PARAMS.q
-        rep = check_magic(PARAMS, S0, Z[0], Z[1], q**-2, q**-2)
-        assert "alpha*beta" in rep.detail
+        for name in ("magic.critical", "magic.negctrl"):
+            [rep] = suite_reports(name)
+            assert rep.status == "pass"
+            assert "alpha*beta" in rep.detail
+
+    def test_offset_is_noted_on_evaluated_and_skipped_reports(self):
+        # point 1 of the default grid is a singular point of the magic check
+        grid = GridSpec(alpha_beta_offset=0.05)
+        reports = suite_reports("magic.critical", grid.sample_points()[:2], grid)
+        assert [r.status for r in reports] == ["fail", "skipped-singular"]
+        evaluated, skipped = (r.detail.split("; ") for r in reports)
+        note = "alpha*beta offset exp(0.05)"
+        assert evaluated[0].startswith("|alpha*beta - q^-4| = ")
+        assert evaluated[1:] == [note]
+        assert skipped[0].startswith("singular point")
+        assert skipped[1:] == [note]
 
 
 class TestAEqualsN:
@@ -348,10 +379,12 @@ class TestTraceIntegration:
         )
 
     def test_coincident_spectral_points_skip_deterministically(self):
-        a = integration_trace_check(PARAMS, S0, Z[0], Z[1], Z[0])
-        b = integration_trace_check(PARAMS, S0, Z[0], Z[1], Z[0])
-        assert a.status == "skipped-singular"
-        assert a.status == b.status and a.detail == b.detail
+        messages = []
+        for _ in range(2):
+            with pytest.raises(SingularPointError) as exc:
+                integration_trace_check(PARAMS, S0, Z[0], Z[1], Z[0])
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
 
 
 class TestResidualTruncationScaling:
@@ -365,7 +398,7 @@ class TestResidualTruncationScaling:
         ]
         for gen in pairs:
             r_coarse, r_fine = [next(gen) for _ in range(2)]
-            assert r_fine.residual <= 10 * max(r_coarse.residual, 1e-16)
+            assert r_fine <= 10 * max(r_coarse, 1e-16)
 
 
 class TestSuite:
@@ -375,13 +408,27 @@ class TestSuite:
         assert "cor22chain" in names
 
     def test_registry_keys_name_their_reports(self):
-        grid = GridSpec()
-        pt = grid.sample_points()[0]
-        for key, runner in _REGISTRY.items():
-            reports = runner(grid, [pt])
+        for key, reports in one_point_reports().items():
             assert reports, key
             for rep in reports:
                 assert rep.name == key or rep.name.startswith(key + "."), (key, rep.name)
+
+    def test_negctrl_rows_and_only_they_are_controls(self):
+        note = f"negative control: expected residual > {CONTROL_THRESHOLD:g}"
+        controls = set()
+        for key, reports in one_point_reports().items():
+            control = key.endswith(".negctrl")
+            for rep in reports:
+                if rep.status == "skipped-singular":
+                    continue
+                assert rep.detail.startswith(note) == control, (key, rep.detail)
+                if control:
+                    ok = rep.residual > CONTROL_THRESHOLD
+                    controls.add(key)
+                else:
+                    ok = rep.residual <= POINT0.params.tolerance
+                assert rep.status == ("pass" if ok else "fail"), (key, rep.residual)
+        assert controls == {k for k in _REGISTRY if k.endswith(".negctrl")}
 
     def test_resolve_prefixes(self):
         assert resolve_check_names(["magic"]) == ["magic.critical", "magic.negctrl"]

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dynell.checks import GridSpec, format_complex, run_suite
@@ -93,6 +94,12 @@ class TestCheckCommand:
         rc = main(["check", "--checks", "bogus", "--points", "2"])
         assert rc == 2
         assert "unknown check" in capsys.readouterr().err
+
+    def test_negative_seed_is_config_error(self, capsys):
+        rc = main(["check", "--seed", "-1", "--points", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed ") and "-1" in err
 
     def test_byte_identical_rerun(self, tmp_path):
         args = [
@@ -198,6 +205,24 @@ class TestConfigFile:
         assert rc == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["format = xml", "no_timestamp = maybe"])
+    def test_bad_value_rejected_naming_key_and_value(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{line}\npoints = 1\nchecks = theta.inversion\n")
+        rc = main(["check", "--config", str(cfg)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        key, value = line.split(" = ")
+        assert captured.err.startswith(f"error: config key {key} = {value!r}: ")
+
+    def test_switch_values(self, tmp_path, capsys):
+        for value, stamped in [("1", False), ("Yes", False), ("0", True), ("false", True)]:
+            cfg = tmp_path / "on.cfg"
+            cfg.write_text(f"no_timestamp = {value}\npoints = 1\nchecks = theta.inversion\n")
+            assert main(["check", "--config", str(cfg), "--format", "json"]) == 0
+            assert ("timestamp" in json.loads(capsys.readouterr().out)) == stamped
+
     def test_malformed_line_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("points 2\n")
@@ -228,6 +253,25 @@ class TestEvalCommand:
         rc = main(["eval", obj, "--z", "0.8+0.1i", "--s", "0.4+0.2i"])
         assert rc == 0
         assert f"{obj}[0,0]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv,where",
+        [
+            (["N", "--s", "30"], "s = 30"),
+            (["G", "--s", "30"], "s = 30"),
+            (["Gamma", "--s", "-30"], "s = -30"),
+            (["R", "--s", "40"], "z = 1.5+0.0i, s = 40"),
+            (["theta", "--z", "1e300"], "z = 1e300"),
+            (["rho", "--z", "1e200"], "z = 1e200"),
+        ],
+    )
+    def test_overflow_exits_one(self, argv, where, capsys):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["eval"] + argv)
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{argv[0]} is not finite at {where}" in captured.err
 
     def test_full_precision_round_trip(self, capsys):
         main(["eval", "G", "--s", "0.4+0.2i"])
