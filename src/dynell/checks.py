@@ -8,7 +8,10 @@ residual convention throughout is
 
 with shift-valued sides compared coefficient-wise per E-degree at sampled
 values of the dynamical coordinate.  An evaluation that hits a singular guard
-raises SingularPointError out of the check.
+raises SingularPointError out of the check.  The checks marked _over_points
+(the random-Laurent rows, the proof chain and the trace check) run once over
+all grid points; a guard tripped there reruns point by point (in the chain,
+only the step that tripped).
 
 The suite runner alone turns residuals into CheckReports: it names each
 report after its row of the _SUITE table, takes the point from the row's
@@ -49,6 +52,8 @@ from .shiftcalc import (
 )
 from .rmatrix import (
     _g22,
+    _diag,
+    _guard,
     _r_dyn,
     cross_gauge,
     dyn_w,
@@ -152,34 +157,27 @@ def _skew_resid(lhs: DynMatrix, rhs: DynMatrix, samples) -> float:
     return _skew_resids(lhs, rhs, samples)[0]
 
 
+def _block_resids(lhs: np.ndarray, rhs: np.ndarray, points: int) -> list:
+    """The worst _resid of evaluated stacks over each grid point's block of
+    samples: one residual per grid point."""
+    shape = (points, -1) + lhs.shape[1:]
+    blocks = zip(lhs.reshape(shape), rhs.reshape(shape))
+    return [max(map(_resid, lb, rb)) for lb, rb in blocks]
+
+
 # ---------------------------------------------------------------------------
 # shared builders
 
-_SY_CACHE: dict[int, DynMatrix] = {}
+@functools.cache
+def _sigma_y1() -> DynMatrix:
+    return DynMatrix.constant(PAULI_Y).embed(2, (1,))
 
 
-def _sigma_y1(nlegs: int = 2) -> DynMatrix:
-    if nlegs not in _SY_CACHE:
-        _SY_CACHE[nlegs] = DynMatrix.constant(PAULI_Y).embed(nlegs, (1,))
-    return _SY_CACHE[nlegs]
-
-
-def _ups_diag(nlegs, num: dict, den: dict, params) -> DynMatrix:
+def _ups_diag(params, nlegs, num: dict, den: dict) -> DynMatrix:
     """Diagonal matrix of crossing-scalar ratios; the shifts in numerator and
     denominator are signed leg weights of the diagonal index."""
     kn, kd = _leg_shifts(nlegs, num), _leg_shifts(nlegs, den)
-    return DynMatrix.diagonal(nlegs, lambda i: ups_ratio(kn[i], kd[i], params))
-
-
-def _scalar_ratio_diag(f, nlegs, num: dict, den: dict, params) -> DynMatrix:
-    """Diagonal matrix with entries f(s + num-shift) / f(s + den-shift)."""
-    kn, kd = _leg_shifts(nlegs, num), _leg_shifts(nlegs, den)
-    return DynMatrix.diagonal(
-        nlegs,
-        lambda i: guarded_div(
-            shift_scalar(f, kn[i]), shift_scalar(f, kd[i]), params.singular_guard
-        ),
-    )
+    return _diag(params, nlegs, lambda prm, i: ups_ratio(kn[i], kd[i], prm))
 
 
 def _laurent(cs, w):
@@ -332,7 +330,7 @@ def check_crossing(params: Params, s, z, twisted=False, corruption=None) -> floa
     g = params.singular_guard
     sy = _sigma_y1().at(s)
     x = _r_dyn(1.0 / (z * q2), params, twisted).transpose_leg(1).shift_row({1: -1})
-    u = _ups_diag(2, {2: +1}, {}, params)
+    u = _ups_diag(params, 2, {2: +1}, {})
     if twisted:
         if corruption == "drop_gamma":
             g1 = g1s2 = DynMatrix.identity(2)
@@ -357,7 +355,7 @@ def check_crossing_unitarity(
     arg = 1.0 / (z * q * q) if corruption == "wrong_shift_arg" else 1.0 / (z * q**4)
     g1 = cross_gauge(params).embed(2, (1,))
     lhs = inv_guarded(
-        _r_dyn(arg, params, twisted).shift_row({2: -1}).transpose_leg(1).at(s), g
+        _r_dyn(arg, params, twisted).shift_row({2: -1}).transpose_leg(1).at([s]), g
     )
     r21t1 = _r_dyn(z, params, twisted).swap_legs(1, 2).transpose_leg(1)
     rhs = (
@@ -385,7 +383,7 @@ def check_magic(params: Params, s, z1, z2, alpha, beta) -> float:
     n1_sc = n.embed(2, (1,)).shift_col({1: +1})
     n1_m2_sc = n.embed(2, (1,)).shift_col({1: +1, 2: -1})
     x = _r_dyn(beta * z1 / z2, params, False).shift_row({2: -1}).transpose_leg(1)
-    lhs = inv_guarded(x.at(s), g)
+    lhs = inv_guarded(x.at([s]), g)
     a = unitarity_scalar(alpha * z2 / z1, params)
     r21t1 = _r_dyn(alpha * z2 / z1, params, False).swap_legs(1, 2).transpose_leg(1)
     rhs = (
@@ -449,79 +447,67 @@ def check_lemma_p1(params, seed, corruption=None) -> list[float]:
     return _skew_resids(lhs, rhs, _rand_samples(rng, 8), len(rng))
 
 
-def check_proof_chain_cor22(
-    params: Params, s, z, samples=None, corruption=None
-) -> dict | float:
-    """Every intermediate identity in the derivation of crossing-unitarity
-    from the crossing relation, checked verbatim: {"step1": ..., "step7": ...},
-    each step's residual or the SingularPointError that stopped it.  The
-    negative control drops the (det g^{-sc})^{-1} factor from the scalar mu in
-    the final reduction, and returns the residual of that step alone.
-    """
-    q = params.q
-    q2 = q * q
-    g = params.singular_guard
-    if samples is None:
-        samples = [s]
+def _chain_steps(params, s, z, samples, corruption=None) -> list:
+    """The steps of the proof chain over a batch of points, each a function
+    that returns one residual per point; with a corruption, step 7 alone.
+    The steps share the chain's objects, and so each inverse's cache."""
+    n = len(params)
+    g = _guard(params)
+    flat = [x for row in samples for x in row]
     gm = gamma_twist(params)
+
+    def rt(arg):
+        """The twisted R leaf at arg(z, q) of each point."""
+        return _r_dyn([arg(x, p.q) for x, p in zip(z, params)], params, True)
 
     # step 7: the Gamma-mu reduction back to the gauge ratio; evaluated at
     # every sample so the control corruption cannot hide at an accidental
     # crossing of the dropped factor through 1
-    def step7():
+    def mid(prm, i):
         if corruption == "drop_detg_sc":
-            mu = guarded_div(upsilon(params), _g22(params), g)
+            mu = guarded_div(upsilon(prm), _g22(prm), g)
         else:
-            mu = mu_scalar(params)
-        ups = upsilon(params)
-        mid = DynMatrix.diagonal(
-            1, lambda i: guarded_div(mu, shift_scalar(ups, weight(i)), g)
-        )
+            mu = mu_scalar(prm)
+        return guarded_div(mu, shift_scalar(upsilon(prm), weight(i)), g)
+
+    def step7():
         gsc = gm.shift_col({1: +1})
-        lhs = gm.at(samples) @ mid.at(samples) @ gsc.at(samples)
-        return max(map(_resid, lhs, cross_gauge(params).at(samples)))
+        lhs = gm.at(flat) @ _diag(params, 1, mid).at(flat) @ gsc.at(flat)
+        return _block_resids(lhs, cross_gauge(params).at(flat), n)
 
     if corruption:
-        return step7()
+        return [step7]
 
     g1 = gm.embed(2, (1,))
     g1s2 = g1.shift_col({2: +1})
     g1m2 = g1.shift_col({2: -1})
     sy = _sigma_y1()
-    # built once, so that the steps share each inverse's per-s cache
     g1i = g1.inv(g)
     g1s2i = g1s2.inv(g)
-    m12 = g1 @ _r_dyn(1.0 / z, params, True).inv(g) @ g1s2i
+    m12 = g1 @ rt(lambda x, q: 1.0 / x).inv(g) @ g1s2i
 
     # step 1: inverse of the gauged crossing relation
     def step1():
-        uinv = _ups_diag(2, {}, {2: +1}, params)
-        x = _r_dyn(1.0 / (z * q2), params, True).transpose_leg(1).shift_row({1: -1})
-        lhs = (
-            uinv.at(s)
-            @ sy.at(s)
-            @ g1s2.at(s)
-            @ x.inv(g).at(s)
-            @ g1i.at(s)
-            @ sy.at(s)
-        )
-        return _resid(lhs, _r_dyn(1.0 / z, params, True).at(s))
+        uinv = _ups_diag(params, 2, {}, {2: +1})
+        x = rt(lambda x, q: 1.0 / (x * (q * q))).transpose_leg(1).shift_row({1: -1})
+        lhs = uinv.at(s) @ sy.at(s) @ g1s2.at(s) @ x.inv(g).at(s) @ g1i.at(s) @ sy.at(s)
+        return _block_resids(lhs, rt(lambda x, q: 1.0 / x).at(s), n)
 
     # step 2: zero-weight shift commutation for the inverted dressed matrix
     def step2():
-        x4 = _r_dyn(1.0 / (z * q**4), params, True).transpose_leg(1).shift_row({1: -1})
+        x4 = rt(lambda x, q: 1.0 / (x * q**4)).transpose_leg(1).shift_row({1: -1})
         m = (g1 @ x4 @ g1s2i).inv(g)
-        if not zero_weight_check(m.transpose_leg(1), [s], 1e-8):
+        if not zero_weight_check(m.transpose_leg(1), s, 1e-8):
             raise AssertionError("commutation precondition violated")
         dmix = weight_shift_matrix(2, 1, -1) @ weight_shift_matrix(2, 2, +1)
-        return _skew_resid(m @ dmix, dmix @ m.shift_row({1: +1, 2: -1}), samples)
+        return _skew_resids(m @ dmix, dmix @ m.shift_row({1: +1, 2: -1}), flat, n)
 
     # step 3: sl_1 - sl_2 dressing of the gauged matrix in components
     def step3():
-        x4 = _r_dyn(1.0 / (z * q**4), params, True).transpose_leg(1)
+        x4 = rt(lambda x, q: 1.0 / (x * q**4)).transpose_leg(1)
         lhs = (g1 @ x4.shift_row({1: -1}) @ g1s2i).shift_row({1: +1, 2: -1})
         rhs = g1m2.shift_col({1: +1}) @ x4.shift_row({2: -1}) @ g1i.shift_col({1: +1})
-        return _resid(lhs.at(s), rhs.at(s))
+        return _block_resids(lhs.at(s), rhs.at(s), n)
 
     # step 4: sigma_y / shift-column exchange on a zero-weight matrix
     def step4():
@@ -529,87 +515,102 @@ def check_proof_chain_cor22(
         dmix = weight_shift_matrix(2, 1, -1) @ weight_shift_matrix(2, 2, +1)
         lhs = (m12.transpose_leg(1) @ sy).shift_col({1: +1}) @ dp
         rhs = dmix @ m12.transpose_leg(1).shift_col({2: -1}) @ sy
-        return _skew_resid(lhs, rhs, samples)
+        return _skew_resids(lhs, rhs, flat, n)
 
     # step 5: the comparison identity after eliminating sigma_y
     def step5():
-        mu = mu_scalar(params)
-        ups1 = _ups_diag(2, {1: +1}, {1: +1, 2: -1}, params)
-        mur = _scalar_ratio_diag(mu, 2, {2: -1}, {}, params)
-        lhs = (
-            g1.shift_col({1: +1}).at(s)
-            @ inv_guarded(
-                _r_dyn(1.0 / (z * q**4), params, True)
-                .shift_row({2: -1})
-                .transpose_leg(1)
-                .at(s),
-                g,
-            )
-            @ g1m2.inv(g).shift_col({1: +1}).at(s)
-        )
-        rhs = (
-            ups1.at(s)
-            @ m12.transpose_leg(1).shift_col({2: -1}).at(s)
-            @ mur.at(s)
-        )
-        return _resid(lhs, rhs)
+        ups1 = _ups_diag(params, 2, {1: +1}, {1: +1, 2: -1})
+        k2 = _leg_shifts(2, {2: -1})  # mur: mu(s + k2) / mu(s) on the diagonal
+        mur = _diag(params, 2, lambda prm, i: guarded_div(
+            shift_scalar(mu_scalar(prm), k2[i]), mu_scalar(prm), g))
+        x4 = rt(lambda x, q: 1.0 / (x * q**4)).shift_row({2: -1}).transpose_leg(1)
+        lhs = (g1.shift_col({1: +1}).at(s) @ inv_guarded(x4.at(s), g)
+               @ g1m2.inv(g).shift_col({1: +1}).at(s))
+        rhs = ups1.at(s) @ m12.transpose_leg(1).shift_col({2: -1}).at(s) @ mur.at(s)
+        return _block_resids(lhs, rhs, n)
 
     # step 6: unitarity in components
     def step6():
         lhs = m12.transpose_leg(1).shift_col({2: -1}).at(s)
+        inv_n = [1.0 / unitarity_scalar(x, p) for x, p in zip(z, params)]
         rhs = (
-            (1.0 / unitarity_scalar(z, params))
-            * g1i.at(s)
-            @ _r_dyn(z, params, True)
-            .swap_legs(1, 2)
-            .transpose_leg(1)
-            .shift_col({2: -1})
-            .at(s)
+            g1i.scale(inv_n).at(s)
+            @ rt(lambda x, q: x).swap_legs(1, 2).transpose_leg(1).shift_col({2: -1}).at(s)
             @ g1m2.at(s)
         )
-        return _resid(lhs, rhs)
+        return _block_resids(lhs, rhs, n)
 
-    out = {}
-    for n, step in enumerate((step1, step2, step3, step4, step5, step6, step7), 1):
+    return [step1, step2, step3, step4, step5, step6, step7]
+
+
+@_over_points
+def check_proof_chain_cor22(params, s, z, samples=None, corruption=None) -> list:
+    """Every intermediate identity in the derivation of crossing-unitarity
+    from the crossing relation, checked verbatim: {"step1": ..., "step7": ...},
+    each step's residual or the SingularPointError that stopped it.  The
+    negative control drops the (det g^{-sc})^{-1} factor from the scalar mu in
+    the final reduction, and returns the residual of that step alone.
+    Batched over grid points (_over_points): a step that trips a guard in
+    the batch reruns point by point, on per-point chain objects that each
+    point's reruns share; samples defaults to s.
+    """
+    if samples is None:
+        samples = [[x] for x in s]
+    steps = _chain_steps(params, s, z, samples, corruption)
+    if corruption:
+        return steps[0]()
+    alone = functools.cache(
+        lambda p: _chain_steps([params[p]], [s[p]], [z[p]], [samples[p]])
+    )
+
+    def tried(step, points):
         try:
-            out[f"step{n}"] = step()
+            return step()
         except SingularPointError as exc:
-            out[f"step{n}"] = exc
+            return [exc] * points
+
+    out = [{} for _ in params]
+    for k, step in enumerate(steps):
+        res = tried(step, len(params))
+        if len(params) > 1 and isinstance(res[0], SingularPointError):
+            res = [tried(alone(p)[k], 1)[0] for p in range(len(params))]
+        for o, r in zip(out, res):
+            o[f"step{k + 1}"] = r
     return out
 
 
-def integration_trace_check(params: Params, s, z1, z2, u, corruption=None) -> float:
+@_over_points
+def integration_trace_check(params, s, z1, z2, u, corruption=None) -> list[float]:
     """End-to-end exercise of the quadratic trace functional in the
     evaluation model at central charge zero, where the Lax matrices are
     R-matrices against an auxiliary quantum leg and the conjugated kernel
     reduces to the identity.  Validates trace, shift-conjugation and
     sl-dressing bookkeeping; mathematically it reduces to shifted unitarity.
+    Batched over grid points (_over_points).
     """
-    g = params.singular_guard
-    r13 = _r_dyn(z1 / u, params, False).embed(3, (1, 3))
+    g = _guard(params)
+
+    def r(num, den):
+        return _r_dyn([a / b for a, b in zip(num, den)], params, False)
+
+    r13 = r(z1, u).embed(3, (1, 3))
     conj_q = (r13.inv(g) @ r13).conj_by_shift(1)
-    n_direct = trace_weight_direct(params)
-    n1 = n_direct.embed(3, (1,))
+    n1 = trace_weight_direct(params).embed(3, (1,))
     t23 = (n1 @ conj_q).partial_trace(1)
-    r_loc = _r_dyn(z2 / u, params, False)
+    r_loc = r(z2, u)
     d_loc = weight_shift_matrix(2, 1, +1)
     lhs = t23 @ r_loc @ d_loc
     if corruption == "identity_n":
         n1_shifted = DynMatrix.identity(3)
     else:
         n1_shifted = n1.shift_col({2: -1})
-    r21d = (
-        _r_dyn(z2 / z1, params, False)
-        .swap_legs(1, 2)
-        .embed(3, (1, 2))
-        .shift_row({1: -1, 2: -1})
-    )
-    r12d = _r_dyn(z1 / z2, params, False).embed(3, (1, 2)).shift_row({1: -1, 2: -1})
+    r21d = r(z2, z1).swap_legs(1, 2).embed(3, (1, 2)).shift_row({1: -1, 2: -1})
+    r12d = r(z1, z2).embed(3, (1, 2)).shift_row({1: -1, 2: -1})
     trace = (n1_shifted @ r21d @ conj_q @ r12d).partial_trace(1)
     rhs = (r_loc @ d_loc @ trace).scale(
-        1.0 / unitarity_scalar(z2 / z1, params)
+        [1.0 / unitarity_scalar(b / a, p) for a, b, p in zip(z1, z2, params)]
     )
-    return _skew_resid(lhs, rhs, [s])
+    return _skew_resids(lhs, rhs, s, len(params))
 
 
 # ---------------------------------------------------------------------------
@@ -677,9 +678,7 @@ def check_sigma_y_transpose(params, rng) -> list[float]:
     lhs = (sy @ a @ sy).transpose_leg(1)
     rhs = sy @ a.transpose_leg(1) @ sy
     samples = _rand_samples(rng, 4)
-    shape = (len(rng), -1, 4, 4)
-    blocks = zip(lhs.at(samples).reshape(shape), rhs.at(samples).reshape(shape))
-    return [max(map(_resid, lb, rb)) for lb, rb in blocks]
+    return _block_resids(lhs.at(samples), rhs.at(samples), len(rng))
 
 
 def _skew_element(terms: dict) -> DynMatrix:

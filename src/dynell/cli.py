@@ -300,17 +300,18 @@ def _cmd_eval(args) -> int:
     z = parse_complex(args.z)
     s = parse_complex(args.s)
     obj = args.object
-    try:
-        if obj == "theta":
-            value, at = theta(z, params), f"z = {args.z}"
-        elif obj == "rho":
-            value, at = rho_norm(z, params), f"z = {args.z}"
-        elif obj in ("R", "Rtilde"):
-            build = build_r if obj == "R" else build_r_twisted
-            value, at = build(RPoint(z, s, params)).at(s), f"z = {args.z}, s = {args.s}"
-        else:
-            make = {"N": trace_weight, "G": cross_gauge, "Gamma": gamma_twist}[obj]
-            value, at = make(params).at(s), f"s = {args.s}"
+    try:  # an overflow is reported by the finiteness check below, not by numpy
+        with np.errstate(over="ignore", invalid="ignore"):
+            if obj == "theta":
+                value, at = theta(z, params), f"z = {args.z}"
+            elif obj == "rho":
+                value, at = rho_norm(z, params), f"z = {args.z}"
+            elif obj in ("R", "Rtilde"):
+                build = build_r if obj == "R" else build_r_twisted
+                value, at = build(RPoint(z, s, params)).at(s), f"z = {args.z}, s = {args.s}"
+            else:
+                make = {"N": trace_weight, "G": cross_gauge, "Gamma": gamma_twist}[obj]
+                value, at = make(params).at(s), f"s = {args.s}"
     except SingularPointError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -22,6 +22,9 @@ with  b = Th(q^2 w) Th(z) / (Th(w) Th(q^2 z)),
 and, for the twist-gauged variant, the middle diagonal replaced by
       b' = q (p q^2/w; p)(p/(q^2 w); p)/(p/w; p)^2 * Th(z)/Th(q^2 z),
       bbar' = q (q^2 w; p)(w/q^2; p)/(w; p)^2 * Th(z)/Th(q^2 z).
+
+The diagonal leaves, gamma_twist and _r_dyn also take per-point Params (and
+z): a grid matrix (shiftcalc) whose block p is read with point p's data.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .special import Params, _poch1, guarded, rho_norm, theta
-from .shiftcalc import DynMatrix, _stack, guarded_div, weight
+from .shiftcalc import DynMatrix, _stack, guarded_div, point_blocks, weight
 
 __all__ = [
     "RPoint",
@@ -140,15 +143,38 @@ def _r_array(z: complex, s: complex, params: Params, twisted: bool) -> np.ndarra
     return r
 
 
-def _r_dyn(z: complex, params: Params, twisted: bool) -> DynMatrix:
+def _r_dyn(z, params, twisted: bool) -> DynMatrix:
     """One matrix-valued leaf: every demand reads the whole cached array, one
-    per sample."""
-    z = complex(z)
+    per sample.  Per-point sequences of z and params make it a grid leaf
+    whose block p is read at z[p] with params[p]."""
+    grid = not isinstance(params, Params)
+    zs, ps = ([complex(x) for x in z], params) if grid else ([complex(z)], [params])
 
     def ev(s, need):
-        return {0: _stack([_r_array(z, x, params, twisted) for x in s.tolist()])}
+        rows = point_blocks(s, len(ps)).tolist()
+        arrs = [_r_array(zp, x, p, twisted) for zp, p, row in zip(zs, ps, rows) for x in row]
+        return {0: _stack(arrs)}
 
-    return DynMatrix(2, {0: _R_PATTERN}, ev)
+    return DynMatrix(2, {0: _R_PATTERN}, ev, len(ps) if grid else 0)
+
+
+def _each(f, params):
+    """f(params) at one Params; the list of f(p) over per-point Params."""
+    return f(params) if isinstance(params, Params) else [f(p) for p in params]
+
+
+def _diag(params, nlegs: int, entry) -> DynMatrix:
+    """The diagonal leaf with entry(params, i) at flat index i; per-point
+    Params make it a grid leaf whose block p takes entry(params[p], i)."""
+    return DynMatrix.diagonal(nlegs, lambda i: _each(lambda p: entry(p, i), params))
+
+
+def _guard(params) -> float:
+    """The singular guard of one Params, or the one per-point Params share."""
+    if isinstance(params, Params):
+        return params.singular_guard
+    (guard,) = {p.singular_guard for p in params}  # ValueError unless shared
+    return guard
 
 
 def build_r(point: RPoint) -> DynMatrix:
@@ -178,8 +204,7 @@ def _g22(params: Params):
 def gauge_g(params: Params) -> DynMatrix:
     """The spectral-parameter-independent diagonal twist gauge:
     diag(1, q^{-s} (w; p)(p q^2/w; p))."""
-    g22 = _g22(params)
-    return DynMatrix.diagonal(1, lambda i: 1.0 if i == 0 else g22)
+    return _diag(params, 1, lambda prm, i: 1.0 if i == 0 else _g22(prm))
 
 
 def twist_of_r(point: RPoint) -> DynMatrix:
@@ -223,7 +248,7 @@ def upsilon_ratio(s: complex, k: int, params: Params) -> complex:
 
 def cross_gauge(params: Params) -> DynMatrix:
     """One-leg diagonal matrix G with entries upsilon(s)/upsilon(s + weight)."""
-    return DynMatrix.diagonal(1, lambda i: ups_ratio(0, weight(i), params))
+    return _diag(params, 1, lambda prm, i: ups_ratio(0, weight(i), prm))
 
 
 def trace_weight(params: Params) -> DynMatrix:
@@ -233,14 +258,15 @@ def trace_weight(params: Params) -> DynMatrix:
 
 def trace_weight_direct(params: Params) -> DynMatrix:
     """Equivalent direct form of N: entries upsilon(s - weight)/upsilon(s)."""
-    return DynMatrix.diagonal(1, lambda i: ups_ratio(-weight(i), 0, params))
+    return _diag(params, 1, lambda prm, i: ups_ratio(-weight(i), 0, prm))
 
 
 def gamma_twist(params: Params) -> DynMatrix:
     """Gamma = (det g) g^{-1} g^{-sc}, the diagonal factor relating the
-    crossing identity of the twist-gauged R-matrix to the plain one."""
+    crossing identity of the twist-gauged R-matrix to the plain one; a grid
+    matrix for per-point Params."""
     g = gauge_g(params)
-    return (g.inv(params.singular_guard) @ g.shift_col({1: -1})).scale(_g22(params))
+    return (g.inv(_guard(params)) @ g.shift_col({1: -1})).scale(_each(_g22, params))
 
 
 def mu_scalar(params: Params):

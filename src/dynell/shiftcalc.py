@@ -40,8 +40,9 @@ out in P equal, point-major blocks, and as every operation maps sample i to
 sample i, block p holds point p's values.  A grid leaf evaluates block p
 with point p's data (``point_blocks`` rejects a batch that is not P equal
 blocks), and ``points`` records the P of the grid leaves a matrix holds (0
-for none); a single point is the batch of one.  ``inv`` caches by the value
-of s, which would mix points, so it refuses a matrix that holds a grid leaf.
+for none); a single point is the batch of one.  ``from_entries`` and
+``scale`` take one entry or factor per point, and ``inv`` caches by (point,
+s) and inverts a read's new samples as one stack.
 
 Patterns are interned ``Pattern`` objects: read-only dicts of read-only
 masks, one object per distinct pattern, where the order of the degrees is
@@ -199,10 +200,10 @@ def point_blocks(s: np.ndarray, points: int) -> np.ndarray:
     return s.reshape(points, len(s) // points)
 
 
-def _points(a: "DynMatrix", b: "DynMatrix") -> int:
-    if a.points and b.points and a.points != b.points:
+def _points(a: int, b: int) -> int:
+    if a and b and a != b:
         raise ValueError("operands hold grid leaves over different point counts")
-    return a.points or b.points
+    return a or b
 
 
 def _stack(arrays: list) -> np.ndarray:
@@ -343,11 +344,14 @@ class DynMatrix:
     @classmethod
     def from_entries(cls, nlegs: int, fn) -> "DynMatrix":
         """fn(i, j) -> None (a structural zero), a number, a function of s,
-        or a {E-degree: number or function of s} dict."""
+        or a {E-degree: number or function of s} dict.  A list of numbers or
+        functions, one per grid point, makes a grid leaf: block p of a read
+        takes item p."""
         d = 1 << nlegs
         consts: dict[int, np.ndarray] = {}
         masks: dict[int, np.ndarray] = {}
         fns: dict[int, list] = {}
+        points = 0
         for i in range(d):
             for j in range(d):
                 v = fn(i, j)
@@ -359,29 +363,36 @@ class DynMatrix:
                         masks[k] = np.zeros((d, d), dtype=bool)
                         fns[k] = []
                     masks[k][i, j] = True
-                    if callable(c):
-                        fns[k].append((i * d + j, c))
-                    else:
+                    if isinstance(c, list):  # one number or function per point
+                        points = _points(points, len(c))
+                        c = [f if callable(f) else (lambda s, f=f: f) for f in c]
+                    elif not callable(c):
                         consts[k][i, j] = c
+                        continue
+                    fns[k].append((i * d + j, c))
         for arr in consts.values():
             arr.flags.writeable = False
 
         def ev(s, need):
             out = {}
+            rows = point_blocks(s, points or 1).tolist()
             for k, n in need.items():
-                arr = _stack([consts[k]] * len(s))
-                if fns[k]:
-                    wanted = n.reshape(-1)
-                    todo = [(ij, f) for ij, f in fns[k] if wanted[ij]]
-                    arr = arr.copy()
-                    # one sample at a time, each entry in row-major order
-                    for row, x in zip(arr.reshape(len(s), d * d), s.tolist()):
+                if not fns[k]:  # a read-only view, not n copies
+                    out[k] = np.broadcast_to(consts[k], (len(s), d, d))
+                    continue
+                wanted = n.reshape(-1)
+                todo = [(ij, f if isinstance(f, list) else [f] * len(rows))
+                        for ij, f in fns[k] if wanted[ij]]
+                out[k] = arr = consts[k][None].repeat(len(s), 0)
+                blocks = arr.reshape(len(rows), -1, d * d)
+                # one sample at a time, each entry in row-major order
+                for p, (xs, vals) in enumerate(zip(rows, blocks)):
+                    for x, row in zip(xs, vals):
                         for ij, f in todo:
-                            row[ij] = f(x)
-                out[k] = arr
+                            row[ij] = f[p](x)
             return out
 
-        return cls(nlegs, masks, ev)
+        return cls(nlegs, masks, ev, points)
 
     @classmethod
     def diagonal(cls, nlegs: int, fn) -> "DynMatrix":
@@ -430,7 +441,7 @@ class DynMatrix:
             return out
 
         masks = _derived(("@", pa, pb), _matmul_masks, pa, pb)
-        return DynMatrix(self.nlegs, masks, ev, _points(a, b))
+        return DynMatrix(self.nlegs, masks, ev, _points(a.points, b.points))
 
     def __add__(self, other: "DynMatrix") -> "DynMatrix":
         if self.nlegs != other.nlegs:
@@ -449,21 +460,26 @@ class DynMatrix:
             return out
 
         masks = _derived(("+", pa, pb), _add_masks, pa, pb)
-        return DynMatrix(self.nlegs, masks, ev, _points(self, other))
+        return DynMatrix(self.nlegs, masks, ev, _points(self.points, other.points))
 
     def __sub__(self, other: "DynMatrix") -> "DynMatrix":
         return self + other.scale(-1.0)
 
     def scale(self, factor) -> "DynMatrix":
-        """Left-multiply every entry by a scalar (a number or a function of s)."""
+        """Left-multiply every entry by a scalar (a number or a function of s),
+        or by a list of one per grid point: block p takes factor p."""
         src = self
-        f = factor if callable(factor) else (lambda s, c=complex(factor): c)
+        grid = isinstance(factor, list)
+        fs = [f if callable(f) else (lambda s, c=complex(f): c) for f in
+              (factor if grid else [factor])]
 
         def ev(s, need):
-            v = np.array([f(x) for x in s.tolist()])[:, None, None]
+            rows = point_blocks(s, len(fs)).tolist()
+            v = np.array([f(x) for f, row in zip(fs, rows) for x in row])[:, None, None]
             return {k: v * arr for k, arr in src.ev(s, need).items()}
 
-        return DynMatrix(self.nlegs, self.masks, ev, self.points)
+        points = _points(self.points, len(fs) if grid else 0)
+        return DynMatrix(self.nlegs, self.masks, ev, points)
 
     # -- leg operations -----------------------------------------------------
 
@@ -601,36 +617,43 @@ class DynMatrix:
     def inv(self, guard: float = DEFAULT_GUARD) -> "DynMatrix":
         """Lazy matrix inverse of a function-valued matrix.
 
-        The inverse is itself a DynMatrix (evaluable at shifted s).  It
-        inverts the full matrix once per sample point, keeping each inverse
-        for later reads at that point, and raises SingularPointError when
-        |det| falls below the guard, trying the samples of a batch in order.
-        A matrix that holds a grid leaf has no inverse (module docstring).
+        The inverse is itself a DynMatrix (evaluable at shifted s).  It keeps
+        the inverse at each (grid point, s) for later reads; a read evaluates
+        the matrix at the samples it has not seen and inverts them in one
+        call to inv_guarded.  A grid read needs equal point blocks, so where
+        the new samples are not, the matrix is evaluated at the whole batch.
         """
         self._require_function_valued("inverse")
-        if self.points:
-            raise ValueError("inverse of a matrix that holds a grid leaf")
-        cache: dict[complex, np.ndarray] = {}
+        cache: dict[tuple, np.ndarray] = {}
         base = self
 
         def ev(s, need):
-            xs = s.tolist()
-            new = list(dict.fromkeys(x for x in xs if x not in cache))
+            rows = point_blocks(s, base.points or 1).tolist()
+            keys = [(p, x) for p, row in enumerate(rows) for x in row]
+            new = {key: i for i, key in enumerate(keys) if key not in cache}
             if new:
-                for x, arr in zip(new, base.at(new)):
-                    arr = inv_guarded(arr, guard, " at s = {}", x)
-                    arr.flags.writeable = False
-                    cache[x] = arr
-            return {0: _stack([cache[x] for x in xs])}
+                at = list(new.values())
+                counts = np.bincount([p for p, _ in new], minlength=len(rows))
+                arrs = base.at(s[at]) if (counts == counts[0]).all() else base.at(s)[at]
+                arrs = inv_guarded(arrs, guard, " at s = {}", [x for _, x in new])
+                arrs.flags.writeable = False
+                cache.update(zip(new, arrs))
+            return {0: _stack([cache[k] for k in keys])}
 
-        return DynMatrix(self.nlegs, {0: np.ones((self.dim, self.dim), dtype=bool)}, ev)
+        full = {0: np.ones((self.dim, self.dim), dtype=bool)}
+        return DynMatrix(self.nlegs, full, ev, self.points)
 
 
-def inv_guarded(arr: np.ndarray, guard: float, where: str = "", *args) -> np.ndarray:
-    """Inverse of an evaluated square array; raises SingularPointError when
-    |det| falls below the guard (where and args locate it, as in guarded)."""
-    guarded(np.linalg.det(arr), "det", guard, where, *args)
-    return np.linalg.inv(arr)
+def inv_guarded(arrs: np.ndarray, guard: float, where: str = "", *args) -> np.ndarray:
+    """Inverses of an (n, d, d) stack of evaluated arrays in one call; raises
+    SingularPointError at the first sample, in order, whose |det| falls below
+    the guard (where and per-sample sequences args locate it, as in
+    guarded).  The guard decides, so a det that overflows is not warned of."""
+    with np.errstate(over="ignore"):
+        dets = np.linalg.det(arrs)
+    for i, det in enumerate(dets):
+        guarded(det, "det", guard, where, *(a[i] for a in args))
+    return np.linalg.inv(arrs)
 
 
 def skew_mul(a: DynMatrix, b: DynMatrix) -> DynMatrix:

@@ -138,9 +138,9 @@ class TestProofChain:
         inverted = []
         inv_guarded = shiftcalc.inv_guarded
 
-        def counting(arr, *args):
-            inverted.append(np.asarray(arr).tobytes())
-            return inv_guarded(arr, *args)
+        def counting(arrs, *args):
+            inverted.extend(a.tobytes() for a in np.asarray(arrs))
+            return inv_guarded(arrs, *args)
 
         monkeypatch.setattr(shiftcalc, "inv_guarded", counting)
         monkeypatch.setattr(checks, "inv_guarded", counting)
@@ -238,7 +238,20 @@ BATCHED = (
     "lemmap1", "lemmap1.negctrl", "shiftcalc.sc_operator_form",
     "shiftcalc.sl_operator_form", "shiftcalc.transpose_exchange",
     "shiftcalc.zero_weight_commutation", "shiftcalc.sigma_y_transpose",
+    "cor22chain", "cor22chain.negctrl", "traceint", "traceint.negctrl",
 )
+
+# the cor22chain.step2 skips of the default grid (seed 0), by point index
+CHAIN_SKIPS = {
+    1: "singular point: |det| = 1.540e-13 below guard at s = "
+       "(0.7148085531751387-0.46641442469453565j)",
+    11: "singular point: |det| = 2.393e-10 below guard at s = "
+        "(0.43843954565348064-0.484008270476428j)",
+    18: "singular point: |det| = 1.959e-08 below guard at s = "
+        "(-0.7175068861979368+0.17006184931493595j)",
+    22: "singular point: |det| = 3.041e-12 below guard at s = "
+        "(-0.8528741893387359-0.42967374643078193j)",
+}
 
 
 class TestGridBatch:
@@ -257,19 +270,53 @@ class TestGridBatch:
             runner = _REGISTRY[name]
             batch = runner(grid, points)
             alone = [rep for pt in points for rep in runner(grid, [pt])]
-            assert len(batch) == len(alone) == len(points)
-            for b, a, pt in zip(batch, alone, points):
-                assert b.residual == a.residual, (name, pt.index)
+            per = 7 if name == "cor22chain" else 1  # reports per point
+            assert len(batch) == len(alone) == per * len(points)
+            for i, (b, a) in enumerate(zip(batch, alone)):
+                assert b.residual == a.residual, (b.name, points[i // per].index)
                 assert b.to_dict() == a.to_dict()
-                assert b.point["index"] == pt.index
+                assert b.point["index"] == points[i // per].index
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_three_points_equal_the_first_three_of_the_grid(self, seed):
-        small = run_suite(GridSpec(seed=seed, n_points=3, checks=("lemmap1", "shiftcalc")))
-        full = run_suite(GridSpec(seed=seed, checks=("lemmap1", "shiftcalc")))
+        rows = ("lemmap1", "shiftcalc", "cor22chain", "traceint")
+        small = run_suite(GridSpec(seed=seed, n_points=3, checks=rows))
+        full = run_suite(GridSpec(seed=seed, checks=rows))
         head = [r.to_dict() for r in full if r.point["index"] < 3]
         assert [r.to_dict() for r in small] == head
-        assert len(head) == 3 * len(resolve_check_names(("lemmap1", "shiftcalc")))
+        # the chain makes seven reports per point, every other row one
+        assert len(head) == 3 * (len(resolve_check_names(rows)) + 6)
+
+    def test_a_chain_trip_reruns_only_its_step_point_by_point(self, monkeypatch):
+        # point 1 of the default grid trips step 2's det guard; points 0
+        # and 2 do not
+        calls = []
+        chain_steps = checks._chain_steps
+
+        def counting(params, *args, **options):
+            steps = chain_steps(params, *args, **options)
+            calls.append(("build", len(params)))
+
+            def step(k):
+                calls.append((f"step{k + 1}", len(params)))
+                return steps[k]()
+
+            return [functools.partial(step, k) for k in range(len(steps))]
+
+        monkeypatch.setattr(checks, "_chain_steps", counting)
+        reports = suite_reports("cor22chain", GRID.sample_points()[:3])
+        batched = [("build", 3)] + [(f"step{k}", 3) for k in range(1, 8)]
+        alone = [("build", 1), ("step2", 1)] * 3
+        assert calls == batched[:3] + alone + batched[3:]
+        skipped = [(r.point["index"], r.name) for r in reports if r.residual is None]
+        assert skipped == [(1, "cor22chain.step2")]
+        assert reports[8].detail == CHAIN_SKIPS[1]
+
+    def test_chain_skips_of_the_default_grid_keep_their_detail(self):
+        reports = suite_reports("cor22chain", GRID.sample_points())
+        skips = {r.point["index"]: r.detail for r in reports if r.residual is None}
+        assert skips == CHAIN_SKIPS
+        assert {r.name for r in reports if r.residual is None} == {"cor22chain.step2"}
 
     def test_guard_trip_in_a_batch_skips_only_its_point(self):
         @checks._over_points

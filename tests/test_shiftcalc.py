@@ -540,6 +540,15 @@ class TestGridLeaves:
     """A grid leaf evaluates block p of a batch with point p's data."""
 
     PARAMS = (make_params(), Params.make(0.61, 0.27))
+    # two-point reads, point-major: the same s at both points, partly new
+    # samples, all new, all seen, and new samples at one point only
+    INVERSE_READS = (
+        [S_SAMPLES[0]] * 2,
+        [S_SAMPLES[0], S_SAMPLES[1]] * 2,
+        S_SAMPLES[2:6],
+        [S_SAMPLES[0], S_SAMPLES[2], S_SAMPLES[1], S_SAMPLES[4]],
+        S_SAMPLES[:4],
+    )
 
     def leaf(self, nlegs=2, points=2, seed=41):
         rngs = [np.random.default_rng(seed + i) for i in range(points)]
@@ -573,13 +582,57 @@ class TestGridLeaves:
         with pytest.raises(ValueError, match="not 2 equal point blocks"):
             dressed.coeffs_at(S_SAMPLES[:5])
 
-    def test_inverse_of_a_graph_with_a_grid_leaf_raises(self):
-        for grid in (self.leaf(points=1), self.leaf()):
-            for m in (grid, (grid @ DynMatrix.identity(2)).swap_legs(1, 2)):
-                with pytest.raises(ValueError, match="grid leaf"):
-                    m.inv(1e-9)
-        assert DynMatrix.identity(2).points == 0
-        DynMatrix.identity(2).inv(1e-9)
+    def test_grid_inverse_equals_the_per_point_inverses(self):
+        alone = [
+            rand_matrix_over_points(2, np.random.default_rng(41 + i), self.PARAMS[i])
+            for i in range(2)
+        ]
+        for op in (lambda m: m, lambda m: (m @ m.shift_col({1: +1})).swap_legs(1, 2)):
+            inv = op(self.leaf()).inv(1e-9)
+            invs = [op(m).inv(1e-9) for m in alone]
+            assert (inv.points, invs[0].points) == (2, 1)
+            # each point alone reads the same samples in the same order
+            for s in self.INVERSE_READS:
+                got = inv.at(s).reshape(2, -1, 4, 4)
+                for p, block in enumerate(np.reshape(s, (2, -1))):
+                    assert np.array_equal(got[p], invs[p].at(block))
+
+    def test_grid_inverse_evaluates_new_samples_only_in_equal_blocks(self):
+        leaf, seen = self.leaf(), []
+        ev = leaf.ev
+        leaf.ev = lambda s, need: seen.append(len(s)) or ev(s, need)
+        inv = leaf.inv(1e-9)
+        for s in self.INVERSE_READS:
+            inv.at(s)
+        # 2 new, 2 new in equal blocks, 4 new, none new, then new samples at
+        # point 1 only: a grid read of the whole batch
+        assert seen == [2, 2, 4, 4]
+
+    def test_first_grid_inverse_trip_is_the_first_in_point_major_order(self):
+        # points 1 and 2 are singular at their own s; point 1's trip is first
+        s = [0.2 + 0.1j, -0.3 + 0.2j, 0.4 - 0.3j]
+        entries = [lambda x: 1.0, lambda x: x - s[1], lambda x: (x - s[2]) * 1e-3]
+        grid = DynMatrix.diagonal(2, lambda i: entries)
+        assert grid.points == 3
+        with pytest.raises(SingularPointError) as batch:
+            grid.inv(1e-6).at(s)
+        with pytest.raises(SingularPointError) as alone:
+            DynMatrix.diagonal(2, lambda i: entries[1]).inv(1e-6).at(s[1])
+        assert str(batch.value) == str(alone.value)
+        assert str(batch.value).startswith("singular point: |det| = 0.000e+00")
+        assert str(batch.value).endswith(f" at s = {s[1]}")
+
+    def test_per_point_entries_and_factors(self):
+        params = list(self.PARAMS)
+        f = lambda p: (lambda x: x * p.q)
+        grid = DynMatrix.diagonal(1, lambda i: [f(p) for p in params] if i else 2.0)
+        scaled = grid.scale([3.0, f(params[1])])
+        got = scaled.at(S_SAMPLES[:4])
+        for p, c in enumerate((3.0, f(params[1]))):
+            m = DynMatrix.diagonal(1, lambda i: f(params[p]) if i else 2.0).scale(c)
+            assert np.array_equal(got[2 * p:2 * p + 2], m.at(S_SAMPLES[2 * p:2 * p + 2]))
+        with pytest.raises(ValueError, match="different point counts"):
+            grid.scale([1.0, 2.0, 3.0])
 
     def test_grids_of_different_sizes_do_not_combine(self):
         with pytest.raises(ValueError, match="different point counts"):
