@@ -7,11 +7,13 @@ residual convention throughout is
     residual = max-entry |LHS - RHS| / max(1, max-entry |LHS|),
 
 with shift-valued sides compared coefficient-wise per E-degree at sampled
-values of the dynamical coordinate.  An evaluation that hits a singular guard
-raises SingularPointError out of the check.  The checks marked _over_points
-(the random-Laurent rows, the proof chain and the trace check) run once over
-all grid points; a guard tripped there reruns point by point (in the chain,
-only the step that tripped).
+values of the dynamical coordinate.  The checks marked _over_points (every
+row but the theta, nscalar, aequalsn and two skew-ring ones) run once over
+all grid points.  A singular guard does not stop such a batch: its reads
+note each point's first trip in a Trips record, in the order a single
+point's run would meet them (scalar calls between reads included), and the
+point's result is that trip, a SingularPointError.  Called at one point, a
+check raises it.
 
 The suite runner alone turns residuals into CheckReports: it names each
 report after its row of the _SUITE table, takes the point from the row's
@@ -25,6 +27,7 @@ green is also demonstrably sensitive.
 from __future__ import annotations
 
 import functools
+import math
 import zlib
 from dataclasses import dataclass, replace
 
@@ -40,6 +43,7 @@ from .special import (
 from .shiftcalc import (
     PAULI_Y,
     DynMatrix,
+    Trips,
     _leg_shifts,
     guarded_div,
     index_bits,
@@ -134,13 +138,14 @@ def _resid(lhs: np.ndarray, rhs: np.ndarray) -> float:
     return float(abs(lhs - rhs).max() / max(1.0, abs(lhs).max()))
 
 
-def _skew_resids(lhs: DynMatrix, rhs: DynMatrix, samples, points: int = 1) -> list:
+def _skew_resids(lhs: DynMatrix, rhs: DynMatrix, samples, points: int = 1,
+                 trips: Trips | None = None) -> list:
     """Coefficient-wise residual per E-degree, normalised per sample point,
     worst over each grid point's block of samples (all evaluated in one
-    batch): one residual per grid point."""
+    batch): one residual per grid point; trips as in DynMatrix.at."""
     samples = list(samples)
-    lc = lhs.coeffs_at(samples)
-    rc = rhs.coeffs_at(samples)
+    lc = lhs.coeffs_at(samples, trips)
+    rc = rhs.coeffs_at(samples, trips)
     zero = np.zeros((len(samples), lhs.dim, lhs.dim))
     peaks = [abs(m).max(axis=(1, 2)) for m in lc.values()]
     norm = np.max([np.ones(len(samples))] + peaks, axis=0)
@@ -200,7 +205,7 @@ def _rand_skew_element(degs, rng, params) -> DynMatrix:
         return {
             k: np.array([_laurent(cs[k], w) for w in ws], complex).reshape(-1, 1, 1)
             for k in need
-        }
+        }, None
 
     return DynMatrix(0, {k: np.ones((1, 1), dtype=bool) for k in cs}, ev)
 
@@ -223,7 +228,7 @@ def _rand_matrix(nlegs, rng, params, pattern=None) -> DynMatrix:
         blocks = point_blocks(s, len(params)).tolist()
         w = np.array([[dyn_w(x, p) for x in b] for p, b in zip(params, blocks)], complex)
         powers = np.stack([1.0 / (w * w), 1.0 / w, np.ones_like(w), w, w * w], axis=-1)
-        return {0: (powers @ coeffs).reshape(len(s), d, d)}
+        return {0: (powers @ coeffs).reshape(len(s), d, d)}, None
 
     return DynMatrix(nlegs, {0: pattern}, ev, len(params))
 
@@ -238,16 +243,22 @@ def _rand_samples(rngs, n):
 
 
 def _over_points(check):
-    """Batch check over grid points: check takes each per-point input as a
-    sequence over the points (params first) and returns one result per point.
-    The batched check also takes one point's inputs and returns that point's
-    result, as a batch of one."""
+    """Batch check over grid points: check takes a Trips record and each
+    per-point input as a sequence over the points (params first), notes the
+    points' guard trips in the record, and returns one result per point.
+    The batched check gives a tripped point its first trip as its result; it
+    also takes one point's inputs and returns that point's result, as a
+    batch of one, raising its trip."""
 
     @functools.wraps(check)
     def run(params, *args, **options):
-        if isinstance(params, Params):
-            return check([params], *([a] for a in args), **options)[0]
-        return check(params, *args, **options)
+        if not isinstance(params, Params):
+            tr = Trips(len(params))
+            return tr.outcomes(check(tr, params, *args, **options))
+        out = run([params], *([a] for a in args), **options)[0]
+        if isinstance(out, SingularPointError):
+            raise out
+        return out
 
     run.over_points = True
     return run
@@ -297,39 +308,40 @@ def check_n_periodicity(params: Params, zs) -> float:
 # ---------------------------------------------------------------------------
 # R-matrix identity checks
 
-def check_dybe(
-    params: Params, s, z1, z2, z3, twisted=False, corruption=None
-) -> float:
+@_over_points
+def check_dybe(tr, params, s, z1, z2, z3, twisted=False, corruption=None) -> list:
     """Dynamical Yang-Baxter equation on three legs, spectator-leg shifts."""
-    r12 = _r_dyn(z1 / z2, params, twisted).embed(3, (1, 2))
-    r13 = _r_dyn(z1 / z3, params, twisted).embed(3, (1, 3))
-    r23 = _r_dyn(z2 / z3, params, twisted).embed(3, (2, 3))
+    r12 = _r_dyn([a / b for a, b in zip(z1, z2)], params, twisted).embed(3, (1, 2))
+    r13 = _r_dyn([a / b for a, b in zip(z1, z3)], params, twisted).embed(3, (1, 3))
+    r23 = _r_dyn([a / b for a, b in zip(z2, z3)], params, twisted).embed(3, (2, 3))
     r23_s1 = r23 if corruption == "drop_spectator_shift" else r23.shift_col({1: +1})
-    lhs = r12.shift_col({3: +1}).at(s) @ r13.at(s) @ r23_s1.at(s)
-    rhs = r23.at(s) @ r13.shift_col({2: +1}).at(s) @ r12.at(s)
-    return _resid(lhs, rhs)
+    lhs = r12.shift_col({3: +1}).at(s, tr) @ r13.at(s, tr) @ r23_s1.at(s, tr)
+    rhs = r23.at(s, tr) @ r13.shift_col({2: +1}).at(s, tr) @ r12.at(s, tr)
+    return _block_resids(lhs, rhs, len(params))
 
 
-def check_unitarity(params: Params, s, z, twisted=False, corruption=None) -> float:
+@_over_points
+def check_unitarity(tr, params, s, z, twisted=False, corruption=None) -> list:
     """R_12(z) R_21(1/z) equals the unitarity scalar times the identity."""
-    a = _r_dyn(z, params, twisted).at(s)
+    a = _r_dyn(z, params, twisted).at(s, tr)
     if corruption == "rescale":
         a = 2.0 * a
-    b = _r_dyn(1.0 / z, params, twisted).swap_legs(1, 2).at(s)
-    rhs = unitarity_scalar(z, params) * np.eye(4)
-    return _resid(a @ b, rhs)
+    b = _r_dyn([1.0 / x for x in z], params, twisted).swap_legs(1, 2).at(s, tr)
+    rhs = np.array(tr.each(unitarity_scalar, z, params))[:, None, None] * np.eye(4)
+    return _block_resids(a @ b, rhs, len(params))
 
 
-def check_crossing(params: Params, s, z, twisted=False, corruption=None) -> float:
+@_over_points
+def check_crossing(tr, params, s, z, twisted=False, corruption=None) -> list:
     """Crossing relation: the leg-1 transposed, shift-row-dressed matrix at
     1/(z q^2), conjugated by sigma_y on leg 1 and weighted by the
     crossing-scalar ratio, inverts R at 1/z.  The twist-gauged matrix is also
     dressed by the diagonal Gamma on leg 1; its negative control
     ("drop_gamma") drops Gamma."""
-    q2 = params.q * params.q
-    g = params.singular_guard
+    g = _guard(params)
     sy = _sigma_y1().at(s)
-    x = _r_dyn(1.0 / (z * q2), params, twisted).transpose_leg(1).shift_row({1: -1})
+    args = [1.0 / (x * (p.q * p.q)) for x, p in zip(z, params)]
+    x = _r_dyn(args, params, twisted).transpose_leg(1).shift_row({1: -1})
     u = _ups_diag(params, 2, {2: +1}, {})
     if twisted:
         if corruption == "drop_gamma":
@@ -337,62 +349,74 @@ def check_crossing(params: Params, s, z, twisted=False, corruption=None) -> floa
         else:
             g1 = gamma_twist(params).embed(2, (1,))
             g1s2 = g1.shift_col({2: +1})
-        lhs = sy @ g1.at(s) @ x.at(s) @ g1s2.inv(g).at(s) @ sy @ u.at(s)
+        lhs = sy @ g1.at(s, tr) @ x.at(s, tr) @ g1s2.inv(g).at(s, tr) @ sy @ u.at(s, tr)
     else:
-        lhs = sy @ x.at(s) @ sy @ u.at(s)
-    rhs = _r_dyn(1.0 / z, params, twisted).inv(g).at(s)
-    return _resid(lhs, rhs)
+        lhs = sy @ x.at(s, tr) @ sy @ u.at(s, tr)
+    rhs = _r_dyn([1.0 / x for x in z], params, twisted).inv(g).at(s, tr)
+    return _block_resids(lhs, rhs, len(params))
 
 
-def check_crossing_unitarity(
-    params: Params, s, z, twisted=True, corruption=None
-) -> float:
+def _inverted(arrs, guard, tr: Trips) -> np.ndarray:
+    """inv_guarded of a stack read point by point, its trips noted in tr."""
+    inverses, trips = inv_guarded(arrs, guard)
+    tr.note(trips)
+    return inverses
+
+
+@_over_points
+def check_crossing_unitarity(tr, params, s, z, twisted=True, corruption=None) -> list:
     """Crossing-unitarity: the inverse of the sl_2-dressed, leg-1 transposed
     matrix at 1/(z q^4) against the sc_2-dressed transposed swap at z, dressed
     by the gauge G and divided by the unitarity scalar."""
-    q = params.q
-    g = params.singular_guard
-    arg = 1.0 / (z * q * q) if corruption == "wrong_shift_arg" else 1.0 / (z * q**4)
+    g = _guard(params)
+    wrong = corruption == "wrong_shift_arg"
+    args = [1.0 / (x * p.q * p.q) if wrong else 1.0 / (x * p.q**4)
+            for x, p in zip(z, params)]
     g1 = cross_gauge(params).embed(2, (1,))
-    lhs = inv_guarded(
-        _r_dyn(arg, params, twisted).shift_row({2: -1}).transpose_leg(1).at([s]), g
-    )
+    x = _r_dyn(args, params, twisted).shift_row({2: -1}).transpose_leg(1)
+    lhs = _inverted(x.at(s, tr), g, tr)
     r21t1 = _r_dyn(z, params, twisted).swap_legs(1, 2).transpose_leg(1)
+    inv_n = np.array([1.0 / u for u in tr.each(unitarity_scalar, z, params)])
     rhs = (
-        (1.0 / unitarity_scalar(z, params))
-        * g1.inv(g).at(s)
-        @ r21t1.shift_col({2: -1}).at(s)
-        @ g1.shift_col({2: -1}).at(s)
+        inv_n[:, None, None]
+        * g1.inv(g).at(s, tr)
+        @ r21t1.shift_col({2: -1}).at(s, tr)
+        @ g1.shift_col({2: -1}).at(s, tr)
     )
-    return _resid(lhs, rhs)
+    return _block_resids(lhs, rhs, len(params))
 
 
-def check_n_forms(params: Params, s, corruption=None) -> float:
+@_over_points
+def check_n_forms(tr, params, s, corruption=None) -> list:
     """The two constructions of the trace weight N agree: the -sc dressing of
     G versus the direct shifted-ratio form."""
     sign = +1 if corruption == "flip_sc_sign" else -1
-    form_sc = cross_gauge(params).shift_col({1: sign})
-    return _resid(form_sc.at(s), trace_weight_direct(params).at(s))
+    form_sc = cross_gauge(params).shift_col({1: sign}).at(s, tr)
+    direct = trace_weight_direct(params).at(s, tr)
+    return _block_resids(form_sc, direct, len(params))
 
 
-def check_magic(params: Params, s, z1, z2, alpha, beta) -> float:
+@_over_points
+def check_magic(tr, params, s, z1, z2, alpha, beta) -> list:
     """The sufficient trace-reduction identity with supplied alpha, beta and
     N = G^{-sc}; holds iff alpha*beta = q^{-4} (the critical-charge locus)."""
-    g = params.singular_guard
+    g = _guard(params)
     n = trace_weight(params)
     n1_sc = n.embed(2, (1,)).shift_col({1: +1})
     n1_m2_sc = n.embed(2, (1,)).shift_col({1: +1, 2: -1})
-    x = _r_dyn(beta * z1 / z2, params, False).shift_row({2: -1}).transpose_leg(1)
-    lhs = inv_guarded(x.at([s]), g)
-    a = unitarity_scalar(alpha * z2 / z1, params)
-    r21t1 = _r_dyn(alpha * z2 / z1, params, False).swap_legs(1, 2).transpose_leg(1)
+    args = [b * x / y for b, x, y in zip(beta, z1, z2)]
+    x = _r_dyn(args, params, False).shift_row({2: -1}).transpose_leg(1)
+    lhs = _inverted(x.at(s, tr), g, tr)
+    args = [a * y / x for a, x, y in zip(alpha, z1, z2)]
+    inv_a = np.array([1.0 / a for a in tr.each(unitarity_scalar, args, params)])
+    r21t1 = _r_dyn(args, params, False).swap_legs(1, 2).transpose_leg(1)
     rhs = (
-        (1.0 / a)
-        * n1_sc.inv(g).at(s)
-        @ r21t1.shift_col({2: -1}).at(s)
-        @ n1_m2_sc.at(s)
+        inv_a[:, None, None]
+        * n1_sc.inv(g).at(s, tr)
+        @ r21t1.shift_col({2: -1}).at(s, tr)
+        @ n1_m2_sc.at(s, tr)
     )
-    return _resid(lhs, rhs)
+    return _block_resids(lhs, rhs, len(params))
 
 
 _A_EQ_N_ROWS = (
@@ -419,7 +443,7 @@ def check_a_equals_n(params: Params, z1, z2) -> float:
 
 
 @_over_points
-def check_lemma_p1(params, seed, corruption=None) -> list[float]:
+def check_lemma_p1(tr, params, seed, corruption=None) -> list[float]:
     """Trace-exchange lemma: tr_1(A e^{-sz d} M_1 e^{sz d} C) equals the
     t_2-transpose of tr_1((C^{sl1.t2} A^{sc1.t2})^{-sc1} e^{-sz d} M_1
     e^{sz d}).  A, C are random function-valued two-leg matrices, M a random
@@ -444,13 +468,14 @@ def check_lemma_p1(params, seed, corruption=None) -> list[float]:
         ).transpose_leg(2)
         dressed = prod.shift_col({1: -1})
     rhs = (dressed @ d1m @ m1 @ d1p).partial_trace(1).transpose_leg(1)
-    return _skew_resids(lhs, rhs, _rand_samples(rng, 8), len(rng))
+    return _skew_resids(lhs, rhs, _rand_samples(rng, 8), len(rng), tr)
 
 
 def _chain_steps(params, s, z, samples, corruption=None) -> list:
     """The steps of the proof chain over a batch of points, each a function
-    that returns one residual per point; with a corruption, step 7 alone.
-    The steps share the chain's objects, and so each inverse's cache."""
+    of a Trips record that returns one residual per point and notes the
+    points' trips there; with a corruption, step 7 alone.  The steps share
+    the chain's objects, and so each inverse's cache."""
     n = len(params)
     g = _guard(params)
     flat = [x for row in samples for x in row]
@@ -470,10 +495,10 @@ def _chain_steps(params, s, z, samples, corruption=None) -> list:
             mu = mu_scalar(prm)
         return guarded_div(mu, shift_scalar(upsilon(prm), weight(i)), g)
 
-    def step7():
+    def step7(tr):
         gsc = gm.shift_col({1: +1})
-        lhs = gm.at(flat) @ _diag(params, 1, mid).at(flat) @ gsc.at(flat)
-        return _block_resids(lhs, cross_gauge(params).at(flat), n)
+        lhs = gm.at(flat, tr) @ _diag(params, 1, mid).at(flat, tr) @ gsc.at(flat, tr)
+        return _block_resids(lhs, cross_gauge(params).at(flat, tr), n)
 
     if corruption:
         return [step7]
@@ -487,100 +512,87 @@ def _chain_steps(params, s, z, samples, corruption=None) -> list:
     m12 = g1 @ rt(lambda x, q: 1.0 / x).inv(g) @ g1s2i
 
     # step 1: inverse of the gauged crossing relation
-    def step1():
+    def step1(tr):
         uinv = _ups_diag(params, 2, {}, {2: +1})
         x = rt(lambda x, q: 1.0 / (x * (q * q))).transpose_leg(1).shift_row({1: -1})
-        lhs = uinv.at(s) @ sy.at(s) @ g1s2.at(s) @ x.inv(g).at(s) @ g1i.at(s) @ sy.at(s)
-        return _block_resids(lhs, rt(lambda x, q: 1.0 / x).at(s), n)
+        lhs = (uinv.at(s, tr) @ sy.at(s, tr) @ g1s2.at(s, tr) @ x.inv(g).at(s, tr)
+               @ g1i.at(s, tr) @ sy.at(s, tr))
+        return _block_resids(lhs, rt(lambda x, q: 1.0 / x).at(s, tr), n)
 
     # step 2: zero-weight shift commutation for the inverted dressed matrix
-    def step2():
+    def step2(tr):
         x4 = rt(lambda x, q: 1.0 / (x * q**4)).transpose_leg(1).shift_row({1: -1})
         m = (g1 @ x4 @ g1s2i).inv(g)
-        if not zero_weight_check(m.transpose_leg(1), s, 1e-8):
+        if not zero_weight_check(m.transpose_leg(1), s, 1e-8, tr):
             raise AssertionError("commutation precondition violated")
         dmix = weight_shift_matrix(2, 1, -1) @ weight_shift_matrix(2, 2, +1)
-        return _skew_resids(m @ dmix, dmix @ m.shift_row({1: +1, 2: -1}), flat, n)
+        return _skew_resids(m @ dmix, dmix @ m.shift_row({1: +1, 2: -1}), flat, n, tr)
 
     # step 3: sl_1 - sl_2 dressing of the gauged matrix in components
-    def step3():
+    def step3(tr):
         x4 = rt(lambda x, q: 1.0 / (x * q**4)).transpose_leg(1)
         lhs = (g1 @ x4.shift_row({1: -1}) @ g1s2i).shift_row({1: +1, 2: -1})
         rhs = g1m2.shift_col({1: +1}) @ x4.shift_row({2: -1}) @ g1i.shift_col({1: +1})
-        return _block_resids(lhs.at(s), rhs.at(s), n)
+        return _block_resids(lhs.at(s, tr), rhs.at(s, tr), n)
 
     # step 4: sigma_y / shift-column exchange on a zero-weight matrix
-    def step4():
+    def step4(tr):
         dp = weight_shift_matrix(2, 1, +1) @ weight_shift_matrix(2, 2, +1)
         dmix = weight_shift_matrix(2, 1, -1) @ weight_shift_matrix(2, 2, +1)
         lhs = (m12.transpose_leg(1) @ sy).shift_col({1: +1}) @ dp
         rhs = dmix @ m12.transpose_leg(1).shift_col({2: -1}) @ sy
-        return _skew_resids(lhs, rhs, flat, n)
+        return _skew_resids(lhs, rhs, flat, n, tr)
 
     # step 5: the comparison identity after eliminating sigma_y
-    def step5():
+    def step5(tr):
         ups1 = _ups_diag(params, 2, {1: +1}, {1: +1, 2: -1})
         k2 = _leg_shifts(2, {2: -1})  # mur: mu(s + k2) / mu(s) on the diagonal
         mur = _diag(params, 2, lambda prm, i: guarded_div(
             shift_scalar(mu_scalar(prm), k2[i]), mu_scalar(prm), g))
         x4 = rt(lambda x, q: 1.0 / (x * q**4)).shift_row({2: -1}).transpose_leg(1)
-        lhs = (g1.shift_col({1: +1}).at(s) @ inv_guarded(x4.at(s), g)
-               @ g1m2.inv(g).shift_col({1: +1}).at(s))
-        rhs = ups1.at(s) @ m12.transpose_leg(1).shift_col({2: -1}).at(s) @ mur.at(s)
+        lhs = (g1.shift_col({1: +1}).at(s, tr) @ _inverted(x4.at(s, tr), g, tr)
+               @ g1m2.inv(g).shift_col({1: +1}).at(s, tr))
+        rhs = (ups1.at(s, tr) @ m12.transpose_leg(1).shift_col({2: -1}).at(s, tr)
+               @ mur.at(s, tr))
         return _block_resids(lhs, rhs, n)
 
     # step 6: unitarity in components
-    def step6():
-        lhs = m12.transpose_leg(1).shift_col({2: -1}).at(s)
-        inv_n = [1.0 / unitarity_scalar(x, p) for x, p in zip(z, params)]
-        rhs = (
-            g1i.scale(inv_n).at(s)
-            @ rt(lambda x, q: x).swap_legs(1, 2).transpose_leg(1).shift_col({2: -1}).at(s)
-            @ g1m2.at(s)
-        )
+    def step6(tr):
+        lhs = m12.transpose_leg(1).shift_col({2: -1}).at(s, tr)
+        inv_n = [1.0 / u for u in tr.each(unitarity_scalar, z, params)]
+        r21t1 = rt(lambda x, q: x).swap_legs(1, 2).transpose_leg(1)
+        rhs = (g1i.scale(inv_n).at(s, tr) @ r21t1.shift_col({2: -1}).at(s, tr)
+               @ g1m2.at(s, tr))
         return _block_resids(lhs, rhs, n)
 
     return [step1, step2, step3, step4, step5, step6, step7]
 
 
 @_over_points
-def check_proof_chain_cor22(params, s, z, samples=None, corruption=None) -> list:
+def check_proof_chain_cor22(tr, params, s, z, samples=None, corruption=None) -> list:
     """Every intermediate identity in the derivation of crossing-unitarity
     from the crossing relation, checked verbatim: {"step1": ..., "step7": ...},
     each step's residual or the SingularPointError that stopped it.  The
     negative control drops the (det g^{-sc})^{-1} factor from the scalar mu in
     the final reduction, and returns the residual of that step alone.
-    Batched over grid points (_over_points): a step that trips a guard in
-    the batch reruns point by point, on per-point chain objects that each
-    point's reruns share; samples defaults to s.
+    Batched over grid points (_over_points): each step runs once over all
+    the points, and a point where it trips a guard takes its first trip in
+    that step as the step's result; samples defaults to s.
     """
     if samples is None:
         samples = [[x] for x in s]
     steps = _chain_steps(params, s, z, samples, corruption)
     if corruption:
-        return steps[0]()
-    alone = functools.cache(
-        lambda p: _chain_steps([params[p]], [s[p]], [z[p]], [samples[p]])
-    )
-
-    def tried(step, points):
-        try:
-            return step()
-        except SingularPointError as exc:
-            return [exc] * points
-
-    out = [{} for _ in params]
-    for k, step in enumerate(steps):
-        res = tried(step, len(params))
-        if len(params) > 1 and isinstance(res[0], SingularPointError):
-            res = [tried(alone(p)[k], 1)[0] for p in range(len(params))]
-        for o, r in zip(out, res):
-            o[f"step{k + 1}"] = r
-    return out
+        return steps[0](tr)
+    results = []
+    for step in steps:  # each step notes its trips in a record of its own
+        step_trips = Trips(len(params))
+        results.append(step_trips.outcomes(step(step_trips)))
+    return [{f"step{k + 1}": r for k, r in enumerate(res)} for res in zip(*results)]
 
 
 @_over_points
-def integration_trace_check(params, s, z1, z2, u, corruption=None) -> list[float]:
+def integration_trace_check(tr, params, s, z1, z2, u, corruption=None) -> list[float]:
     """End-to-end exercise of the quadratic trace functional in the
     evaluation model at central charge zero, where the Lax matrices are
     R-matrices against an auxiliary quantum leg and the conjugated kernel
@@ -607,17 +619,16 @@ def integration_trace_check(params, s, z1, z2, u, corruption=None) -> list[float
     r21d = r(z2, z1).swap_legs(1, 2).embed(3, (1, 2)).shift_row({1: -1, 2: -1})
     r12d = r(z1, z2).embed(3, (1, 2)).shift_row({1: -1, 2: -1})
     trace = (n1_shifted @ r21d @ conj_q @ r12d).partial_trace(1)
-    rhs = (r_loc @ d_loc @ trace).scale(
-        [1.0 / unitarity_scalar(b / a, p) for a, b, p in zip(z1, z2, params)]
-    )
-    return _skew_resids(lhs, rhs, s, len(params))
+    args = [b / a for a, b in zip(z1, z2)]
+    rhs = (r_loc @ d_loc @ trace).scale([1.0 / u for u in tr.each(unitarity_scalar, args, params)])
+    return _skew_resids(lhs, rhs, s, len(params), tr)
 
 
 # ---------------------------------------------------------------------------
 # shift-calculus property checks (rerun inside the suite as named checks)
 
 @_over_points
-def check_sc_operator_form(params, rng) -> list[float]:
+def check_sc_operator_form(tr, params, rng) -> list[float]:
     """Component shift-column equals (D M^t)^t D^{-1} through the skew ring."""
     worst = [0.0] * len(rng)
     for nlegs in (1, 2):
@@ -625,13 +636,13 @@ def check_sc_operator_form(params, rng) -> list[float]:
         d = weight_shift_matrix(nlegs, 1, +1)
         di = weight_shift_matrix(nlegs, 1, -1)
         op = (d @ m.transpose_leg(1)).transpose_leg(1) @ di
-        resids = _skew_resids(m.shift_col({1: +1}), op, _rand_samples(rng, 4), len(rng))
+        resids = _skew_resids(m.shift_col({1: +1}), op, _rand_samples(rng, 4), len(rng), tr)
         worst = list(map(max, worst, resids))
     return worst
 
 
 @_over_points
-def check_sl_operator_form(params, rng) -> list[float]:
+def check_sl_operator_form(tr, params, rng) -> list[float]:
     """Component shift-row equals ((D M)^t D^{-1})^t through the skew ring."""
     worst = [0.0] * len(rng)
     for nlegs in (1, 2):
@@ -639,22 +650,22 @@ def check_sl_operator_form(params, rng) -> list[float]:
         d = weight_shift_matrix(nlegs, 1, +1)
         di = weight_shift_matrix(nlegs, 1, -1)
         op = ((d @ m).transpose_leg(1) @ di).transpose_leg(1)
-        resids = _skew_resids(m.shift_row({1: +1}), op, _rand_samples(rng, 4), len(rng))
+        resids = _skew_resids(m.shift_row({1: +1}), op, _rand_samples(rng, 4), len(rng), tr)
         worst = list(map(max, worst, resids))
     return worst
 
 
 @_over_points
-def check_transpose_shift_exchange(params, rng) -> list[float]:
+def check_transpose_shift_exchange(tr, params, rng) -> list[float]:
     """(M^{t1})^{sc1} = (M^{sl1})^{t1} on random function-valued matrices."""
     m = _rand_matrix(2, rng, params)
     lhs = m.transpose_leg(1).shift_col({1: +1})
     rhs = m.shift_row({1: +1}).transpose_leg(1)
-    return _skew_resids(lhs, rhs, _rand_samples(rng, 4), len(rng))
+    return _skew_resids(lhs, rhs, _rand_samples(rng, 4), len(rng), tr)
 
 
 @_over_points
-def check_zero_weight_commutation(params, rng) -> list[float]:
+def check_zero_weight_commutation(tr, params, rng) -> list[float]:
     """M . e^{(-sz1+sz2) d} = e^{(-sz1+sz2) d} . M^{sl1-sl2} whenever M^{t1}
     is zero-weight."""
     bt = [index_bits(i, 2) for i in range(4)]
@@ -667,18 +678,18 @@ def check_zero_weight_commutation(params, rng) -> list[float]:
     m = _rand_matrix(2, rng, params, pattern)
     dmix = weight_shift_matrix(2, 1, -1) @ weight_shift_matrix(2, 2, +1)
     rhs = dmix @ m.shift_row({1: +1, 2: -1})
-    return _skew_resids(m @ dmix, rhs, _rand_samples(rng, 4), len(rng))
+    return _skew_resids(m @ dmix, rhs, _rand_samples(rng, 4), len(rng), tr)
 
 
 @_over_points
-def check_sigma_y_transpose(params, rng) -> list[float]:
+def check_sigma_y_transpose(tr, params, rng) -> list[float]:
     """Conjugation by sigma_y on leg 1 commutes with the leg-1 transpose."""
     a = _rand_matrix(2, rng, params)
     sy = _sigma_y1()
     lhs = (sy @ a @ sy).transpose_leg(1)
     rhs = sy @ a.transpose_leg(1) @ sy
     samples = _rand_samples(rng, 4)
-    return _block_resids(lhs.at(samples), rhs.at(samples), len(rng))
+    return _block_resids(lhs.at(samples, tr), rhs.at(samples, tr), len(rng))
 
 
 def _skew_element(terms: dict) -> DynMatrix:
@@ -736,6 +747,10 @@ class GridSpec:
     p_fixed: complex | None = None
 
     def __post_init__(self):
+        for key in ("tolerance", "singular_guard", "alpha_beta_offset"):
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.n_points < 1:
@@ -911,25 +926,17 @@ def _report(name, point, out, tol, detail="", note="") -> CheckReport:
 def _runner(name, check, inputs, options):
     """The suite runner of one row: (grid, points) -> the points' CheckReports
     in point order.  A check batched by _over_points runs once over all the
-    points, and point by point only if a singular guard trips in the batch."""
-
-    def one(args):
-        try:
-            return check(*args, **options)
-        except SingularPointError as exc:
-            return exc
+    points and gives each point's first guard trip as that point's result;
+    any other check runs at each point, where a trip is its result."""
 
     def run(grid: GridSpec, points: list[GridPoint]) -> list[CheckReport]:
         ins = [inputs(grid, pt) for pt in points]
-        outs = None
+        columns = [list(c) for c in zip(*(i[1] for i in ins))]
         if getattr(check, "over_points", False):
-            try:
-                outs = check(*map(list, zip(*(i[1] for i in ins))), **options)
-            except SingularPointError:
-                # the batch drew from the inputs' generators: draw afresh
-                ins = [inputs(grid, pt) for pt in points]
-        if outs is None:
-            outs = [one(i[1]) for i in ins]
+            outs = check(*columns, **options)
+        else:
+            tr = Trips(len(points))
+            outs = tr.outcomes(tr.each(functools.partial(check, **options), *columns))
         reports = []
         for pt, (keys, _, *detail), out in zip(points, ins, outs):
             steps = out.items() if isinstance(out, dict) else [("", out)]

@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .special import Params, _poch1, guarded, rho_norm, theta
-from .shiftcalc import DynMatrix, _stack, guarded_div, point_blocks, weight
+from .shiftcalc import DynMatrix, _sampled, _stack, guarded_div, point_blocks, weight
 
 __all__ = [
     "RPoint",
@@ -88,6 +88,8 @@ class RPoint:
 _R_PATTERN = np.zeros((4, 4), dtype=bool)
 _R_PATTERN[[0, 1, 1, 2, 2, 3], [0, 1, 2, 1, 2, 3]] = True
 _R_PATTERN.flags.writeable = False
+_R_TRIPPED = np.zeros((4, 4), dtype=complex)  # what a tripped sample holds
+_R_TRIPPED.flags.writeable = False
 
 
 @lru_cache(maxsize=1 << 15)
@@ -145,15 +147,17 @@ def _r_array(z: complex, s: complex, params: Params, twisted: bool) -> np.ndarra
 
 def _r_dyn(z, params, twisted: bool) -> DynMatrix:
     """One matrix-valued leaf: every demand reads the whole cached array, one
-    per sample.  Per-point sequences of z and params make it a grid leaf
-    whose block p is read at z[p] with params[p]."""
+    per sample, and a sample that trips a guard holds zeros.  Per-point
+    sequences of z and params make it a grid leaf whose block p is read at
+    z[p] with params[p]."""
     grid = not isinstance(params, Params)
     zs, ps = ([complex(x) for x in z], params) if grid else ([complex(z)], [params])
 
     def ev(s, need):
         rows = point_blocks(s, len(ps)).tolist()
-        arrs = [_r_array(zp, x, p, twisted) for zp, p, row in zip(zs, ps, rows) for x in row]
-        return {0: _stack(arrs)}
+        args = [(zp, x, p, twisted) for zp, p, row in zip(zs, ps, rows) for x in row]
+        arrs, trips = _sampled(_r_array, args, _R_TRIPPED)
+        return {0: _stack(arrs)}, trips
 
     return DynMatrix(2, {0: _R_PATTERN}, ev, len(ps) if grid else 0)
 

@@ -25,15 +25,19 @@ d x d pattern of its structurally nonzero entries; a skew-ring element is a
 matrix on 0 legs.  ``ev(s, need)`` takes a 1-D complex array of n samples
 s and a demand {degree: boolean d x d mask} inside the pattern, and returns
 {degree: complex (n, d, d) array}, slice i at s[i], exact on the demanded
-entries, zero off the pattern and finite elsewhere.  Every operation works
+entries, zero off the pattern and finite elsewhere, with its trips: None,
+or per sample the first SingularPointError it met, or None.  Where a leaf or
+an inverse trips, it holds zeros or the identity.  Every operation works
 out from the patterns alone which entries of its operands the demanded
 entries read, and at which shifts of s, and evaluates only those, for the
 whole batch at once: a guarded entry or an inverse is evaluated only where
 a result reads it.  Scalar entry functions still see one sample at a time.
 ``at``/``coeffs_at`` take a scalar s (a batch of one, read out as d x d
-arrays) or a sequence of samples; batched values equal per-sample values
-exactly.  Arrays an evaluator keeps (constant leaves, cached inverses) are
-read-only, and so is what a scalar read returns from them.
+arrays) or a sequence of samples, and note trips in a ``Trips`` record or,
+without one, raise the first.  Slice i depends on s[i] alone, but a leaf
+that contracts the batch (the checks' random Laurent leaf) may round
+differently at one sample.  Arrays an evaluator keeps (constant leaves,
+cached inverses) are read-only, and so is what a scalar read returns.
 
 The batch may run over the points of a grid: a grid read lays its samples
 out in P equal, point-major blocks, and as every operation maps sample i to
@@ -41,8 +45,9 @@ sample i, block p holds point p's values.  A grid leaf evaluates block p
 with point p's data (``point_blocks`` rejects a batch that is not P equal
 blocks), and ``points`` records the P of the grid leaves a matrix holds (0
 for none); a single point is the batch of one.  ``from_entries`` and
-``scale`` take one entry or factor per point, and ``inv`` caches by (point,
-s) and inverts a read's new samples as one stack.
+``scale`` take one entry or factor per point, and ``inv`` caches the inverse
+and the trip at each (point, s) and inverts a read's new samples as one
+stack.
 
 Patterns are interned ``Pattern`` objects: read-only dicts of read-only
 masks, one object per distinct pattern, where the order of the degrees is
@@ -57,11 +62,12 @@ to ``ev`` is interned on entry.  Values never depend on that table's state.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
 
-from .special import DEFAULT_GUARD, guarded
+from .special import DEFAULT_GUARD, SingularPointError, guarded
 
 __all__ = [
     "DynMatrix",
@@ -76,6 +82,7 @@ __all__ = [
     "zero_weight_check",
     "inv_guarded",
     "point_blocks",
+    "Trips",
 ]
 
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -210,6 +217,74 @@ def _stack(arrays: list) -> np.ndarray:
     """Stack per-sample d x d arrays; a batch of one is a view of its array,
     so a read-only array stays read-only."""
     return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
+def _first(a, b):
+    """Per-sample first trips of two evaluations made in order."""
+    return b if a is None else a if b is None else [x or y for x, y in zip(a, b)]
+
+
+_CLOCK = itertools.count()
+
+
+def _met(exc: SingularPointError) -> SingularPointError:
+    """exc stamped with the order evaluation met it, without the traceback
+    whose frames would keep a batch's arrays alive."""
+    exc.met = next(_CLOCK)
+    return exc.with_traceback(None)
+
+
+def _earliest(trips):
+    """The trip met first among per-sample trips, or None."""
+    return min(filter(None, trips), key=lambda t: t.met, default=None)
+
+
+def _sampled(f, items, neutral):
+    """[f(*item) for item in items] and its trips; an item that trips a guard
+    holds neutral."""
+    out, trips = [], None
+    for i, item in enumerate(items):
+        try:
+            out.append(f(*item))
+        except SingularPointError as exc:
+            trips = trips or [None] * len(items)
+            trips[i] = _met(exc)
+            out.append(neutral)
+    return out, trips
+
+
+class Trips(list):
+    """Per grid point, the first guard trip its reads met, in read order, or
+    None: grid reads note their trips here instead of raising them."""
+
+    def __init__(self, points: int):
+        super().__init__([None] * points)
+
+    def note(self, trips):
+        """Note a point-major read's trips: an untripped point takes the trip
+        its samples met first; None notes nothing."""
+        if trips is not None:
+            m = len(trips) // len(self)
+            for p in range(len(self)):
+                self[p] = self[p] or _earliest(trips[p * m:p * m + m])
+
+    def each(self, f, *columns):
+        """f at each point's arguments; a tripped point's value is 1.0."""
+        vals, trips = _sampled(f, list(zip(*columns)), 1.0)
+        self.note(trips)
+        return vals
+
+    def outcomes(self, results) -> list:
+        """Each point's result, or its first trip."""
+        return [t or r for r, t in zip(results, self)]
+
+
+def _settle(trips, record):
+    """Note a read's trips in record, or raise the first without one."""
+    if trips is not None:
+        if record is None:
+            raise _earliest(trips)
+        record.note(trips)
 
 
 def _matmul_masks(pa: Pattern, pb: Pattern) -> Pattern:
@@ -374,7 +449,7 @@ class DynMatrix:
             arr.flags.writeable = False
 
         def ev(s, need):
-            out = {}
+            out, trips = {}, None
             rows = point_blocks(s, points or 1).tolist()
             for k, n in need.items():
                 if not fns[k]:  # a read-only view, not n copies
@@ -387,10 +462,16 @@ class DynMatrix:
                 blocks = arr.reshape(len(rows), -1, d * d)
                 # one sample at a time, each entry in row-major order
                 for p, (xs, vals) in enumerate(zip(rows, blocks)):
-                    for x, row in zip(xs, vals):
-                        for ij, f in todo:
-                            row[ij] = f[p](x)
-            return out
+                    for j, (x, row) in enumerate(zip(xs, vals)):
+                        try:
+                            for ij, f in todo:
+                                row[ij] = f[p](x)
+                        except SingularPointError as exc:
+                            row[:] = consts[k].reshape(-1)
+                            trips = trips or [None] * len(s)
+                            i = p * len(xs) + j
+                            trips[i] = trips[i] or _met(exc)
+            return out, trips
 
         return cls(nlegs, masks, ev, points)
 
@@ -428,8 +509,11 @@ class DynMatrix:
             need_a, need_b, pairs = _derived(
                 ("@", pa, pb, need), _matmul_plan, pa, pb, need
             )
-            va = a.ev(s, need_a)
-            vb = {da: b.ev(s + da, nb) for da, nb in need_b.items()}
+            va, trips = a.ev(s, need_a)
+            vb = {}
+            for da, nb in need_b.items():
+                vb[da], tb = b.ev(s + da, nb)
+                trips = trips if tb is None else _first(trips, tb)
             out: dict[int, np.ndarray] = {}
             for da, db in pairs:  # each term is fresh: sum in place
                 term = va[da] @ vb[da].pop(db)
@@ -438,7 +522,7 @@ class DynMatrix:
                     out[dc] += term
                 else:
                     out[dc] = term
-            return out
+            return out, trips
 
         masks = _derived(("@", pa, pb), _matmul_masks, pa, pb)
         return DynMatrix(self.nlegs, masks, ev, _points(a.points, b.points))
@@ -452,12 +536,14 @@ class DynMatrix:
         def ev(s, need):
             need = _intern(need)
             plan = _derived(("+", pa, pb, need), _add_plan, pa, pb, need)
-            out: dict[int, np.ndarray] = {}
+            out, trips = {}, None
             for t, nt in zip(terms, plan):
                 if nt:
-                    for k, v in t.ev(s, nt).items():
+                    vals, tt = t.ev(s, nt)
+                    trips = trips if tt is None else _first(trips, tt)
+                    for k, v in vals.items():
                         out[k] = out[k] + v if k in out else v
-            return out
+            return out, trips
 
         masks = _derived(("+", pa, pb), _add_masks, pa, pb)
         return DynMatrix(self.nlegs, masks, ev, _points(self.points, other.points))
@@ -476,7 +562,8 @@ class DynMatrix:
         def ev(s, need):
             rows = point_blocks(s, len(fs)).tolist()
             v = np.array([f(x) for f, row in zip(fs, rows) for x in row])[:, None, None]
-            return {k: v * arr for k, arr in src.ev(s, need).items()}
+            vals, trips = src.ev(s, need)
+            return {k: v * arr for k, arr in vals.items()}, trips
 
         points = _points(self.points, len(fs) if grid else 0)
         return DynMatrix(self.nlegs, self.masks, ev, points)
@@ -494,14 +581,14 @@ class DynMatrix:
         def ev(s, need):
             need = _intern(need)
             plan = _derived((layout, p, need), _gather_plan, table, d, p, need)
-            vals = src.ev(s, plan)
+            vals, trips = src.ev(s, plan)
             n = len(s)
             out = {}
             for k in need:
                 flat = np.zeros((n, d * d + 1), dtype=complex)
                 flat[:, :-1] = vals[k].reshape(n, d * d)
                 out[k] = flat[:, table].sum(axis=1).reshape(n, dout, dout)
-            return out
+            return out, trips
 
         masks = _derived((layout, p), _gather_masks, table, dout, p)
         return DynMatrix(nlegs, masks, ev, self.points)
@@ -568,10 +655,12 @@ class DynMatrix:
 
         def ev(s, need):
             need = _intern(need)
-            out = np.zeros((len(s), d, d), dtype=complex)
+            out, trips = np.zeros((len(s), d, d), dtype=complex), None
             for k, sel, nk in _derived((dressing, need), _shift_plan, groups, need):
-                np.copyto(out, src.ev(s + k, nk)[0], where=sel)
-            return {0: out}
+                vals, tk = src.ev(s + k, nk)
+                np.copyto(out, vals[0], where=sel)
+                trips = trips if tk is None else _first(trips, tk)
+            return {0: out}, trips
 
         return DynMatrix(self.nlegs, self.masks, ev, self.points)
 
@@ -592,39 +681,42 @@ class DynMatrix:
 
     # -- evaluation ---------------------------------------------------------
 
-    def at(self, s) -> np.ndarray:
+    def at(self, s, trips: Trips | None = None) -> np.ndarray:
         """Evaluate a function-valued matrix: a d x d array at a scalar s, an
-        (n, d, d) stack at a sequence of n samples."""
+        (n, d, d) stack at a sequence of n samples; guard trips go to trips."""
         if any(k != 0 for k in self.masks):
             raise ValueError("matrix carries nonzero shift degrees; use coeffs_at")
-        vals = self._read(s)
+        vals = self._read(s, trips)
         return vals[0] if vals else np.zeros(np.shape(s) + (self.dim,) * 2, complex)
 
-    def coeffs_at(self, s) -> dict[int, np.ndarray]:
+    def coeffs_at(self, s, trips: Trips | None = None) -> dict[int, np.ndarray]:
         """Evaluate degree by degree: {E-degree: complex array}, each a d x d
         array at a scalar s, an (n, d, d) stack at a sequence of n samples."""
-        return self._read(s)
+        return self._read(s, trips)
 
-    def _read(self, s) -> dict[int, np.ndarray]:
+    def _read(self, s, trips) -> dict[int, np.ndarray]:
         xs = np.asarray(s, dtype=complex)
         if xs.ndim > 1:
             raise ValueError("samples must be a scalar or a 1-D sequence")
         if not self.masks:
             return {}
-        vals = self.ev(xs.reshape(-1), self.masks)
+        vals, tripped = self.ev(xs.reshape(-1), self.masks)
+        _settle(tripped, trips)
         return vals if xs.ndim else {k: v[0] for k, v in vals.items()}
 
     def inv(self, guard: float = DEFAULT_GUARD) -> "DynMatrix":
         """Lazy matrix inverse of a function-valued matrix.
 
         The inverse is itself a DynMatrix (evaluable at shifted s).  It keeps
-        the inverse at each (grid point, s) for later reads; a read evaluates
-        the matrix at the samples it has not seen and inverts them in one
-        call to inv_guarded.  A grid read needs equal point blocks, so where
-        the new samples are not, the matrix is evaluated at the whole batch.
+        the inverse and any trip at each (grid point, s) for later reads; a
+        read evaluates the matrix at the samples it has not seen and inverts
+        them in one call to inv_guarded, which sees the identity in place of
+        each sample where the matrix tripped.  A grid read needs equal point blocks, so where the
+        new samples are not, the matrix is evaluated at the whole batch.
         """
         self._require_function_valued("inverse")
         cache: dict[tuple, np.ndarray] = {}
+        tripped: dict[tuple, SingularPointError] = {}
         base = self
 
         def ev(s, need):
@@ -634,26 +726,51 @@ class DynMatrix:
             if new:
                 at = list(new.values())
                 counts = np.bincount([p for p, _ in new], minlength=len(rows))
-                arrs = base.at(s[at]) if (counts == counts[0]).all() else base.at(s)[at]
-                arrs = inv_guarded(arrs, guard, " at s = {}", [x for _, x in new])
+                read = s[at] if (counts == counts[0]).all() else s
+                vals, trips = base.ev(read, base.masks)
+                arrs = vals.get(0, np.zeros((len(read), base.dim, base.dim)))
+                if read is s:
+                    arrs, trips = arrs[at], trips and [trips[i] for i in at]
+                if trips is not None:
+                    arrs = _identity_at(arrs, trips)
+                arrs, more = inv_guarded(arrs, guard, " at s = {}", [x for _, x in new])
+                trips = _first(trips, more)
+                if trips is not None:
+                    tripped.update((k, t) for k, t in zip(new, trips) if t)
                 arrs.flags.writeable = False
                 cache.update(zip(new, arrs))
-            return {0: _stack([cache[k] for k in keys])}
+            trips = [tripped.get(k) for k in keys] if tripped else None
+            for k, t in zip(keys, trips or ()):  # a kept trip is met again here
+                if t and k not in new:
+                    _met(t)
+            return {0: _stack([cache[k] for k in keys])}, trips
 
         full = {0: np.ones((self.dim, self.dim), dtype=bool)}
         return DynMatrix(self.nlegs, full, ev, self.points)
 
 
-def inv_guarded(arrs: np.ndarray, guard: float, where: str = "", *args) -> np.ndarray:
-    """Inverses of an (n, d, d) stack of evaluated arrays in one call; raises
-    SingularPointError at the first sample, in order, whose |det| falls below
-    the guard (where and per-sample sequences args locate it, as in
-    guarded).  The guard decides, so a det that overflows is not warned of."""
-    with np.errstate(over="ignore"):
+def _identity_at(arrs: np.ndarray, trips) -> np.ndarray:
+    """A copy of the (n, d, d) stack arrs with the identity at each tripped
+    sample."""
+    arrs = arrs.copy()
+    arrs[[t is not None for t in trips]] = np.eye(arrs.shape[-1])
+    return arrs
+
+
+def inv_guarded(arrs: np.ndarray, guard: float, where: str = "", *args) -> tuple:
+    """Inverses of an (n, d, d) stack of evaluated arrays in one call, and
+    their trips (module docstring): a sample whose |det| falls below the
+    guard trips (where and per-sample sequences args locate it, as in
+    guarded) and holds the identity, which np.linalg.inv inverts in its
+    place.  The guard decides, so a det that overflows, or that is not finite
+    where evaluation went on past a trip, is not warned of."""
+    with np.errstate(over="ignore", invalid="ignore"):
         dets = np.linalg.det(arrs)
-    for i, det in enumerate(dets):
-        guarded(det, "det", guard, where, *(a[i] for a in args))
-    return np.linalg.inv(arrs)
+    items = [(det, "det", guard, where, *(a[i] for a in args)) for i, det in enumerate(dets)]
+    _, trips = _sampled(guarded, items, None)
+    if trips is not None:
+        arrs = _identity_at(arrs, trips)
+    return np.linalg.inv(arrs), trips
 
 
 def skew_mul(a: DynMatrix, b: DynMatrix) -> DynMatrix:
@@ -685,11 +802,14 @@ def _off_weight(nlegs: int, p: Pattern) -> Pattern:
     return _pattern({k: m & off for k, m in p.items()})
 
 
-def zero_weight_check(m: DynMatrix, samples, tol: float) -> bool:
+def zero_weight_check(m: DynMatrix, samples, tol: float, trips: Trips | None = None) -> bool:
     """True iff every entry whose row and column weight sums differ vanishes
-    below tol at all sample points (all shift degrees included)."""
+    below tol at all sample points (all shift degrees included) but those
+    that trip a guard, which go to trips as in DynMatrix.at."""
     need = _derived(("off-weight", m.nlegs, m.masks), _off_weight, m.nlegs, m.masks)
     if not need:
         return True
-    vals = m.ev(np.asarray(samples, dtype=complex).reshape(-1), need)
-    return not any(abs(vals[k][:, n]).max() > tol for k, n in need.items())
+    vals, tripped = m.ev(np.asarray(samples, dtype=complex).reshape(-1), need)
+    _settle(tripped, trips)
+    ok = slice(None) if tripped is None else [t is None for t in tripped]
+    return not any(abs(vals[k][ok][:, n]).max(initial=0.0) > tol for k, n in need.items())

@@ -88,10 +88,10 @@ class Params:
     def __post_init__(self):
         object.__setattr__(self, "q_half", complex(self.q_half))
         object.__setattr__(self, "p", complex(self.p))
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be > 0")
-        if self.singular_guard <= 0:
-            raise ValueError("singular_guard must be > 0")
+        for key in ("tolerance", "singular_guard"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{key} must be finite and > 0, got {value!r}")
         if self.truncation_order < 1:
             raise ValueError("truncation_order must be a positive integer")
         if abs(self.p) >= 1:

@@ -2,6 +2,7 @@
 
 import functools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from dynell.checks import (
     suite_passes,
     summarize,
 )
-from dynell import DynMatrix, Params, checks, shiftcalc, weight_shift_matrix
+from dynell import DynMatrix, Params, checks, rmatrix, shiftcalc, weight_shift_matrix
 from dynell.special import SingularPointError
 
 from helpers import make_params
@@ -234,12 +235,26 @@ class TestRandomLaurentLeaf:
 
 
 # the rows that run once over all grid points
-BATCHED = (
+R_ROWS = (
+    "dybe.r", "dybe.rtilde", "dybe.negctrl", "unitarity.r", "unitarity.rtilde",
+    "unitarity.negctrl", "crossing.r", "crossing.rtilde", "crossing.negctrl",
+    "crossunit.rtilde", "crossunit.r", "crossunit.negctrl", "cor22chain",
+    "cor22chain.negctrl", "magic.critical", "magic.negctrl", "nforms",
+    "nforms.negctrl", "traceint", "traceint.negctrl",
+)
+BATCHED = R_ROWS + (
     "lemmap1", "lemmap1.negctrl", "shiftcalc.sc_operator_form",
     "shiftcalc.sl_operator_form", "shiftcalc.transpose_exchange",
     "shiftcalc.zero_weight_commutation", "shiftcalc.sigma_y_transpose",
-    "cor22chain", "cor22chain.negctrl", "traceint", "traceint.negctrl",
 )
+
+# grids whose batches trip guards, by test id: det guards at seeds 0 and 1,
+# and theta and rho guards inside the R assembly at p = 0.8
+TRIPPING_GRIDS = {
+    "0": GridSpec(seed=0),
+    "1": GridSpec(seed=1),
+    "p0.8": GridSpec(p_fixed=0.8, n_points=3),
+}
 
 # the cor22chain.step2 skips of the default grid (seed 0), by point index
 CHAIN_SKIPS = {
@@ -253,6 +268,13 @@ CHAIN_SKIPS = {
         "(-0.8528741893387359-0.42967374643078193j)",
 }
 
+# the crossunit.r and magic.critical skips of the default grid at point 1
+POINT1_SKIPS = {
+    name: "singular point: |det| = 5.427e-14 below guard at s = "
+          "(0.7148085531751387-0.46641442469453565j)"
+    for name in ("crossunit.r", "magic.critical")
+}
+
 
 class TestGridBatch:
     """Batching a check over the grid moves no point's result."""
@@ -262,10 +284,10 @@ class TestGridBatch:
         batched = {n for n, c in rows.items() if getattr(c, "over_points", False)}
         assert batched == set(BATCHED)
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_batch_equals_batches_of_one(self, seed):
-        grid = GridSpec(seed=seed)
+    @pytest.mark.parametrize("grid", TRIPPING_GRIDS.values(), ids=TRIPPING_GRIDS)
+    def test_batch_equals_batches_of_one(self, grid):
         points = grid.sample_points()
+        skipped = 0
         for name in BATCHED:
             runner = _REGISTRY[name]
             batch = runner(grid, points)
@@ -276,20 +298,33 @@ class TestGridBatch:
                 assert b.residual == a.residual, (b.name, points[i // per].index)
                 assert b.to_dict() == a.to_dict()
                 assert b.point["index"] == points[i // per].index
+            skipped += sum(r.residual is None for r in batch)
+        assert skipped  # the trip records are exercised
+
+    def test_a_point_skips_on_the_first_trip_its_samples_meet(self):
+        # at p = 0.8, point 1, chain step 4 reads four samples per point: an
+        # R-leaf guard inside an inverse trips at one sample before the det
+        # guard of that inverse trips at another, earlier sample
+        grid = replace(TRIPPING_GRIDS["p0.8"], checks=("cor22chain",))
+        [rep] = [r for r in run_suite(grid) if (r.name, r.point["index"]) == (
+            "cor22chain.step4", 1)]
+        assert rep.detail == (
+            "singular point: |Theta(1/w)| = 5.812e-07 below guard at "
+            "z=(0.6141524099641773-0.13155980471283732j), "
+            "s=(-0.7473937224979892-0.3789769991999483j)"
+        )
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_three_points_equal_the_first_three_of_the_grid(self, seed):
-        rows = ("lemmap1", "shiftcalc", "cor22chain", "traceint")
-        small = run_suite(GridSpec(seed=seed, n_points=3, checks=rows))
-        full = run_suite(GridSpec(seed=seed, checks=rows))
+        small = run_suite(GridSpec(seed=seed, n_points=3))
+        full = run_suite(GridSpec(seed=seed))
         head = [r.to_dict() for r in full if r.point["index"] < 3]
         assert [r.to_dict() for r in small] == head
         # the chain makes seven reports per point, every other row one
-        assert len(head) == 3 * (len(resolve_check_names(rows)) + 6)
+        assert len(head) == 3 * (len(all_check_names()) + 6)
 
-    def test_a_chain_trip_reruns_only_its_step_point_by_point(self, monkeypatch):
-        # point 1 of the default grid trips step 2's det guard; points 0
-        # and 2 do not
+    def test_a_batch_with_trips_runs_each_step_and_row_once(self, monkeypatch):
+        # point 1 of the default grid trips chain step 2, crossunit and magic
         calls = []
         chain_steps = checks._chain_steps
 
@@ -297,20 +332,65 @@ class TestGridBatch:
             steps = chain_steps(params, *args, **options)
             calls.append(("build", len(params)))
 
-            def step(k):
+            def step(k, tr):
                 calls.append((f"step{k + 1}", len(params)))
-                return steps[k]()
+                return steps[k](tr)
 
             return [functools.partial(step, k) for k in range(len(steps))]
 
         monkeypatch.setattr(checks, "_chain_steps", counting)
-        reports = suite_reports("cor22chain", GRID.sample_points()[:3])
-        batched = [("build", 3)] + [(f"step{k}", 3) for k in range(1, 8)]
-        alone = [("build", 1), ("step2", 1)] * 3
-        assert calls == batched[:3] + alone + batched[3:]
+        points = GRID.sample_points()[:3]
+        reports = suite_reports("cor22chain", points)
+        assert calls == [("build", 3)] + [(f"step{k}", 3) for k in range(1, 8)]
         skipped = [(r.point["index"], r.name) for r in reports if r.residual is None]
         assert skipped == [(1, "cor22chain.step2")]
         assert reports[8].detail == CHAIN_SKIPS[1]
+        for name, check, inputs, options in checks._SUITE:
+            if name not in R_ROWS:
+                continue
+            runs = []
+
+            def once(*args, check=check, **kwargs):
+                runs.append(len(args[0]))
+                return check(*args, **kwargs)
+
+            once.over_points = True
+            reports = checks._runner(name, once, inputs, options)(GRID, points)
+            assert runs == [3], name
+            skips = {r.name: r.detail for r in reports if r.point["index"] == 1}
+            if name in POINT1_SKIPS:
+                assert skips == {name: POINT1_SKIPS[name]}
+
+    def test_r_rows_do_the_same_work_at_3_and_25_points(self, monkeypatch):
+        # R-leaf evaluations, grid-leaf and inverse reads, and np.linalg.inv
+        # calls per row do not grow with the grid: each R-matrix family runs
+        # once over the whole grid, tripped points included
+        counts = {}
+        r_dyn, inv, blocks = checks._r_dyn, np.linalg.inv, shiftcalc.point_blocks
+
+        def count(key, f):
+            def counted(*args):
+                counts[key] += 1
+                return f(*args)
+            return counted
+
+        def counting_r_dyn(*args):
+            m = r_dyn(*args)
+            m.ev = count("r", m.ev)
+            return m
+
+        monkeypatch.setattr(checks, "_r_dyn", counting_r_dyn)
+        monkeypatch.setattr(np.linalg, "inv", count("inv", inv))
+        for module in (shiftcalc, rmatrix):
+            monkeypatch.setattr(module, "point_blocks", count("reads", blocks))
+        for name in R_ROWS:
+            work = []
+            for n in (3, 25):
+                counts.update(r=0, inv=0, reads=0)
+                run_suite(GridSpec(n_points=n, checks=(name,)))
+                work.append(dict(counts))
+            assert work[0] == work[1], name
+            assert work[0]["reads"] > 0, name
 
     def test_chain_skips_of_the_default_grid_keep_their_detail(self):
         reports = suite_reports("cor22chain", GRID.sample_points())
@@ -319,11 +399,14 @@ class TestGridBatch:
         assert {r.name for r in reports if r.residual is None} == {"cor22chain.step2"}
 
     def test_guard_trip_in_a_batch_skips_only_its_point(self):
+        def scalar(i):
+            if i == 1:
+                raise checks.SingularPointError(f"at index {i}")
+            return float(i) * 1e-12
+
         @checks._over_points
-        def check(params, index):
-            if 1 in index:
-                raise checks.SingularPointError(f"at index 1 of {list(index)}")
-            return [float(i) * 1e-12 for i in index]
+        def check(tr, params, index):
+            return tr.each(scalar, index)
 
         grid = GridSpec()
         run = checks._runner(
@@ -331,7 +414,7 @@ class TestGridBatch:
         )
         reports = run(grid, grid.sample_points()[:3])
         assert [r.status for r in reports] == ["pass", "skipped-singular", "pass"]
-        assert reports[1].detail == "at index 1 of [1]"
+        assert reports[1].detail == "at index 1"
         assert [r.residual for r in reports] == [0.0, None, 2e-12]
         assert [r.point["index"] for r in reports] == [0, 1, 2]
 

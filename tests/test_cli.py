@@ -101,6 +101,24 @@ class TestCheckCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: seed ") and "-1" in err
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--tolerance", "nan", "tolerance must be finite and > 0, got nan"),
+            ("--singular-guard", "inf", "singular_guard must be finite and > 0, got inf"),
+            ("--alpha-beta-offset", "nan", "alpha_beta_offset must be finite, got nan"),
+        ],
+    )
+    def test_non_finite_setting_is_config_error(self, tmp_path, capsys, flag, value, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{flag[2:].replace('-', '_')} = {value}\n")
+        for argv in ([flag, value], ["--config", str(cfg)]):
+            rc = main(["check", "--points", "1", "--checks", "theta.inversion", *argv])
+            assert rc == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
+
     def test_byte_identical_rerun(self, tmp_path):
         args = [
             "check", "--seed", "12", "--points", "2", "--format", "json",

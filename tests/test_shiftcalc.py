@@ -20,7 +20,7 @@ from dynell import (
 from dynell.checks import _skew_element as elem
 from dynell.checks import _rand_matrix as rand_matrix_over_points
 from dynell.checks import _skew_resid as skew_resid
-from dynell.shiftcalc import PAULI_Y, guarded_div, index_bits, weight
+from dynell.shiftcalc import PAULI_Y, Trips, guarded_div, index_bits, inv_guarded, weight
 
 from helpers import make_params, rand_fourier, rand_matrix, sample_s
 
@@ -641,6 +641,87 @@ class TestGridLeaves:
             self.leaf(points=3) + self.leaf(points=2)
 
 
+class TestTripRecords:
+    """A guard trip is a per-sample record; only a read without a record
+    raises it."""
+
+    BAD = S_SAMPLES[1]
+
+    def ratio(self):
+        # the denominator vanishes at BAD: the leaf trips there
+        return DynMatrix.diagonal(
+            1, lambda i: guarded_div(lambda s: 2.0, lambda s: s - self.BAD) if i else 3.0
+        )
+
+    def test_a_tripped_sample_is_noted_and_the_others_evaluate(self):
+        m = self.ratio() @ weight_shift_matrix(1, 1, +1) @ self.ratio()
+        s = S_SAMPLES[:4]  # two points of two samples; BAD is point 0's second
+        tr = Trips(2)
+        got = m.coeffs_at(s, tr)
+        assert tr[1] is None
+        assert str(tr[0]).startswith("singular point: |denominator|")
+        assert str(tr[0]).endswith(f"at s = {self.BAD}")
+        for i in (0, 2, 3):
+            want = m.coeffs_at(s[i])
+            assert all(np.array_equal(got[k][i], want[k]) for k in want)
+        with pytest.raises(SingularPointError, match=re.escape(str(tr[0]))):
+            m.coeffs_at(s)
+
+    def test_a_point_takes_the_trip_its_samples_met_first(self):
+        # sample 0 trips only in the right factor, sample 1 in the left one,
+        # which is evaluated first: point 0's trip is sample 1's
+        left, right = S_SAMPLES[1], S_SAMPLES[0]
+
+        def leaf(bad):
+            return DynMatrix.diagonal(1, lambda i: guarded_div(lambda s: 1.0, lambda s: s - bad))
+
+        tr = Trips(1)
+        (leaf(left) @ leaf(right)).at([right, left], tr)
+        assert str(tr[0]).endswith(f"at s = {left}")
+        later = Trips(1)
+        later.note([None, tr[0]])
+        assert later[0] is tr[0]
+        later.note([SingularPointError("later read"), None])
+        assert later[0] is tr[0]  # the first read's trip stays
+
+    def test_a_tripped_inverse_holds_the_identity_and_keeps_its_trip(self):
+        seen = []
+        base = DynMatrix.diagonal(2, lambda i: lambda s: seen.append(s) or s - self.BAD)
+        inv = base.inv(1e-6)
+        s = S_SAMPLES[:3]
+        first, second = Trips(3), Trips(3)
+        got = inv.at(s, first)
+        again = inv.at(s, second)
+        assert seen == [x for x in s for _ in range(4)]  # each entry once
+        assert np.array_equal(got[1], np.eye(4))
+        assert np.array_equal(got, again)
+        assert first[1] is second[1] and first[0] is first[2] is None
+        assert str(first[1]).startswith("singular point: |det| = 0.000e+00")
+        with pytest.raises(SingularPointError):
+            inv.at(self.BAD)
+
+    def test_inv_guarded_replaces_a_singular_sample_by_the_identity(self):
+        arrs = np.array([2 * np.eye(2), np.zeros((2, 2)), np.diag([1.0, 4.0])])
+        inverses, trips = inv_guarded(arrs, 1e-6, " at sample {}", [0, 1, 2])
+        assert [t is None for t in trips] == [True, False, True]
+        assert str(trips[1]).endswith(" at sample 1")
+        assert np.array_equal(inverses, np.linalg.inv([2 * np.eye(2), np.eye(2), np.diag([1.0, 4.0])]))
+        assert inv_guarded(arrs[::2], 1e-6)[1] is None
+
+    def test_zero_weight_check_skips_tripped_samples(self):
+        def entry(i, j):
+            if (i, j) == (0, 3):  # off-weight; singular at BAD
+                return guarded_div(lambda s: 0.0, lambda s: s - self.BAD)
+            return 1.0 if i == j else None
+
+        m = DynMatrix.from_entries(2, entry)
+        tr = Trips(3)
+        assert zero_weight_check(m, S_SAMPLES[:3], 1e-12, tr)
+        assert [t is None for t in tr] == [True, False, True]
+        with pytest.raises(SingularPointError):
+            zero_weight_check(m, S_SAMPLES[:3], 1e-12)
+
+
 class TestPatterns:
     """Patterns are interned and read-only; degree order is part of one."""
 
@@ -691,12 +772,13 @@ class TestPatterns:
         ) + a.inv(1e-9).transpose_leg(2)
         xs = np.asarray(S_SAMPLES, dtype=complex)
         plain = {k: m.copy() for k, m in c.masks.items()}
-        got = c.ev(xs, plain)
-        want = c.ev(xs, c.masks)
+        got, trips = c.ev(xs, plain)
+        want, _ = c.ev(xs, c.masks)
+        assert trips is None
         assert list(got) == list(want)
         for k in want:
             assert np.array_equal(got[k], want[k])
         assert all(m.flags.writeable for m in plain.values())
         one = np.zeros((4, 4), dtype=bool)
         one[1, 2] = True
-        assert c.ev(xs, {0: one})[0][:, 1, 2].tolist() == want[0][:, 1, 2].tolist()
+        assert c.ev(xs, {0: one})[0][0][:, 1, 2].tolist() == want[0][:, 1, 2].tolist()

@@ -228,6 +228,20 @@ class TestParams:
         with pytest.raises(ValueError):
             make_params(singular_guard=-1.0)
 
+    @pytest.mark.parametrize("key", ["tolerance", "singular_guard"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_tolerance_and_guard(self, key, value):
+        # a nan tolerance would silently skip the series-tail invariant
+        with pytest.raises(ValueError, match=f"^{key} must be finite and > 0, got {value!r}$"):
+            make_params(**{key: value})
+
+    def test_grid_rejects_non_finite_settings(self):
+        from dynell.checks import GridSpec
+
+        for key in ("tolerance", "singular_guard", "alpha_beta_offset"):
+            with pytest.raises(ValueError, match=f"^{key} must be finite, got nan$"):
+                GridSpec(**{key: float("nan")})
+
     def test_auto_order_meets_invariant(self):
         for p, qh in ((0.05, 0.4), (0.5, 0.8), (0.0, 0.6)):
             params = Params.make(qh, p)
