@@ -490,7 +490,7 @@ def _chain_steps(params, s, z, samples, corruption=None) -> list:
     # crossing of the dropped factor through 1
     def mid(prm, i):
         if corruption == "drop_detg_sc":
-            mu = guarded_div(upsilon(prm), _g22(prm), g)
+            mu = guarded_div(upsilon(prm), functools.partial(_g22, prm), g)
         else:
             mu = mu_scalar(prm)
         return guarded_div(mu, shift_scalar(upsilon(prm), weight(i)), g)

@@ -24,19 +24,21 @@ and, for the twist-gauged variant, the middle diagonal replaced by
       bbar' = q (q^2 w; p)(w/q^2; p)/(w; p)^2 * Th(z)/Th(q^2 z).
 
 The diagonal leaves, gamma_twist and _r_dyn also take per-point Params (and
-z): a grid matrix (shiftcalc) whose block p is read with point p's data.
+z): a grid matrix (shiftcalc) whose block p is read with point p's data.  A
+grid read of R is one stack (_r_stack); a one-point leaf reads _r_array.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .special import Params, _poch1, guarded, rho_norm, theta
-from .shiftcalc import DynMatrix, _sampled, _stack, guarded_div, point_blocks, weight
+from .special import (Params, SingularPointError, _poch1, _poch1_rows, _powers, guarded,
+                      rho_norm, singular, theta)
+from .shiftcalc import DynMatrix, _met, _sampled, _stack, guarded_div, point_blocks, weight
 
 __all__ = [
     "RPoint",
@@ -92,74 +94,120 @@ _R_TRIPPED = np.zeros((4, 4), dtype=complex)  # what a tripped sample holds
 _R_TRIPPED.flags.writeable = False
 
 
-@lru_cache(maxsize=1 << 15)
-def _r_array(z: complex, s: complex, params: Params, twisted: bool) -> np.ndarray:
-    p, q, n, g = params.p, params.q, params.truncation_order, params.singular_guard
-    q2 = q * q
-    w = dyn_w(s, params)
+@lru_cache(maxsize=1 << 12)
+def _z_factors(z: complex, params: Params) -> tuple:
+    """What R reads of z and Params alone: (z, p, q, q^2, Theta(z),
+    Theta(q^2 z), Theta(q^2)), rho(z) and the trip of rho's guards (rho 0)."""
+    q2 = params.q * params.q
+    k = z, params.p, params.q, q2, theta(z, params), theta(q2 * z, params), theta(q2, params)
+    try:
+        return k, rho_norm(z, params), None
+    except SingularPointError as exc:
+        return k, 0.0, exc.with_traceback(None)
 
-    def th(x):
-        return theta(x, params)
 
-    thq2z = guarded(th(q2 * z), "Theta(q^2 z)", g, " at z={}, s={}", z, s)
-    thw = guarded(th(w), "Theta(w)", g, " at z={}, s={}", z, s)
-    thwi = guarded(th(1.0 / w), "Theta(1/w)", g, " at z={}, s={}", z, s)
-    thz = th(z)
+def _entries(w, k, th, poch, guard, twisted: bool) -> tuple:
+    """b, bbar, c, cbar (module docstring) at w = q^{2s} from the factors k
+    of _z_factors, with th, poch the theta and (.; p) of arguments with w;
+    guard(value, label, where) runs in this order.  Numbers give one sample,
+    arrays a read."""
+    z, p, q, q2, thz, thq2z, thq2 = k
+    thq2z = guard(thq2z, "Theta(q^2 z)", " at z={0}, s={1}")
+    thw = guard(th(w), "Theta(w)", " at z={0}, s={1}")
+    thwi = guard(th(1.0 / w), "Theta(1/w)", " at z={0}, s={1}")
     if twisted:
-        pw = guarded(_poch1(p / w, p, n), "(p/w; p)", g, " at s={}", s)
-        ww = guarded(_poch1(w, p, n), "(w; p)", g, " at s={}", s)
-        b = (
-            q
-            * _poch1(p * q2 / w, p, n)
-            * _poch1(p / (q2 * w), p, n)
-            / (pw * pw)
-            * thz
-            / thq2z
-        )
-        bb = (
-            q
-            * _poch1(q2 * w, p, n)
-            * _poch1(w / q2, p, n)
-            / (ww * ww)
-            * thz
-            / thq2z
-        )
+        pw = guard(poch(p / w), "(p/w; p)", " at s={1}")
+        ww = guard(poch(w), "(w; p)", " at s={1}")
+        b = q * poch(p * q2 / w) * poch(p / (q2 * w)) / (pw * pw) * thz / thq2z
+        bb = q * poch(q2 * w) * poch(w / q2) / (ww * ww) * thz / thq2z
     else:
         b = th(q2 * w) * thz / (thw * thq2z)
         bb = th(q2 / w) * thz / (thwi * thq2z)
-    c = th(q2) * th(w * z) / (thw * thq2z)
-    cb = th(q2) * th(z / w) / (thwi * thq2z)
+    c = thq2 * th(w * z) / (thw * thq2z)
+    cb = thq2 * th(z / w) / (thwi * thq2z)
+    return b, bb, c, cb
 
-    rho = rho_norm(z, params)
-    r = rho * np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, b, c, 0.0],
-            [0.0, cb, bb, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ],
-        dtype=complex,
-    )
+
+def _assemble(rho, b, bb, c, cb) -> np.ndarray:
+    """rho times the R layout (module docstring) of one sample or a stack."""
+    r = np.zeros(np.shape(b) + (4, 4), dtype=complex)
+    r[..., 0, 0] = r[..., 3, 3] = 1.0
+    r[..., 1, 1], r[..., 1, 2], r[..., 2, 1], r[..., 2, 2] = b, c, cb, bb
+    return rho * r
+
+
+@lru_cache(maxsize=1 << 15)
+def _r_array(z: complex, s: complex, params: Params, twisted: bool) -> np.ndarray:
+    p, n, g = params.p, params.truncation_order, params.singular_guard
+    k, rho, trip = _z_factors(z, params)
+    b_c = _entries(dyn_w(s, params), k, lambda x: theta(x, params), lambda x: _poch1(x, p, n),
+                   lambda v, label, where: guarded(v, label, g, where, z, s), twisted)
+    if trip is not None:
+        raise SingularPointError(*trip.args)
+    r = _assemble(rho, *b_c)
     # the lru_cache hands this same array to every caller
     r.flags.writeable = False
     return r
 
 
+@lru_cache(maxsize=64)
+def _grid_tables(params: tuple) -> tuple:
+    """Per point: the powers of p padded with zeros to the widest order
+    (_poch1_rows), and the columns (p; p) and log q."""
+    table = np.zeros((len(params), max(x.truncation_order for x in params)), complex)
+    for row, x in zip(table, params):
+        row[:x.truncation_order] = _powers(x.p, x.truncation_order)
+    cols = [(_poch1(x.p, x.p, x.truncation_order), _logq(x.q)) for x in params]
+    return (table, *np.array(cols).T[:, :, None])
+
+
+def _r_stack(zs: list, params: tuple, twisted: bool, s: np.ndarray) -> tuple:
+    """The evaluation of a grid read of R (shiftcalc), row s[p] holding point
+    p's samples: the factors of z alone come once per point from the cached
+    scalar kernels (_z_factors), every factor with w in one broadcast over
+    the read, taken past the trips that the guards then pick out."""
+    ks, rho, rho_trips = zip(*[_z_factors(z, x) for z, x in zip(zs, params)])
+    k = [np.array(col)[:, None] for col in zip(*ks)]
+    table, pp, logq = _grid_tables(params)
+    # per sample, the first guard it trips: made[i](p, j) is the trip of guard i
+    g, first, made = _guard(params), np.full(s.shape, -1), []
+
+    def guard(value, label, where):
+        first[(abs(value) < g) & (first < 0)] = len(made)
+        vals = np.broadcast_to(value, s.shape)
+        made.append(lambda p, j: singular(vals[p, j], label, where, zs[p], complex(s[p, j])))
+        return value
+
+    poch = partial(_poch1_rows, table=table)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        b_c = _entries(np.exp(2.0 * s * logq), k, lambda x: poch(x) * poch(k[1] / x) * pp,
+                       poch, guard, twisted)
+        r = _assemble(np.array(rho)[:, None, None, None], *b_c).reshape(-1, 4, 4)
+    first[np.array([[t is not None] for t in rho_trips]) & (first < 0)] = len(made)
+    made.append(lambda p, j: SingularPointError(*rho_trips[p].args))
+    at = np.flatnonzero(first >= 0).tolist()
+    trips = [None] * len(r) if at else None
+    for i in at:  # made and stamped in sample order
+        trips[i] = _met(made[first.flat[i]](*divmod(i, s.shape[1])))
+    r[at] = 0.0
+    return {0: r}, trips
+
+
 def _r_dyn(z, params, twisted: bool) -> DynMatrix:
-    """One matrix-valued leaf: every demand reads the whole cached array, one
-    per sample, and a sample that trips a guard holds zeros.  Per-point
-    sequences of z and params make it a grid leaf whose block p is read at
-    z[p] with params[p]."""
-    grid = not isinstance(params, Params)
-    zs, ps = ([complex(x) for x in z], params) if grid else ([complex(z)], [params])
+    """One matrix-valued leaf: a sample that trips a guard holds zeros.  At
+    one Params every sample reads the cached _r_array; per-point sequences of
+    z and params make a grid leaf whose block p is read at z[p] with
+    params[p], each read stacked by _r_stack."""
+    if isinstance(params, Params):
+        def ev(s, need):
+            args = [(complex(z), x, params, twisted) for x in s.tolist()]
+            arrs, trips = _sampled(_r_array, args, _R_TRIPPED)
+            return {0: _stack(arrs)}, trips
 
-    def ev(s, need):
-        rows = point_blocks(s, len(ps)).tolist()
-        args = [(zp, x, p, twisted) for zp, p, row in zip(zs, ps, rows) for x in row]
-        arrs, trips = _sampled(_r_array, args, _R_TRIPPED)
-        return {0: _stack(arrs)}, trips
-
-    return DynMatrix(2, {0: _R_PATTERN}, ev, len(ps) if grid else 0)
+        return DynMatrix(2, {0: _R_PATTERN}, ev)
+    zs, ps = [complex(x) for x in z], tuple(params)
+    return DynMatrix(2, {0: _R_PATTERN}, lambda s, need: _r_stack(
+        zs, ps, twisted, point_blocks(s, len(ps))), len(ps))
 
 
 def _each(f, params):
@@ -192,23 +240,20 @@ def build_r_twisted(point: RPoint) -> DynMatrix:
     return _r_dyn(point.z, point.params, twisted=True)
 
 
-def _g22(params: Params):
+@lru_cache(maxsize=1 << 15)
+def _g22(params: Params, s: complex) -> complex:
     """The gauge's second diagonal entry q^{-s} (w; p)(p q^2/w; p), which is
-    also det g (the first entry is 1)."""
+    also det g (the first entry is 1); evaluated once per (params, s)."""
     p, n = params.p, params.truncation_order
     q2 = params.q * params.q
-
-    def g22(s):
-        w = dyn_w(s, params)
-        return _qpow(-s, params) * _poch1(w, p, n) * _poch1(p * q2 / w, p, n)
-
-    return g22
+    w = dyn_w(s, params)
+    return _qpow(-s, params) * _poch1(w, p, n) * _poch1(p * q2 / w, p, n)
 
 
 def gauge_g(params: Params) -> DynMatrix:
     """The spectral-parameter-independent diagonal twist gauge:
     diag(1, q^{-s} (w; p)(p q^2/w; p))."""
-    return _diag(params, 1, lambda prm, i: 1.0 if i == 0 else _g22(prm))
+    return _diag(params, 1, lambda prm, i: 1.0 if i == 0 else partial(_g22, prm))
 
 
 def twist_of_r(point: RPoint) -> DynMatrix:
@@ -270,13 +315,13 @@ def gamma_twist(params: Params) -> DynMatrix:
     crossing identity of the twist-gauged R-matrix to the plain one; a grid
     matrix for per-point Params."""
     g = gauge_g(params)
-    return (g.inv(_guard(params)) @ g.shift_col({1: -1})).scale(_each(_g22, params))
+    det_g = _each(lambda prm: partial(_g22, prm), params)
+    return (g.inv(_guard(params)) @ g.shift_col({1: -1})).scale(det_g)
 
 
 def mu_scalar(params: Params):
     """mu = upsilon / ((det g)(det g^{-sc})), the scalar appearing in the
     crossing-unitarity reduction; det g^{-sc}(s) = det g(s + 1)."""
-    g22 = _g22(params)
     return guarded_div(
-        upsilon(params), lambda s: g22(s) * g22(s + 1), params.singular_guard
+        upsilon(params), lambda s: _g22(params, s) * _g22(params, s + 1), params.singular_guard
     )

@@ -31,7 +31,8 @@ an inverse trips, it holds zeros or the identity.  Every operation works
 out from the patterns alone which entries of its operands the demanded
 entries read, and at which shifts of s, and evaluates only those, for the
 whole batch at once: a guarded entry or an inverse is evaluated only where
-a result reads it.  Scalar entry functions still see one sample at a time.
+a result reads it.  Scalar entry functions (``from_entries``, ``scale``)
+see one sample at a time; a leaf may evaluate its whole batch as one stack.
 ``at``/``coeffs_at`` take a scalar s (a batch of one, read out as d x d
 arrays) or a sequence of samples, and note trips in a ``Trips`` record or,
 without one, raise the first.  Slice i depends on s[i] alone, but a leaf

@@ -63,11 +63,15 @@ def guarded(value, label: str, guard: float, where: str = "", *args):
     guarded quantity; where locates it and is formatted with args only when
     the guard trips, e.g. guarded(d, "denominator", g, " at s = {}", s)."""
     if abs(value) < guard:
-        raise SingularPointError(
-            f"singular point: |{label}| = {abs(value):.3e} below guard"
-            + where.format(*args)
-        )
+        raise singular(value, label, where, *args)
     return value
+
+
+def singular(value, label: str, where: str = "", *args) -> SingularPointError:
+    """The error guarded raises for value (a stacked guard's trip)."""
+    return SingularPointError(
+        f"singular point: |{label}| = {abs(value):.3e} below guard" + where.format(*args)
+    )
 
 
 @dataclass(frozen=True)
@@ -152,7 +156,8 @@ class Params:
             ) from None
 
 
-@lru_cache(maxsize=16)
+# room for a whole grid's tables: 25 points, each with its (p, order) and (q^4, order)
+@lru_cache(maxsize=256)
 def _powers(base: complex, n: int) -> np.ndarray:
     """[1, base, base^2, ..., base^{n-1}] without pow-edge cases at base = 0;
     read-only, shared by every caller."""
@@ -164,7 +169,7 @@ def _powers(base: complex, n: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=256)
 def _poch2_table(b2: complex, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Factor table of the two-base product: b2^{n2} for every n1 + n2 < order,
     in rows of fixed n1 (row n1 is powers[:order - n1]), with the row lengths
@@ -183,6 +188,14 @@ def _poch1(z: complex, base: complex, order: int) -> complex:
     if order <= 0:
         return 1.0 + 0.0j
     return complex(np.prod(1.0 - z * _powers(base, order)))
+
+
+def _poch1_rows(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """(x[i, j]; b_i) for every sample j of every point i in one broadcast:
+    table[i] is _powers(b_i, order_i) padded with zeros to the widest order,
+    and a padded factor 1 - x * 0 is exactly 1, so each product is _poch1's
+    to the last bit."""
+    return np.multiply.reduce(1.0 - x[..., None] * table[:, None, :], -1)
 
 
 @lru_cache(maxsize=1 << 16)

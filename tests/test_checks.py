@@ -28,7 +28,7 @@ from dynell.checks import (
     suite_passes,
     summarize,
 )
-from dynell import DynMatrix, Params, checks, rmatrix, shiftcalc, weight_shift_matrix
+from dynell import DynMatrix, Params, checks, rmatrix, shiftcalc, special, weight_shift_matrix
 from dynell.special import SingularPointError
 
 from helpers import make_params
@@ -421,6 +421,33 @@ class TestGridBatch:
     def test_single_point_call_is_the_batch_of_one(self):
         residuals = check_lemma_p1([PARAMS, PARAMS], [3, 4])
         assert residuals == [check_lemma_p1(PARAMS, seed) for seed in (3, 4)]
+
+
+class TestRepeatedWork:
+    """Counted, not timed: a default pass assembles no grid read of R one
+    sample at a time, evaluates each gauge sample once, and builds each
+    kernel table once."""
+
+    def test_grid_reads_stack_r_and_each_gauge_sample_is_evaluated_once(self, monkeypatch):
+        assembled, r_array = [], rmatrix._r_array
+        monkeypatch.setattr(rmatrix, "_r_array", lambda *a: assembled.append(a) or r_array(*a))
+        rmatrix._g22.cache_clear()
+        reports = run_suite(GRID)
+        assert assembled == []
+        info = rmatrix._g22.cache_info()
+        assert info.misses == info.currsize == 1246  # distinct (Params, s) at seed 0
+        assert summarize(reports) == {"pass": 971, "fail": 0, "skipped": 29}
+
+    def test_a_cold_pass_builds_each_kernel_table_once(self):
+        tables = (special._powers, special._poch2_table)
+        for f in tables + (special._poch1, special._poch2, special._theta,
+                           rmatrix._z_factors, rmatrix._grid_tables):
+            f.cache_clear()
+        run_suite(GRID)
+        for f in tables:
+            info = f.cache_info()
+            # more keys than a table per kernel cache used to hold, none evicted
+            assert info.misses == info.currsize > 16, (f.__name__, info)
 
 
 class TestLemmaP1:

@@ -11,6 +11,8 @@ import pytest
 
 from dynell.checks import GridSpec, format_complex, run_suite
 from dynell.cli import main, parse_complex
+from dynell.rmatrix import _g22, _grid_tables, _z_factors
+from dynell.special import _poch2_table, _powers
 
 
 class TestComplexLiterals:
@@ -119,6 +121,24 @@ class TestCheckCommand:
             assert captured.out == ""
             assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--p", "0.85", "--points", "4", "--seed", "12", "--truncation-order", "200"],
+            ["--p", "0.8", "--points", "3"],
+        ],
+    )
+    def test_tripped_samples_write_no_warning(self, argv, capsys):
+        # a grid read of R evaluates its tripped samples too, where products
+        # may overflow; the guards decide, and nothing reaches stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails
+            rc = main(["check", *argv, "--format", "json", "--no-timestamp"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["summary"]["skipped"] > 0
+
     def test_byte_identical_rerun(self, tmp_path):
         args = [
             "check", "--seed", "12", "--points", "2", "--format", "json",
@@ -168,6 +188,9 @@ class TestCheckCommand:
         cold = subprocess.run([sys.executable, "-m", "dynell"] + args, env=env,
                               cwd=tmp_path, capture_output=True, timeout=300)
         run_suite(GridSpec(seed=1, n_points=3))
+        # the kernel, R-factor and gauge caches are among those filled
+        for cache in (_powers, _poch2_table, _z_factors, _grid_tables, _g22):
+            assert cache.cache_info().currsize, cache
         monkeypatch.delenv("DYNELL_CONFIG", raising=False)
         warm = tmp_path / "warm.json"
         assert main(args + ["--output", str(warm)]) == cold.returncode

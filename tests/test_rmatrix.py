@@ -25,7 +25,8 @@ from dynell import (
     upsilon_ratio,
     zero_weight_check,
 )
-from dynell.rmatrix import _g22, _qpow, _r_array, dyn_w, ups_ratio
+from dynell.checks import GridSpec
+from dynell.rmatrix import _R_PATTERN, _g22, _qpow, _r_array, _r_dyn, dyn_w, ups_ratio
 from dynell.shiftcalc import PAULI_Y, guarded_div, shift_scalar, weight
 
 from helpers import make_params, resid
@@ -167,7 +168,7 @@ class TestTwistGauge:
             return qpochhammer(x, [p], n)
 
         g22 = _qpow(-s, PARAMS) * poch(w) * poch(p * q2 / w)
-        assert _g22(PARAMS)(s) == g22
+        assert _g22(PARAMS, s) == g22
         thz, thq2z = theta(Z0, PARAMS), theta(q2 * Z0, PARAMS)
         pw, ww = poch(p / w), poch(w)
         b = q * poch(p * q2 / w) * poch(p / (q2 * w)) / (pw * pw) * thz / thq2z
@@ -276,3 +277,48 @@ class TestRPoint:
     def test_validate_rejects_theta_zero_of_w(self):
         with pytest.raises(SingularPointError):
             RPoint(Z0, 0.0, PARAMS).validate()
+
+
+class TestStackedR:
+    """A grid read of R is assembled as one stack, which agrees with the
+    one-point assembly of _r_array sample by sample."""
+
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_stack_equals_the_one_point_assembly(self, twisted):
+        points = GridSpec().sample_points()
+        ps = [pt.params for pt in points]
+        s = np.array([pt.s + k for pt in points for k in (0, 1, -1, 2)])
+        for i in range(3):
+            zs = [pt.zs[i] for pt in points]
+            leaf = _r_dyn(zs, ps, twisted)
+            vals, trips = leaf.ev(s, leaf.masks)
+            assert trips is None
+            for j, r in enumerate(vals[0]):
+                p = j // 4
+                want = _r_array(zs[p], complex(s[j]), ps[p], twisted)
+                assert abs(r - want).max() <= 1e-13 * abs(want).max()
+
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_a_tripped_sample_keeps_the_one_point_detail(self, twisted):
+        # point 1 sits on the zeros of Theta(q^2 z), point 2 on rho's pole at
+        # z = 1, and s = 0 puts w = 1 on the zeros of Theta(w)
+        zs = [Z0, 1 / PARAMS.q**2, 1.0 + 0j]
+        s = np.array([S0, 0.0, S0 + 1] * 3)
+        leaf = _r_dyn(zs, [PARAMS] * 3, twisted)
+        vals, trips = leaf.ev(s, leaf.masks)
+        want = []
+        for z, x in zip(np.repeat(zs, 3).tolist(), s.tolist()):
+            try:
+                _r_array(z, x, PARAMS, twisted)
+                want.append(None)
+            except SingularPointError as exc:
+                want.append(str(exc))
+        assert [t and str(t) for t in trips] == want
+        labels = {d.split("|")[1] for d in want if d}
+        assert labels == {"Theta(q^2 z)", "Theta(w)", "(z; p, q^4)"}
+        assert want.count(None) == 2
+        met = [t.met for t in trips if t]
+        assert met == sorted(met)  # stamped in sample order
+        tripped = [t is not None for t in trips]
+        assert not vals[0][tripped].any()
+        assert vals[0][[0, 2]].all(axis=0)[_R_PATTERN].all()

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from dynell import Params, SingularPointError, qpochhammer, rho_norm, theta, unitarity_scalar
 from dynell.rmatrix import _r_array
-from dynell.special import _poch1, _poch2, _poch2_table, _powers
+from dynell.special import _poch1, _poch1_rows, _poch2, _poch2_table, _powers
 
 from helpers import make_params
 
@@ -103,6 +103,26 @@ class TestKernels:
                 want1 = _loop_poch1(z, b1, order)
                 assert _poch1(z, b1, order) == want1
                 assert qpochhammer(z, [b1], order) == want1
+
+    def test_padded_rows_equal_the_one_base_product_bit_for_bit(self):
+        # one stack mixes orders 1-200 and |p| up to 0.85; each row is padded
+        # with zeros to the widest order, and every product, the zero
+        # argument included, keeps every bit of _poch1's
+        rng = np.random.default_rng(7)
+        bases = [0.85 + 0j, 0.05 + 0j, -0.6 + 0.5j, 0.31 + 0j, 0.7j, 0.8 - 0.2j]
+        orders = [200, 1, 37, 61, 15, 120]
+        table = np.zeros((len(bases), max(orders)), dtype=complex)
+        for row, b, n in zip(table, bases, orders):
+            row[:n] = _powers(b, n)
+        x = rng.normal(size=(len(bases), 40)) + 1j * rng.normal(size=(len(bases), 40))
+        x *= rng.uniform(0.1, 3.0, size=x.shape)
+        x[:, 0] = 0.0
+        x[:, 1] = 1.0
+        got = _poch1_rows(x, table)
+        want = np.array([[_poch1(complex(v), b, n) for v in row]
+                         for row, b, n in zip(x, bases, orders)])
+        assert got.view(float).tobytes() == want.view(float).tobytes()
+        assert (got[:, 0] == 1.0).all() and (got[:, 1] == 0.0).all()
 
     def test_cached_arrays_are_read_only(self):
         params = make_params()
