@@ -132,10 +132,10 @@ class CheckReport:
         }
 
 
-def _resid(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    lhs = np.asarray(lhs)
-    rhs = np.asarray(rhs)
-    return float(abs(lhs - rhs).max() / max(1.0, abs(lhs).max()))
+def _worst(per_sample: np.ndarray, points: int) -> list:
+    """The worst per-sample residual over each grid point's block of samples;
+    a NaN anywhere in a block is that point's residual, so it fails."""
+    return per_sample.reshape(points, -1).max(axis=1).tolist()
 
 
 def _skew_resids(lhs: DynMatrix, rhs: DynMatrix, samples, points: int = 1,
@@ -146,15 +146,12 @@ def _skew_resids(lhs: DynMatrix, rhs: DynMatrix, samples, points: int = 1,
     samples = list(samples)
     lc = lhs.coeffs_at(samples, trips)
     rc = rhs.coeffs_at(samples, trips)
-    zero = np.zeros((len(samples), lhs.dim, lhs.dim))
+    n = len(samples)
+    zero = np.zeros((n, lhs.dim, lhs.dim))
     peaks = [abs(m).max(axis=(1, 2)) for m in lc.values()]
-    norm = np.max([np.ones(len(samples))] + peaks, axis=0)
-    worst = [0.0] * points
-    for k in set(lc) | set(rc):
-        diff = abs(lc.get(k, zero) - rc.get(k, zero)).max(axis=(1, 2))
-        block = (diff / norm).reshape(points, -1).max(axis=1).tolist()
-        worst = list(map(max, worst, block))
-    return worst
+    diffs = [abs(lc.get(k, zero) - rc.get(k, zero)).max(axis=(1, 2)) for k in set(lc) | set(rc)]
+    norm = np.max([np.ones(n)] + peaks, axis=0)
+    return _worst(np.max([np.zeros(n)] + diffs, axis=0) / norm, points)
 
 
 def _skew_resid(lhs: DynMatrix, rhs: DynMatrix, samples) -> float:
@@ -163,11 +160,12 @@ def _skew_resid(lhs: DynMatrix, rhs: DynMatrix, samples) -> float:
 
 
 def _block_resids(lhs: np.ndarray, rhs: np.ndarray, points: int) -> list:
-    """The worst _resid of evaluated stacks over each grid point's block of
-    samples: one residual per grid point."""
-    shape = (points, -1) + lhs.shape[1:]
-    blocks = zip(lhs.reshape(shape), rhs.reshape(shape))
-    return [max(map(_resid, lb, rb)) for lb, rb in blocks]
+    """max-entry |lhs - rhs| / max(1, max-entry |lhs|) per sample of two
+    evaluated stacks, worst over each grid point's block: one residual per
+    grid point."""
+    n = len(lhs)
+    diff = abs(lhs - rhs).reshape(n, -1).max(axis=1)
+    return _worst(diff / np.maximum(1.0, abs(lhs).reshape(n, -1).max(axis=1)), points)
 
 
 # ---------------------------------------------------------------------------
@@ -630,29 +628,27 @@ def integration_trace_check(tr, params, s, z1, z2, u, corruption=None) -> list[f
 @_over_points
 def check_sc_operator_form(tr, params, rng) -> list[float]:
     """Component shift-column equals (D M^t)^t D^{-1} through the skew ring."""
-    worst = [0.0] * len(rng)
+    resids = []
     for nlegs in (1, 2):
         m = _rand_matrix(nlegs, rng, params)
         d = weight_shift_matrix(nlegs, 1, +1)
         di = weight_shift_matrix(nlegs, 1, -1)
         op = (d @ m.transpose_leg(1)).transpose_leg(1) @ di
-        resids = _skew_resids(m.shift_col({1: +1}), op, _rand_samples(rng, 4), len(rng), tr)
-        worst = list(map(max, worst, resids))
-    return worst
+        resids.append(_skew_resids(m.shift_col({1: +1}), op, _rand_samples(rng, 4), len(rng), tr))
+    return np.max(resids, axis=0).tolist()
 
 
 @_over_points
 def check_sl_operator_form(tr, params, rng) -> list[float]:
     """Component shift-row equals ((D M)^t D^{-1})^t through the skew ring."""
-    worst = [0.0] * len(rng)
+    resids = []
     for nlegs in (1, 2):
         m = _rand_matrix(nlegs, rng, params)
         d = weight_shift_matrix(nlegs, 1, +1)
         di = weight_shift_matrix(nlegs, 1, -1)
         op = ((d @ m).transpose_leg(1) @ di).transpose_leg(1)
-        resids = _skew_resids(m.shift_row({1: +1}), op, _rand_samples(rng, 4), len(rng), tr)
-        worst = list(map(max, worst, resids))
-    return worst
+        resids.append(_skew_resids(m.shift_row({1: +1}), op, _rand_samples(rng, 4), len(rng), tr))
+    return np.max(resids, axis=0).tolist()
 
 
 @_over_points

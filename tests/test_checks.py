@@ -2,6 +2,7 @@
 
 import functools
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -542,6 +543,31 @@ class TestTraceIntegration:
                 integration_trace_check(PARAMS, S0, Z[0], Z[1], Z[0])
             messages.append(str(exc.value))
         assert messages[0] == messages[1]
+
+
+class TestNonFiniteResiduals:
+    """A side that is not finite gives its point a NaN residual, and a NaN
+    residual fails, as an identity and as a negative control."""
+
+    def test_folds_keep_a_nan(self):
+        lhs = np.zeros((4, 2, 2), complex)
+        lhs[1, 0, 1] = np.nan
+        assert [math.isnan(r) for r in checks._block_resids(lhs, 0 * lhs, 2)] == [True, False]
+        nan, one = DynMatrix.constant([[np.nan]]), DynMatrix.constant([[1.0]])
+        for lhs, rhs in ((nan, one), (one, nan)):
+            [res] = checks._skew_resids(lhs, rhs, [S0, S0 + 0.4])
+            assert math.isnan(res)
+        for name in ("x", "x.negctrl"):
+            assert checks._report(name, {}, res, PARAMS.tolerance).status == "fail"
+
+    # the unguarded gauge entry rmatrix._g22 overflows here, and numpy warns
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_an_overflowed_chain_step_fails(self):
+        grid = GridSpec(seed=17, p_fixed=0.8, n_points=5, checks=("cor22chain",))
+        step4 = {r.point["index"]: r for r in run_suite(grid) if r.name == "cor22chain.step4"}
+        for i in (1, 2):  # residual 0.0 and "pass" while the fold dropped NaN
+            assert math.isnan(step4[i].residual)
+            assert step4[i].status == "fail"
 
 
 class TestResidualTruncationScaling:
