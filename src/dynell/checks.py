@@ -8,12 +8,12 @@ residual convention throughout is
 
 with shift-valued sides compared coefficient-wise per E-degree at sampled
 values of the dynamical coordinate.  The checks marked _over_points (every
-row but the theta, nscalar, aequalsn and two skew-ring ones) run once over
-all grid points.  A singular guard does not stop such a batch: its reads
-note each point's first trip in a Trips record, in the order a single
-point's run would meet them (scalar calls between reads included), and the
-point's result is that trip, a SingularPointError.  Called at one point, a
-check raises it.
+row that builds a DynMatrix; all but the scalar theta, nscalar and aequalsn
+rows) run once over all grid points.  A singular guard does not stop such
+a batch: its reads note each point's first trip in a Trips record, in the
+order a single point's run would meet them (scalar calls between reads
+included), and the point's result is that trip, a SingularPointError.
+Called at one point, a check raises it.
 
 The suite runner alone turns residuals into CheckReports: it names each
 report after its row of the _SUITE table, takes the point from the row's
@@ -154,11 +154,6 @@ def _skew_resids(lhs: DynMatrix, rhs: DynMatrix, samples, points: int = 1,
     return _worst(np.max([np.zeros(n)] + diffs, axis=0) / norm, points)
 
 
-def _skew_resid(lhs: DynMatrix, rhs: DynMatrix, samples) -> float:
-    """_skew_resids at one point: the worst over all the samples."""
-    return _skew_resids(lhs, rhs, samples)[0]
-
-
 def _block_resids(lhs: np.ndarray, rhs: np.ndarray, points: int) -> list:
     """max-entry |lhs - rhs| / max(1, max-entry |lhs|) per sample of two
     evaluated stacks, worst over each grid point's block: one residual per
@@ -187,48 +182,34 @@ def _laurent(cs, w):
     return cs[0] / (w * w) + cs[1] / w + cs[2] + cs[3] * w + cs[4] * w * w
 
 
-def _rand_laurent(rng, params):
-    """Random Laurent polynomial of degree <= 2 in w = q^{2s}."""
-    cs = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    return lambda s: _laurent(cs, dyn_w(s, params))
-
-
-def _rand_skew_element(degs, rng, params) -> DynMatrix:
-    """sum_k f_k E^k over degs, each f_k drawn as by _rand_laurent in degs'
-    order, as one 0-leg leaf that computes w once per sample."""
-    cs = {int(k): rng.standard_normal(5) + 1j * rng.standard_normal(5) for k in degs}
-
-    def ev(s, need):
-        ws = [dyn_w(x, params) for x in s.tolist()]
-        return {
-            k: np.array([_laurent(cs[k], w) for w in ws], complex).reshape(-1, 1, 1)
-            for k in need
-        }, None
-
-    return DynMatrix(0, {k: np.ones((1, 1), dtype=bool) for k in cs}, ev)
-
-
-def _rand_matrix(nlegs, rng, params, pattern=None) -> DynMatrix:
-    """A grid leaf of _rand_laurent entries on the pattern (default: all);
-    rng and params are per point (or one point's).  Each point draws from
-    its rng in row-major order; w is computed once per sample."""
-    if isinstance(params, Params):
-        rng, params = [rng], [params]
+def _rand_matrix(nlegs, rng, params, pattern=None, degrees=lambda r: (0,)) -> DynMatrix:
+    """A grid leaf of random Laurent polynomials of degree <= 2 in w = q^{2s}
+    on the pattern (default: all); rng and params are per point.  Each point
+    draws its E-degrees as degrees(rng), then the real and the imaginary
+    parts of five coefficients per entry, degree by degree in the drawn
+    order, entries in row-major order.  The leaf holds the sorted union of
+    the points' degrees, exact zeros where a point drew none; w is computed
+    once per sample, and every value is the elementwise _laurent of its
+    sample's w."""
     d = 1 << nlegs
     if pattern is None:
         pattern = np.ones((d, d), dtype=bool)
-    coeffs = np.zeros((len(params), 5, d * d), dtype=complex)
-    for table, r in zip(coeffs, rng):
-        raw = r.standard_normal((int(pattern.sum()), 2, 5))
-        table[:, pattern.reshape(-1)] = (raw[:, 0] + 1j * raw[:, 1]).T
+    drawn = []
+    for r in rng:
+        degs = [int(k) for k in degrees(r)]
+        raw = r.standard_normal((len(degs), int(pattern.sum()), 2, 5))
+        drawn.append(dict(zip(degs, raw[..., 0, :] + 1j * raw[..., 1, :])))
+    coeffs = {k: np.zeros((5, len(rng), 1, d * d), complex) for k in sorted(set().union(*drawn))}
+    for p, table in enumerate(drawn):
+        for k, cs in table.items():
+            coeffs[k][:, p, 0, pattern.reshape(-1)] = cs.T
 
     def ev(s, need):
         blocks = point_blocks(s, len(params)).tolist()
         w = np.array([[dyn_w(x, p) for x in b] for p, b in zip(params, blocks)], complex)
-        powers = np.stack([1.0 / (w * w), 1.0 / w, np.ones_like(w), w, w * w], axis=-1)
-        return {0: (powers @ coeffs).reshape(len(s), d, d)}, None
+        return {k: _laurent(coeffs[k], w[..., None]).reshape(len(s), d, d) for k in need}, None
 
-    return DynMatrix(nlegs, {0: pattern}, ev, len(params))
+    return DynMatrix(nlegs, {k: pattern for k in coeffs}, ev, len(params))
 
 
 def _rand_samples(rngs, n):
@@ -693,21 +674,29 @@ def _skew_element(terms: dict) -> DynMatrix:
     return DynMatrix.from_entries(0, lambda i, j: terms)
 
 
-def check_skew_associativity(params: Params, rng) -> float:
-    def rand_elem():
-        degs = rng.choice(np.arange(-2, 3), size=3, replace=False)
-        return _rand_skew_element(degs, rng, params)
+@_over_points
+def check_skew_associativity(tr, params, rng) -> list[float]:
+    """(a b) c = a (b c) for random skew-ring elements, each on three
+    E-degrees of -2..2 drawn per point."""
+    def degrees(r):
+        return r.choice(np.arange(-2, 3), size=3, replace=False)
 
-    a, b, c = rand_elem(), rand_elem(), rand_elem()
-    return _skew_resid((a @ b) @ c, a @ (b @ c), _rand_samples([rng], 4))
+    a, b, c = (_rand_matrix(0, rng, params, degrees=degrees) for _ in range(3))
+    return _skew_resids((a @ b) @ c, a @ (b @ c), _rand_samples(rng, 4), len(rng), tr)
 
 
-def check_skew_defining(params: Params, rng) -> float:
+@_over_points
+def check_skew_defining(tr, params, rng) -> list[float]:
     """E . f = (f o shift_1) . E"""
-    f = _rand_laurent(rng, params)
-    lhs = _skew_element({1: 1.0}) @ _skew_element({0: f})
-    rhs = _skew_element({1: shift_scalar(f, 1)})
-    return _skew_resid(lhs, rhs, _rand_samples([rng], 4))
+    f = _rand_matrix(0, rng, params)
+
+    def shifted(s, need):  # f read at s + 1, as the coefficient of E
+        vals, trips = f.ev(s + 1, f.masks)
+        return {1: vals[0]}, trips
+
+    lhs = _skew_element({1: 1.0}) @ f
+    rhs = DynMatrix(0, {1: f.masks[0]}, shifted, f.points)
+    return _skew_resids(lhs, rhs, _rand_samples(rng, 4), len(rng), tr)
 
 
 # ---------------------------------------------------------------------------
@@ -921,9 +910,10 @@ def _report(name, point, out, tol, detail="", note="") -> CheckReport:
 
 def _runner(name, check, inputs, options):
     """The suite runner of one row: (grid, points) -> the points' CheckReports
-    in point order.  A check batched by _over_points runs once over all the
-    points and gives each point's first guard trip as that point's result;
-    any other check runs at each point, where a trip is its result."""
+    in point order.  A check batched by _over_points (one that builds a
+    DynMatrix) runs once over all the points and gives each point's first
+    guard trip as that point's result; a scalar special-function check runs
+    at each point, where a trip is its result."""
 
     def run(grid: GridSpec, points: list[GridPoint]) -> list[CheckReport]:
         ins = [inputs(grid, pt) for pt in points]

@@ -35,10 +35,9 @@ a result reads it.  Scalar entry functions (``from_entries``, ``scale``)
 see one sample at a time; a leaf may evaluate its whole batch as one stack.
 ``at``/``coeffs_at`` take a scalar s (a batch of one, read out as d x d
 arrays) or a sequence of samples, and note trips in a ``Trips`` record or,
-without one, raise the first.  Slice i depends on s[i] alone, but a leaf
-that contracts the batch (the checks' random Laurent leaf) may round
-differently at one sample.  Arrays an evaluator keeps (constant leaves,
-cached inverses) are read-only, and so is what a scalar read returns.
+without one, raise the first.  Slice i depends on s[i] alone, bit for bit.
+Arrays an evaluator keeps (constant leaves, cached inverses) are read-only,
+and so is what a scalar read returns.
 
 The batch may run over the points of a grid: a grid read lays its samples
 out in P equal, point-major blocks, and as every operation maps sample i to
@@ -52,11 +51,14 @@ stack.
 
 Patterns are interned ``Pattern`` objects: read-only dicts of read-only
 masks, one object per distinct pattern, where the order of the degrees is
-part of the pattern (it sets the order in which a skew product sums its
-terms).  What an operation derives from patterns alone -- its output masks,
-its index tables and, per demand, its plan -- lives in one process-wide
-table keyed by the operation, its operands' patterns and the demand, so a
-graph rebuilt with new leaves but the same patterns derives nothing again.
+part of the pattern (it sets the order of an evaluation's degrees).  A skew
+product sums the terms of each degree in ascending order of the left
+factor's degree, whatever its operands' orders, so a degree that holds
+exact zeros at a sample does not move that sample's values.  What an
+operation derives from patterns alone -- its output masks, its index tables
+and, per demand, its plan -- lives in one process-wide table keyed by the
+operation, its operands' patterns and the demand, so a graph rebuilt with
+new leaves but the same patterns derives nothing again.
 Every demand an operation passes on is interned; a plain-dict demand handed
 to ``ev`` is interned on entry.  Values never depend on that table's state.
 """
@@ -298,7 +300,8 @@ def _matmul_masks(pa: Pattern, pb: Pattern) -> Pattern:
 
 
 def _matmul_plan(pa: Pattern, pb: Pattern, need: Pattern) -> tuple:
-    """(demand on A, {degree of A: demand on B}, the (da, db) pairs summed)."""
+    """(demand on A, {degree of A: demand on B}, the (da, db) pairs summed,
+    sorted: each degree sums its terms in ascending order of da)."""
     need_a: dict[int, np.ndarray] = {}
     need_b: dict[int, dict[int, np.ndarray]] = {}
     pairs = []
@@ -316,7 +319,7 @@ def _matmul_plan(pa: Pattern, pb: Pattern, need: Pattern) -> tuple:
             nbs[db] = nbs[db] | nb if db in nbs else nb
             pairs.append((da, db))
     need_b = {da: _intern(n) for da, n in need_b.items()}
-    return _intern(need_a), need_b, tuple(pairs)
+    return _intern(need_a), need_b, tuple(sorted(pairs))
 
 
 def _add_masks(pa: Pattern, pb: Pattern) -> Pattern:

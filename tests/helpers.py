@@ -3,6 +3,7 @@
 import numpy as np
 
 from dynell import DynMatrix, Params
+from dynell.checks import _skew_resids
 
 # Reference parameter context: q = q_half^2 = 0.47, p = 0.31.
 Q_HALF = 0.6855654600401044
@@ -17,6 +18,12 @@ def resid(lhs, rhs):
     lhs = np.asarray(lhs)
     rhs = np.asarray(rhs)
     return abs(lhs - rhs).max() / max(1.0, abs(lhs).max())
+
+
+def skew_resid(lhs, rhs, samples):
+    """The coefficient-wise skew-ring residual at one point: the worst over
+    all the samples."""
+    return _skew_resids(lhs, rhs, samples)[0]
 
 
 def rand_fourier(rng):

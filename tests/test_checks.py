@@ -10,7 +10,6 @@ import pytest
 
 from dynell.checks import (
     _REGISTRY,
-    _skew_resid,
     CONTROL_THRESHOLD,
     GridSpec,
     all_check_names,
@@ -32,7 +31,7 @@ from dynell.checks import (
 from dynell import DynMatrix, Params, checks, rmatrix, shiftcalc, special, weight_shift_matrix
 from dynell.special import SingularPointError
 
-from helpers import make_params
+from helpers import make_params, skew_resid
 
 PARAMS = make_params()
 S0 = 0.37 + 0.11j
@@ -190,19 +189,35 @@ class TestProofChain:
         assert_control_fails(rep.residual)
 
 
+def laurent_entry(rng):
+    """One random Laurent entry drawn and evaluated per entry, in numpy scalar
+    arithmetic: s -> checks._laurent of five drawn coefficients at w."""
+    cs = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    dyn_w = checks.dyn_w
+    return lambda s: checks._laurent(cs, dyn_w(s, PARAMS))
+
+
+def skew_degrees(rng):
+    return rng.choice(np.arange(-2, 3), size=3, replace=False)
+
+
 class TestRandomLaurentLeaf:
+    SAMPLES = [S0, -0.6 + 0.3j, 0.9 - 0.45j]
+    # numpy's elementwise arithmetic rounds differently from the per-entry form
+    EPS = 64 * np.finfo(float).eps
+
     @pytest.mark.parametrize(
         "pattern", [None, np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]],
         ids=["full", "x"],
     )
     def test_leaf_matches_the_per_entry_polynomials(self, pattern, monkeypatch):
-        samples = [S0, -0.6 + 0.3j, 0.9 - 0.45j]
-        leaf = checks._rand_matrix(2, np.random.default_rng(4), PARAMS, pattern)
+        samples = self.SAMPLES
+        leaf = checks._rand_matrix(2, [np.random.default_rng(4)], [PARAMS], pattern)
         # the same draws, entry by entry in row-major order
         rng = np.random.default_rng(4)
         mask = np.ones((4, 4), dtype=bool) if pattern is None else pattern
         entries = [
-            [checks._rand_laurent(rng, PARAMS) if mask[i, j] else None for j in range(4)]
+            [laurent_entry(rng) if mask[i, j] else None for j in range(4)]
             for i in range(4)
         ]
         expect = np.array(
@@ -214,25 +229,43 @@ class TestRandomLaurentLeaf:
         got = leaf.at(samples)
         assert calls == samples  # w once per sample, one sample at a time
         assert np.array_equal(got[:, ~mask], expect[:, ~mask])
-        # the contraction rounds differently from the per-entry sum
-        assert abs(got - expect).max() <= 64 * np.finfo(float).eps * abs(expect).max()
+        assert abs(got - expect).max() <= self.EPS * abs(expect).max()
         assert leaf.masks[0].tolist() == mask.tolist()
 
     def test_skew_element_leaf_equals_the_per_degree_polynomials(self, monkeypatch):
-        samples = [S0, -0.6 + 0.3j, 0.9 - 0.45j]
-        degs = np.array([2, -1, 0])
-        leaf = checks._rand_skew_element(degs, np.random.default_rng(5), PARAMS)
-        # the same draws, degree by degree in degs' order
-        rng = np.random.default_rng(5)
-        polys = {int(k): checks._rand_laurent(rng, PARAMS) for k in degs}
+        samples = self.SAMPLES
+        seeds = (5, 6)
+        leaf = checks._rand_matrix(
+            0, [np.random.default_rng(x) for x in seeds], [PARAMS] * 2, degrees=skew_degrees
+        )
+        # each point's draws: its degrees, then degree by degree in drawn order
+        polys = []
+        for x in seeds:
+            rng = np.random.default_rng(x)
+            polys.append({int(k): laurent_entry(rng) for k in skew_degrees(rng)})
+        assert list(polys[0]) == [1, 0, -2] and list(polys[1]) == [-1, 2, 0]
         calls = []
         dyn_w = checks.dyn_w
         monkeypatch.setattr(checks, "dyn_w", lambda s, p: calls.append(s) or dyn_w(s, p))
-        got = leaf.coeffs_at(samples)
-        assert calls == samples  # w once per sample for all three degrees
-        assert list(leaf.masks) == [2, -1, 0]
-        for k, f in polys.items():
-            assert got[k][:, 0, 0].tolist() == [f(s) for s in samples]
+        got = leaf.coeffs_at(samples * 2)
+        assert calls == samples * 2  # w once per sample for all the degrees
+        assert list(leaf.masks) == [-2, -1, 0, 1, 2]  # the sorted union
+        for k, vals in got.items():
+            for block, drawn in zip(vals[:, 0, 0].reshape(2, -1), polys):
+                if k in drawn:
+                    expect = np.array([drawn[k](s) for s in samples])
+                    assert abs(block - expect).max() <= self.EPS * abs(expect).max()
+                else:  # a degree the point did not draw holds exact zeros
+                    assert block.tolist() == [0, 0, 0]
+
+    def test_a_sample_reads_the_same_in_any_batch(self):
+        # slice i depends on s[i] alone, bit for bit
+        rng = np.random.default_rng(8)
+        for nlegs, degrees in ((2, lambda r: (0,)), (0, skew_degrees)) * 10:
+            s0, s1 = (complex(*rng.uniform(-1, 1, 2)) for _ in range(2))
+            leaf = checks._rand_matrix(nlegs, [rng], [PARAMS], degrees=degrees)
+            one, two = leaf.coeffs_at([s0]), leaf.coeffs_at([s0, s1])
+            assert all(np.array_equal(one[k][0], two[k][0]) for k in leaf.masks)
 
 
 # the rows that run once over all grid points
@@ -247,6 +280,12 @@ BATCHED = R_ROWS + (
     "lemmap1", "lemmap1.negctrl", "shiftcalc.sc_operator_form",
     "shiftcalc.sl_operator_form", "shiftcalc.transpose_exchange",
     "shiftcalc.zero_weight_commutation", "shiftcalc.sigma_y_transpose",
+    "shiftcalc.skew_associativity", "shiftcalc.skew_defining",
+)
+# the scalar special-function rows, which build no DynMatrix
+SCALAR_ROWS = (
+    "theta.quasiperiodicity", "theta.inversion", "theta.truncation",
+    "nscalar.q4period", "aequalsn",
 )
 
 # grids whose batches trip guards, by test id: det guards at seeds 0 and 1,
@@ -284,6 +323,7 @@ class TestGridBatch:
         rows = {name: check for name, check, *_ in checks._SUITE}
         batched = {n for n, c in rows.items() if getattr(c, "over_points", False)}
         assert batched == set(BATCHED)
+        assert set(rows) - batched == set(SCALAR_ROWS)
 
     @pytest.mark.parametrize("grid", TRIPPING_GRIDS.values(), ids=TRIPPING_GRIDS)
     def test_batch_equals_batches_of_one(self, grid):
@@ -301,6 +341,15 @@ class TestGridBatch:
                 assert b.point["index"] == points[i // per].index
             skipped += sum(r.residual is None for r in batch)
         assert skipped  # the trip records are exercised
+
+    def test_a_skew_product_sums_each_degree_in_degree_order(self):
+        # point 17 of seed 20 draws E-degrees whose product a @ b lists its
+        # degrees in another order than the grid's union does; the terms of
+        # each degree are summed by ascending degree either way
+        grid = GridSpec(seed=20)
+        points = grid.sample_points()
+        run = _REGISTRY["shiftcalc.skew_associativity"]
+        assert run(grid, points)[17].to_dict() == run(grid, [points[17]])[0].to_dict()
 
     def test_a_point_skips_on_the_first_trip_its_samples_meet(self):
         # at p = 0.8, point 1, chain step 4 reads four samples per point: an
@@ -393,6 +442,26 @@ class TestGridBatch:
             assert work[0] == work[1], name
             assert work[0]["reads"] > 0, name
 
+    def test_skew_rows_do_the_same_work_at_3_and_25_points(self, monkeypatch):
+        # random-Laurent leaf evaluations per row do not grow with the grid
+        calls, rand_matrix = [], checks._rand_matrix
+
+        def counting(*args, **kwargs):
+            m = rand_matrix(*args, **kwargs)
+            ev = m.ev
+            m.ev = lambda s, need: calls.append(len(s)) or ev(s, need)
+            return m
+
+        monkeypatch.setattr(checks, "_rand_matrix", counting)
+        for name in ("shiftcalc.skew_associativity", "shiftcalc.skew_defining"):
+            work = []
+            for n in (3, 25):
+                calls.clear()
+                run_suite(GridSpec(n_points=n, checks=(name,)))
+                assert calls and all(x == 4 * n for x in calls), name
+                work.append(len(calls))
+            assert work[0] == work[1], name
+
     def test_chain_skips_of_the_default_grid_keep_their_detail(self):
         reports = suite_reports("cor22chain", GRID.sample_points())
         skips = {r.point["index"]: r.detail for r in reports if r.residual is None}
@@ -467,7 +536,7 @@ class TestLemmaP1:
         d1p = weight_shift_matrix(2, 1, +1)
         lhs = (eye @ d1m @ m1 @ d1p @ eye).partial_trace(1)
         core = (d1m @ m1 @ d1p).partial_trace(1)
-        assert _skew_resid(lhs, core, [S0, S0 + 0.4]) < 1e-12
+        assert skew_resid(lhs, core, [S0, S0 + 0.4]) < 1e-12
 
     def test_swapped_dressing_control(self):
         assert_control_fails(check_lemma_p1(PARAMS, 11, corruption="swap_sl_sc"))

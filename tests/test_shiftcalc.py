@@ -19,10 +19,9 @@ from dynell import (
 )
 from dynell.checks import _skew_element as elem
 from dynell.checks import _rand_matrix as rand_matrix_over_points
-from dynell.checks import _skew_resid as skew_resid
 from dynell.shiftcalc import PAULI_Y, Trips, guarded_div, index_bits, inv_guarded, weight
 
-from helpers import make_params, rand_fourier, rand_matrix, sample_s
+from helpers import make_params, rand_fourier, rand_matrix, sample_s, skew_resid
 
 RNG = np.random.default_rng(20240811)
 S_SAMPLES = sample_s(np.random.default_rng(99))
@@ -558,7 +557,7 @@ class TestGridLeaves:
     def test_block_p_reads_point_p(self):
         grid = self.leaf()
         alone = [
-            rand_matrix_over_points(2, np.random.default_rng(41 + i), self.PARAMS[i])
+            rand_matrix_over_points(2, [np.random.default_rng(41 + i)], [self.PARAMS[i]])
             for i in range(2)
         ]
         got = grid.at(S_SAMPLES[:4])
@@ -584,7 +583,7 @@ class TestGridLeaves:
 
     def test_grid_inverse_equals_the_per_point_inverses(self):
         alone = [
-            rand_matrix_over_points(2, np.random.default_rng(41 + i), self.PARAMS[i])
+            rand_matrix_over_points(2, [np.random.default_rng(41 + i)], [self.PARAMS[i]])
             for i in range(2)
         ]
         for op in (lambda m: m, lambda m: (m @ m.shift_col({1: +1})).swap_legs(1, 2)):
