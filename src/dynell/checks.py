@@ -250,16 +250,16 @@ def check_theta_quasiperiodicity(params: Params, zs) -> float:
     worst = 0.0
     for z in zs:
         t = theta(z, params)
-        worst = max(worst, abs(theta(params.p * z, params) + t / z) / abs(t))
-    return worst
+        worst = np.maximum(worst, abs(theta(params.p * z, params) + t / z) / abs(t))
+    return float(worst)
 
 
 def check_theta_inversion(params: Params, zs) -> float:
     worst = 0.0
     for z in zs:
         t = theta(z, params)
-        worst = max(worst, abs(theta(1.0 / z, params) + t / z) / abs(t))
-    return worst
+        worst = np.maximum(worst, abs(theta(1.0 / z, params) + t / z) / abs(t))
+    return float(worst)
 
 
 def check_theta_truncation(params: Params, zs) -> float:
@@ -268,10 +268,10 @@ def check_theta_truncation(params: Params, zs) -> float:
     worst = 0.0
     for z in zs:
         t0, t1 = theta(z, params), theta(z, fine)
-        worst = max(worst, abs(t0 - t1) / max(1.0, abs(t0)))
+        worst = np.maximum(worst, abs(t0 - t1) / max(1.0, abs(t0)))
         r0, r1 = rho_norm(z, params), rho_norm(z, fine)
-        worst = max(worst, abs(r0 - r1) / max(1.0, abs(r0)))
-    return worst
+        worst = np.maximum(worst, abs(r0 - r1) / max(1.0, abs(r0)))
+    return float(worst)
 
 
 def check_n_periodicity(params: Params, zs) -> float:
@@ -280,8 +280,8 @@ def check_n_periodicity(params: Params, zs) -> float:
     for z in zs:
         n0 = unitarity_scalar(z, params)
         n1 = unitarity_scalar(q4 * z, params)
-        worst = max(worst, abs(n1 - n0) / abs(n0))
-    return worst
+        worst = np.maximum(worst, abs(n1 - n0) / abs(n0))
+    return float(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +417,8 @@ def check_a_equals_n(params: Params, z1, z2) -> float:
         alpha = q ** alpha_exp(c)
         a = unitarity_scalar(alpha * z2 / z1, params)
         norm = unitarity_scalar(q ** norm_exp(c) * z2 / z1, params)
-        worst = max(worst, abs(a - norm) / max(1.0, abs(a)))
-    return worst
+        worst = np.maximum(worst, abs(a - norm) / max(1.0, abs(a)))
+    return float(worst)
 
 
 @_over_points

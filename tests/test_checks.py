@@ -193,7 +193,7 @@ def laurent_entry(rng):
     """One random Laurent entry drawn and evaluated per entry, in numpy scalar
     arithmetic: s -> checks._laurent of five drawn coefficients at w."""
     cs = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    dyn_w = checks.dyn_w
+    dyn_w = checks.dyn_w  # before a test counts the leaf's calls to it
     return lambda s: checks._laurent(cs, dyn_w(s, PARAMS))
 
 
@@ -628,6 +628,13 @@ class TestNonFiniteResiduals:
             assert math.isnan(res)
         for name in ("x", "x.negctrl"):
             assert checks._report(name, {}, res, PARAMS.tolerance).status == "fail"
+
+    def test_scalar_rows_keep_a_nan(self):
+        with np.errstate(all="ignore"):  # theta overflows at z = 1e300
+            for check in (checks.check_theta_quasiperiodicity, checks.check_theta_inversion,
+                          checks.check_theta_truncation, checks.check_n_periodicity):
+                assert math.isnan(check(PARAMS, [1.2, 1e300, 0.9])), check.__name__
+            assert math.isnan(check_a_equals_n(PARAMS, 1e300, 1.0))
 
     # the unguarded gauge entry rmatrix._g22 overflows here, and numpy warns
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
