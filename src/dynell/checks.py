@@ -204,10 +204,10 @@ def _rand_matrix(nlegs, rng, params, pattern=None, degrees=lambda r: (0,)) -> Dy
         for k, cs in table.items():
             coeffs[k][:, p, 0, pattern.reshape(-1)] = cs.T
 
-    def ev(s, need):
+    def ev(s, need, log):
         blocks = point_blocks(s, len(params)).tolist()
         w = np.array([[dyn_w(x, p) for x in b] for p, b in zip(params, blocks)], complex)
-        return {k: _laurent(coeffs[k], w[..., None]).reshape(len(s), d, d) for k in need}, None
+        return {k: _laurent(coeffs[k], w[..., None]).reshape(len(s), d, d) for k in need}
 
     return DynMatrix(nlegs, {k: pattern for k in coeffs}, ev, len(params))
 
@@ -337,8 +337,9 @@ def check_crossing(tr, params, s, z, twisted=False, corruption=None) -> list:
 
 def _inverted(arrs, guard, tr: Trips) -> np.ndarray:
     """inv_guarded of a stack read point by point, its trips noted in tr."""
-    inverses, trips = inv_guarded(arrs, guard)
-    tr.note(trips)
+    log = []
+    inverses = inv_guarded(arrs, guard, log)
+    tr.note(log, len(arrs))
     return inverses
 
 
@@ -690,9 +691,8 @@ def check_skew_defining(tr, params, rng) -> list[float]:
     """E . f = (f o shift_1) . E"""
     f = _rand_matrix(0, rng, params)
 
-    def shifted(s, need):  # f read at s + 1, as the coefficient of E
-        vals, trips = f.ev(s + 1, f.masks)
-        return {1: vals[0]}, trips
+    def shifted(s, need, log):  # f read at s + 1, as the coefficient of E
+        return {1: f.ev(s + 1, f.masks, log)[0]}
 
     lhs = _skew_element({1: 1.0}) @ f
     rhs = DynMatrix(0, {1: f.masks[0]}, shifted, f.points)

@@ -38,7 +38,7 @@ import numpy as np
 
 from .special import (Params, SingularPointError, _poch1, _poch1_rows, _powers, guarded,
                       rho_norm, singular, theta)
-from .shiftcalc import DynMatrix, _met, _sampled, _stack, guarded_div, point_blocks, weight
+from .shiftcalc import DynMatrix, _sampled, _stack, guarded_div, point_blocks, weight
 
 __all__ = [
     "RPoint",
@@ -161,11 +161,11 @@ def _grid_tables(params: tuple) -> tuple:
     return (table, *np.array(cols).T[:, :, None])
 
 
-def _r_stack(zs: list, params: tuple, twisted: bool, s: np.ndarray) -> tuple:
+def _r_stack(zs: list, params: tuple, twisted: bool, s: np.ndarray, log: list) -> dict:
     """The evaluation of a grid read of R (shiftcalc), row s[p] holding point
     p's samples: the factors of z alone come once per point from the cached
     scalar kernels (_z_factors), every factor with w in one broadcast over
-    the read, taken past the trips that the guards then pick out."""
+    the read, taken past the trips that the guards then pick out and log."""
     ks, rho, rho_trips = zip(*[_z_factors(z, x) for z, x in zip(zs, params)])
     k = [np.array(col)[:, None] for col in zip(*ks)]
     table, pp, logq = _grid_tables(params)
@@ -186,11 +186,10 @@ def _r_stack(zs: list, params: tuple, twisted: bool, s: np.ndarray) -> tuple:
     first[np.array([[t is not None] for t in rho_trips]) & (first < 0)] = len(made)
     made.append(lambda p, j: SingularPointError(*rho_trips[p].args))
     at = np.flatnonzero(first >= 0).tolist()
-    trips = [None] * len(r) if at else None
-    for i in at:  # made and stamped in sample order
-        trips[i] = _met(made[first.flat[i]](*divmod(i, s.shape[1])))
+    for i in at:  # made and logged in sample order
+        log.append((i, made[first.flat[i]](*divmod(i, s.shape[1]))))
     r[at] = 0.0
-    return {0: r}, trips
+    return {0: r}
 
 
 def _r_dyn(z, params, twisted: bool) -> DynMatrix:
@@ -199,15 +198,14 @@ def _r_dyn(z, params, twisted: bool) -> DynMatrix:
     z and params make a grid leaf whose block p is read at z[p] with
     params[p], each read stacked by _r_stack."""
     if isinstance(params, Params):
-        def ev(s, need):
+        def ev(s, need, log):
             args = [(complex(z), x, params, twisted) for x in s.tolist()]
-            arrs, trips = _sampled(_r_array, args, _R_TRIPPED)
-            return {0: _stack(arrs)}, trips
+            return {0: _stack(_sampled(_r_array, args, _R_TRIPPED, log))}
 
         return DynMatrix(2, {0: _R_PATTERN}, ev)
     zs, ps = [complex(x) for x in z], tuple(params)
-    return DynMatrix(2, {0: _R_PATTERN}, lambda s, need: _r_stack(
-        zs, ps, twisted, point_blocks(s, len(ps))), len(ps))
+    return DynMatrix(2, {0: _R_PATTERN}, lambda s, need, log: _r_stack(
+        zs, ps, twisted, point_blocks(s, len(ps)), log), len(ps))
 
 
 def _each(f, params):

@@ -22,22 +22,25 @@ Conventions used throughout the package:
 A DynMatrix is a d x d matrix (d = 2^nlegs) of skew-ring elements, held as
 a pattern and an evaluator.  ``masks`` maps each E-degree to the boolean
 d x d pattern of its structurally nonzero entries; a skew-ring element is a
-matrix on 0 legs.  ``ev(s, need)`` takes a 1-D complex array of n samples
-s and a demand {degree: boolean d x d mask} inside the pattern, and returns
-{degree: complex (n, d, d) array}, slice i at s[i], exact on the demanded
-entries, zero off the pattern and finite elsewhere, with its trips: None,
-or per sample the first SingularPointError it met, or None.  Where a leaf or
-an inverse trips, it holds zeros or the identity.  Every operation works
-out from the patterns alone which entries of its operands the demanded
-entries read, and at which shifts of s, and evaluates only those, for the
-whole batch at once: a guarded entry or an inverse is evaluated only where
-a result reads it.  Scalar entry functions (``from_entries``, ``scale``)
-see one sample at a time; a leaf may evaluate its whole batch as one stack.
-``at``/``coeffs_at`` take a scalar s (a batch of one, read out as d x d
-arrays) or a sequence of samples, and note trips in a ``Trips`` record or,
-without one, raise the first.  Slice i depends on s[i] alone, bit for bit.
-Arrays an evaluator keeps (constant leaves, cached inverses) are read-only,
-and so is what a scalar read returns.
+matrix on 0 legs.  ``ev(s, need, log)`` takes a 1-D complex array of n
+samples s, a demand {degree: boolean d x d mask} inside the pattern and a
+read's trip log, and returns {degree: complex (n, d, d) array}, slice i at
+s[i], exact on the demanded entries, zero off the pattern and finite
+elsewhere.  A leaf or an inverse that trips a guard at sample i appends
+(i, the SingularPointError, its traceback dropped) to the log and holds
+zeros or the identity there; every operation hands the log down as it is,
+as a shift keeps sample positions.  So a read's log lists its trips in the
+order evaluation met them.  Every operation works out from the patterns
+alone which entries of its operands the demanded entries read, and at which
+shifts of s, and evaluates only those, for the whole batch at once: a
+guarded entry or an inverse is evaluated only where a result reads it.
+Scalar entry functions (``from_entries``, ``scale``) see one sample at a
+time; a leaf may evaluate its whole batch as one stack.  ``at``/``coeffs_at``
+take a scalar s (a batch of one, read out as d x d arrays) or a sequence of
+samples, and note the log in a ``Trips`` record or, without one, raise its
+first trip.  Slice i depends on s[i] alone, bit for bit.  Arrays an
+evaluator keeps (constant leaves, cached inverses) are read-only, and so is
+what a scalar read returns.
 
 The batch may run over the points of a grid: a grid read lays its samples
 out in P equal, point-major blocks, and as every operation maps sample i to
@@ -47,7 +50,7 @@ blocks), and ``points`` records the P of the grid leaves a matrix holds (0
 for none); a single point is the batch of one.  ``from_entries`` and
 ``scale`` take one entry or factor per point, and ``inv`` caches the inverse
 and the trip at each (point, s) and inverts a read's new samples as one
-stack.
+stack.  A grid read's point takes the first trip its block's samples logged.
 
 Patterns are interned ``Pattern`` objects: read-only dicts of read-only
 masks, one object per distinct pattern, where the order of the degrees is
@@ -65,7 +68,6 @@ to ``ev`` is interned on entry.  Values never depend on that table's state.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -222,59 +224,38 @@ def _stack(arrays: list) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
-def _first(a, b):
-    """Per-sample first trips of two evaluations made in order."""
-    return b if a is None else a if b is None else [x or y for x, y in zip(a, b)]
-
-
-_CLOCK = itertools.count()
-
-
-def _met(exc: SingularPointError) -> SingularPointError:
-    """exc stamped with the order evaluation met it, without the traceback
-    whose frames would keep a batch's arrays alive."""
-    exc.met = next(_CLOCK)
-    return exc.with_traceback(None)
-
-
-def _earliest(trips):
-    """The trip met first among per-sample trips, or None."""
-    return min(filter(None, trips), key=lambda t: t.met, default=None)
-
-
-def _sampled(f, items, neutral):
-    """[f(*item) for item in items] and its trips; an item that trips a guard
+def _sampled(f, items, neutral, log) -> list:
+    """[f(*item) for item in items]; an item that trips a guard logs it and
     holds neutral."""
-    out, trips = [], None
+    out = []
     for i, item in enumerate(items):
         try:
             out.append(f(*item))
         except SingularPointError as exc:
-            trips = trips or [None] * len(items)
-            trips[i] = _met(exc)
+            log.append((i, exc.with_traceback(None)))
             out.append(neutral)
-    return out, trips
+    return out
 
 
 class Trips(list):
-    """Per grid point, the first guard trip its reads met, in read order, or
-    None: grid reads note their trips here instead of raising them."""
+    """Per grid point, the first guard trip its reads logged, in read order,
+    or None: grid reads note their trips here instead of raising them."""
 
     def __init__(self, points: int):
         super().__init__([None] * points)
 
-    def note(self, trips):
-        """Note a point-major read's trips: an untripped point takes the trip
-        its samples met first; None notes nothing."""
-        if trips is not None:
-            m = len(trips) // len(self)
-            for p in range(len(self)):
-                self[p] = self[p] or _earliest(trips[p * m:p * m + m])
+    def note(self, log, n: int):
+        """Note the log of a point-major read of n samples: an untripped point
+        takes the first entry in its block."""
+        m = n // len(self)
+        for i, exc in log:
+            self[i // m] = self[i // m] or exc
 
     def each(self, f, *columns):
         """f at each point's arguments; a tripped point's value is 1.0."""
-        vals, trips = _sampled(f, list(zip(*columns)), 1.0)
-        self.note(trips)
+        log = []
+        vals = _sampled(f, list(zip(*columns)), 1.0, log)
+        self.note(log, len(vals))
         return vals
 
     def outcomes(self, results) -> list:
@@ -282,12 +263,12 @@ class Trips(list):
         return [t or r for r, t in zip(results, self)]
 
 
-def _settle(trips, record):
-    """Note a read's trips in record, or raise the first without one."""
-    if trips is not None:
+def _settle(log, n: int, record):
+    """Note a read's log (n samples) in record, or raise its first trip."""
+    if log:
         if record is None:
-            raise _earliest(trips)
-        record.note(trips)
+            raise log[0][1]
+        record.note(log, n)
 
 
 def _matmul_masks(pa: Pattern, pb: Pattern) -> Pattern:
@@ -452,8 +433,8 @@ class DynMatrix:
         for arr in consts.values():
             arr.flags.writeable = False
 
-        def ev(s, need):
-            out, trips = {}, None
+        def ev(s, need, log):
+            out = {}
             rows = point_blocks(s, points or 1).tolist()
             for k, n in need.items():
                 if not fns[k]:  # a read-only view, not n copies
@@ -472,10 +453,8 @@ class DynMatrix:
                                 row[ij] = f[p](x)
                         except SingularPointError as exc:
                             row[:] = consts[k].reshape(-1)
-                            trips = trips or [None] * len(s)
-                            i = p * len(xs) + j
-                            trips[i] = trips[i] or _met(exc)
-            return out, trips
+                            log.append((p * len(xs) + j, exc.with_traceback(None)))
+            return out
 
         return cls(nlegs, masks, ev, points)
 
@@ -508,16 +487,13 @@ class DynMatrix:
         a, b = self, other
         pa, pb = a.masks, b.masks
 
-        def ev(s, need):
+        def ev(s, need, log):
             need = _intern(need)
             need_a, need_b, pairs = _derived(
                 ("@", pa, pb, need), _matmul_plan, pa, pb, need
             )
-            va, trips = a.ev(s, need_a)
-            vb = {}
-            for da, nb in need_b.items():
-                vb[da], tb = b.ev(s + da, nb)
-                trips = trips if tb is None else _first(trips, tb)
+            va = a.ev(s, need_a, log)
+            vb = {da: b.ev(s + da, nb, log) for da, nb in need_b.items()}
             out: dict[int, np.ndarray] = {}
             for da, db in pairs:  # each term is fresh: sum in place
                 term = va[da] @ vb[da].pop(db)
@@ -526,7 +502,7 @@ class DynMatrix:
                     out[dc] += term
                 else:
                     out[dc] = term
-            return out, trips
+            return out
 
         masks = _derived(("@", pa, pb), _matmul_masks, pa, pb)
         return DynMatrix(self.nlegs, masks, ev, _points(a.points, b.points))
@@ -537,17 +513,15 @@ class DynMatrix:
         terms = (self, other)
         pa, pb = self.masks, other.masks
 
-        def ev(s, need):
+        def ev(s, need, log):
             need = _intern(need)
             plan = _derived(("+", pa, pb, need), _add_plan, pa, pb, need)
-            out, trips = {}, None
+            out = {}
             for t, nt in zip(terms, plan):
                 if nt:
-                    vals, tt = t.ev(s, nt)
-                    trips = trips if tt is None else _first(trips, tt)
-                    for k, v in vals.items():
+                    for k, v in t.ev(s, nt, log).items():
                         out[k] = out[k] + v if k in out else v
-            return out, trips
+            return out
 
         masks = _derived(("+", pa, pb), _add_masks, pa, pb)
         return DynMatrix(self.nlegs, masks, ev, _points(self.points, other.points))
@@ -563,11 +537,10 @@ class DynMatrix:
         fs = [f if callable(f) else (lambda s, c=complex(f): c) for f in
               (factor if grid else [factor])]
 
-        def ev(s, need):
+        def ev(s, need, log):
             rows = point_blocks(s, len(fs)).tolist()
             v = np.array([f(x) for f, row in zip(fs, rows) for x in row])[:, None, None]
-            vals, trips = src.ev(s, need)
-            return {k: v * arr for k, arr in vals.items()}, trips
+            return {k: v * arr for k, arr in src.ev(s, need, log).items()}
 
         points = _points(self.points, len(fs) if grid else 0)
         return DynMatrix(self.nlegs, self.masks, ev, points)
@@ -582,17 +555,17 @@ class DynMatrix:
         layout = (self.nlegs,) + key
         table = _derived(layout, _gather_table, self.nlegs, nlegs, sources)
 
-        def ev(s, need):
+        def ev(s, need, log):
             need = _intern(need)
             plan = _derived((layout, p, need), _gather_plan, table, d, p, need)
-            vals, trips = src.ev(s, plan)
+            vals = src.ev(s, plan, log)
             n = len(s)
             out = {}
             for k in need:
                 flat = np.zeros((n, d * d + 1), dtype=complex)
                 flat[:, :-1] = vals[k].reshape(n, d * d)
                 out[k] = flat[:, table].sum(axis=1).reshape(n, dout, dout)
-            return out, trips
+            return out
 
         masks = _derived((layout, p), _gather_masks, table, dout, p)
         return DynMatrix(nlegs, masks, ev, self.points)
@@ -657,14 +630,12 @@ class DynMatrix:
         groups = _derived(dressing, _shift_groups, *dressing[1:])
         src, d = self, self.dim
 
-        def ev(s, need):
+        def ev(s, need, log):
             need = _intern(need)
-            out, trips = np.zeros((len(s), d, d), dtype=complex), None
+            out = np.zeros((len(s), d, d), dtype=complex)
             for k, sel, nk in _derived((dressing, need), _shift_plan, groups, need):
-                vals, tk = src.ev(s + k, nk)
-                np.copyto(out, vals[0], where=sel)
-                trips = trips if tk is None else _first(trips, tk)
-            return {0: out}, trips
+                np.copyto(out, src.ev(s + k, nk, log)[0], where=sel)
+            return {0: out}
 
         return DynMatrix(self.nlegs, self.masks, ev, self.points)
 
@@ -704,77 +675,83 @@ class DynMatrix:
             raise ValueError("samples must be a scalar or a 1-D sequence")
         if not self.masks:
             return {}
-        vals, tripped = self.ev(xs.reshape(-1), self.masks)
-        _settle(tripped, trips)
+        log = []
+        vals = self.ev(xs.reshape(-1), self.masks, log)
+        _settle(log, xs.size, trips)
         return vals if xs.ndim else {k: v[0] for k, v in vals.items()}
 
     def inv(self, guard: float = DEFAULT_GUARD) -> "DynMatrix":
         """Lazy matrix inverse of a function-valued matrix.
 
         The inverse is itself a DynMatrix (evaluable at shifted s).  It keeps
-        the inverse and any trip at each (grid point, s) for later reads; a
-        read evaluates the matrix at the samples it has not seen and inverts
-        them in one call to inv_guarded, which sees the identity in place of
-        each sample where the matrix tripped.  A grid read needs equal point blocks, so where the
-        new samples are not, the matrix is evaluated at the whole batch.
+        the inverse and any trip at each (grid point, s) for later reads.  A
+        read evaluates the matrix at the samples it has not seen, into a log
+        of its own, and inverts them in one call to inv_guarded, which sees
+        the identity in place of each sample where the matrix tripped.  It
+        logs those trips at the read's positions, then the kept trips of the
+        samples it had already seen.  A grid read needs equal point blocks,
+        so where the new samples are not, the matrix is evaluated at the
+        whole batch and its log is filtered to the new samples.
         """
         self._require_function_valued("inverse")
         cache: dict[tuple, np.ndarray] = {}
         tripped: dict[tuple, SingularPointError] = {}
         base = self
 
-        def ev(s, need):
+        def ev(s, need, log):
             rows = point_blocks(s, base.points or 1).tolist()
             keys = [(p, x) for p, row in enumerate(rows) for x in row]
             new = {key: i for i, key in enumerate(keys) if key not in cache}
+            at = list(new.values())
             if new:
-                at = list(new.values())
                 counts = np.bincount([p for p, _ in new], minlength=len(rows))
                 read = s[at] if (counts == counts[0]).all() else s
-                vals, trips = base.ev(read, base.masks)
+                own = []
+                vals = base.ev(read, base.masks, own)
                 arrs = vals.get(0, np.zeros((len(read), base.dim, base.dim)))
                 if read is s:
-                    arrs, trips = arrs[at], trips and [trips[i] for i in at]
-                if trips is not None:
-                    arrs = _identity_at(arrs, trips)
-                arrs, more = inv_guarded(arrs, guard, " at s = {}", [x for _, x in new])
-                trips = _first(trips, more)
-                if trips is not None:
-                    tripped.update((k, t) for k, t in zip(new, trips) if t)
+                    arrs, pos = arrs[at], {i: j for j, i in enumerate(at)}
+                    own = [(pos[i], exc) for i, exc in own if i in pos]
+                if own:
+                    arrs = _identity_at(arrs, [j for j, _ in own])
+                arrs = inv_guarded(arrs, guard, own, " at s = {}", [x for _, x in new])
                 arrs.flags.writeable = False
                 cache.update(zip(new, arrs))
-            trips = [tripped.get(k) for k in keys] if tripped else None
-            for k, t in zip(keys, trips or ()):  # a kept trip is met again here
-                if t and k not in new:
-                    _met(t)
-            return {0: _stack([cache[k] for k in keys])}, trips
+                for j, exc in own:
+                    tripped.setdefault(keys[at[j]], exc)
+                    log.append((at[j], exc))
+            if tripped:
+                fresh = set(at)
+                log.extend((i, tripped[k]) for i, k in enumerate(keys)
+                           if i not in fresh and k in tripped)
+            return {0: _stack([cache[k] for k in keys])}
 
         full = {0: np.ones((self.dim, self.dim), dtype=bool)}
         return DynMatrix(self.nlegs, full, ev, self.points)
 
 
-def _identity_at(arrs: np.ndarray, trips) -> np.ndarray:
-    """A copy of the (n, d, d) stack arrs with the identity at each tripped
-    sample."""
+def _identity_at(arrs: np.ndarray, tripped: list) -> np.ndarray:
+    """A copy of the (n, d, d) stack arrs with the identity at tripped."""
     arrs = arrs.copy()
-    arrs[[t is not None for t in trips]] = np.eye(arrs.shape[-1])
+    arrs[tripped] = np.eye(arrs.shape[-1])
     return arrs
 
 
-def inv_guarded(arrs: np.ndarray, guard: float, where: str = "", *args) -> tuple:
-    """Inverses of an (n, d, d) stack of evaluated arrays in one call, and
-    their trips (module docstring): a sample whose |det| falls below the
-    guard trips (where and per-sample sequences args locate it, as in
-    guarded) and holds the identity, which np.linalg.inv inverts in its
-    place.  The guard decides, so a det that overflows, or that is not finite
-    where evaluation went on past a trip, is not warned of."""
+def inv_guarded(arrs: np.ndarray, guard: float, log, where: str = "", *args) -> np.ndarray:
+    """Inverses of an (n, d, d) stack of evaluated arrays in one call: a
+    sample whose |det| falls below the guard logs its trip in log (module
+    docstring; where and per-sample sequences args locate it, as in guarded)
+    and holds the identity, which np.linalg.inv inverts in its place.  The
+    guard decides, so a det that overflows, or that is not finite where
+    evaluation went on past a trip, is not warned of."""
     with np.errstate(over="ignore", invalid="ignore"):
         dets = np.linalg.det(arrs)
     items = [(det, "det", guard, where, *(a[i] for a in args)) for i, det in enumerate(dets)]
-    _, trips = _sampled(guarded, items, None)
-    if trips is not None:
-        arrs = _identity_at(arrs, trips)
-    return np.linalg.inv(arrs), trips
+    start = len(log)
+    _sampled(guarded, items, None, log)
+    if len(log) > start:
+        arrs = _identity_at(arrs, [i for i, _ in log[start:]])
+    return np.linalg.inv(arrs)
 
 
 def skew_mul(a: DynMatrix, b: DynMatrix) -> DynMatrix:
@@ -813,7 +790,9 @@ def zero_weight_check(m: DynMatrix, samples, tol: float, trips: Trips | None = N
     need = _derived(("off-weight", m.nlegs, m.masks), _off_weight, m.nlegs, m.masks)
     if not need:
         return True
-    vals, tripped = m.ev(np.asarray(samples, dtype=complex).reshape(-1), need)
-    _settle(tripped, trips)
-    ok = slice(None) if tripped is None else [t is None for t in tripped]
+    xs, log = np.asarray(samples, dtype=complex).reshape(-1), []
+    vals = m.ev(xs, need, log)
+    _settle(log, len(xs), trips)
+    ok = np.ones(len(xs), dtype=bool)
+    ok[[i for i, _ in log]] = False
     return not any(abs(vals[k][ok][:, n]).max(initial=0.0) > tol for k, n in need.items())

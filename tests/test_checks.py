@@ -449,7 +449,7 @@ class TestGridBatch:
         def counting(*args, **kwargs):
             m = rand_matrix(*args, **kwargs)
             ev = m.ev
-            m.ev = lambda s, need: calls.append(len(s)) or ev(s, need)
+            m.ev = lambda s, need, log: calls.append(len(s)) or ev(s, need, log)
             return m
 
         monkeypatch.setattr(checks, "_rand_matrix", counting)

@@ -291,8 +291,9 @@ class TestStackedR:
         for i in range(3):
             zs = [pt.zs[i] for pt in points]
             leaf = _r_dyn(zs, ps, twisted)
-            vals, trips = leaf.ev(s, leaf.masks)
-            assert trips is None
+            log = []
+            vals = leaf.ev(s, leaf.masks, log)
+            assert log == []
             for j, r in enumerate(vals[0]):
                 p = j // 4
                 want = _r_array(zs[p], complex(s[j]), ps[p], twisted)
@@ -305,7 +306,11 @@ class TestStackedR:
         zs = [Z0, 1 / PARAMS.q**2, 1.0 + 0j]
         s = np.array([S0, 0.0, S0 + 1] * 3)
         leaf = _r_dyn(zs, [PARAMS] * 3, twisted)
-        vals, trips = leaf.ev(s, leaf.masks)
+        log = []
+        vals = leaf.ev(s, leaf.masks, log)
+        trips = [None] * len(s)
+        for i, exc in log:
+            trips[i] = exc
         want = []
         for z, x in zip(np.repeat(zs, 3).tolist(), s.tolist()):
             try:
@@ -317,8 +322,8 @@ class TestStackedR:
         labels = {d.split("|")[1] for d in want if d}
         assert labels == {"Theta(q^2 z)", "Theta(w)", "(z; p, q^4)"}
         assert want.count(None) == 2
-        met = [t.met for t in trips if t]
-        assert met == sorted(met)  # stamped in sample order
+        at = [i for i, _ in log]
+        assert at == sorted(set(at))  # logged once each, in sample order
         tripped = [t is not None for t in trips]
         assert not vals[0][tripped].any()
         assert vals[0][[0, 2]].all(axis=0)[_R_PATTERN].all()

@@ -599,7 +599,7 @@ class TestGridLeaves:
     def test_grid_inverse_evaluates_new_samples_only_in_equal_blocks(self):
         leaf, seen = self.leaf(), []
         ev = leaf.ev
-        leaf.ev = lambda s, need: seen.append(len(s)) or ev(s, need)
+        leaf.ev = lambda s, need, log: seen.append(len(s)) or ev(s, need, log)
         inv = leaf.inv(1e-9)
         for s in self.INVERSE_READS:
             inv.at(s)
@@ -678,10 +678,37 @@ class TestTripRecords:
         (leaf(left) @ leaf(right)).at([right, left], tr)
         assert str(tr[0]).endswith(f"at s = {left}")
         later = Trips(1)
-        later.note([None, tr[0]])
+        later.note([(1, tr[0])], 2)
         assert later[0] is tr[0]
-        later.note([SingularPointError("later read"), None])
+        later.note([(0, SingularPointError("later read"))], 2)
         assert later[0] is tr[0]  # the first read's trip stays
+
+    def test_a_kept_inverse_trip_stays_first_when_read_again(self):
+        # X trips its det guard at a, Y its leaf guard at b; the read meets
+        # X's trip first, and reading X again later does not move it
+        a, b = S_SAMPLES[0], S_SAMPLES[1]
+        x = DynMatrix.diagonal(1, lambda i: lambda s: s - a).inv(1e-6)
+        y = DynMatrix.diagonal(1, lambda i: guarded_div(lambda s: 1.0, lambda s: s - b))
+        tr = Trips(1)
+        (x @ y @ x).at([a, b], tr)
+        assert str(tr[0]).startswith("singular point: |det| = 0.000e+00")
+        assert str(tr[0]).endswith(f" at s = {a}")
+
+    def test_a_whole_batch_inverse_read_logs_new_trips_once_then_kept_ones(self):
+        # point 0 trips at BAD and at NEW; the second read's new sample NEW
+        # sits at point 0 only, so the base is read at the whole batch, where
+        # BAD trips again
+        bad, new, good = self.BAD, S_SAMPLES[2], S_SAMPLES[3]
+        ratio = guarded_div(lambda s: 1.0, lambda s: (s - bad) * (s - new))
+        inv = DynMatrix.diagonal(1, lambda i: [ratio, lambda s: 1.0]).inv(1e-6)
+        first, log = [], []
+        inv.ev(np.array([bad, good]), inv.masks, first)
+        assert [i for i, _ in first] == [0]
+        got = inv.ev(np.array([bad, new, good, good]), inv.masks, log)[0]
+        assert [i for i, _ in log] == [1, 0]
+        assert str(log[0][1]).endswith(f"at s = {new}")
+        assert log[1][1] is first[0][1]
+        assert np.array_equal(got[:2], [np.eye(2)] * 2)
 
     def test_a_tripped_inverse_holds_the_identity_and_keeps_its_trip(self):
         seen = []
@@ -701,11 +728,13 @@ class TestTripRecords:
 
     def test_inv_guarded_replaces_a_singular_sample_by_the_identity(self):
         arrs = np.array([2 * np.eye(2), np.zeros((2, 2)), np.diag([1.0, 4.0])])
-        inverses, trips = inv_guarded(arrs, 1e-6, " at sample {}", [0, 1, 2])
-        assert [t is None for t in trips] == [True, False, True]
-        assert str(trips[1]).endswith(" at sample 1")
+        log = []
+        inverses = inv_guarded(arrs, 1e-6, log, " at sample {}", [0, 1, 2])
+        assert [i for i, _ in log] == [1]
+        assert str(log[0][1]).endswith(" at sample 1")
         assert np.array_equal(inverses, np.linalg.inv([2 * np.eye(2), np.eye(2), np.diag([1.0, 4.0])]))
-        assert inv_guarded(arrs[::2], 1e-6)[1] is None
+        inv_guarded(arrs[::2], 1e-6, log)
+        assert len(log) == 1
 
     def test_zero_weight_check_skips_tripped_samples(self):
         def entry(i, j):
@@ -739,7 +768,7 @@ class TestPatterns:
 
     def test_interned_masks_are_read_only(self):
         mask = np.array([[True, False], [False, False]])
-        m = DynMatrix(1, {0: mask}, lambda s, need: {0: np.ones((len(s), 2, 2))})
+        m = DynMatrix(1, {0: mask}, lambda s, need, log: {0: np.ones((len(s), 2, 2))})
         assert mask.flags.writeable  # interning copies what it keeps
         assert m.masks[0].tolist() == mask.tolist()
         assert not m.masks[0].flags.writeable
@@ -771,13 +800,14 @@ class TestPatterns:
         ) + a.inv(1e-9).transpose_leg(2)
         xs = np.asarray(S_SAMPLES, dtype=complex)
         plain = {k: m.copy() for k, m in c.masks.items()}
-        got, trips = c.ev(xs, plain)
-        want, _ = c.ev(xs, c.masks)
-        assert trips is None
+        log = []
+        got = c.ev(xs, plain, log)
+        want = c.ev(xs, c.masks, log)
+        assert log == []
         assert list(got) == list(want)
         for k in want:
             assert np.array_equal(got[k], want[k])
         assert all(m.flags.writeable for m in plain.values())
         one = np.zeros((4, 4), dtype=bool)
         one[1, 2] = True
-        assert c.ev(xs, {0: one})[0][0][:, 1, 2].tolist() == want[0][:, 1, 2].tolist()
+        assert c.ev(xs, {0: one}, log)[0][:, 1, 2].tolist() == want[0][:, 1, 2].tolist()
