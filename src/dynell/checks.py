@@ -126,7 +126,8 @@ class CheckReport:
         return {
             "name": self.name,
             "point": pt,
-            "residual": self.residual,
+            # strict JSON: a residual that is not finite is null
+            "residual": self.residual if math.isfinite(self.residual or 0.0) else None,
             "status": self.status,
             "detail": self.detail,
         }
@@ -896,9 +897,12 @@ def _report(name, point, out, tol, detail="", note="") -> CheckReport:
     """The one maker of a CheckReport: from a residual, or from the
     SingularPointError that stopped it.  A "*.negctrl" name is a negative
     control, which passes when its residual exceeds CONTROL_THRESHOLD.  The
-    detail goes on an evaluated report; the note follows every report's."""
+    detail goes on an evaluated report, after a word on a residual that is not
+    finite; the note follows every report's."""
     if isinstance(out, SingularPointError):
         return CheckReport(name, point, None, "skipped-singular", _join(str(out), note))
+    if not math.isfinite(out):
+        detail = _join("residual is not finite", detail)
     if name.endswith(".negctrl"):
         ok = out > CONTROL_THRESHOLD
         control = f"negative control: expected residual > {CONTROL_THRESHOLD:g}"

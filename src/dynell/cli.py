@@ -271,7 +271,7 @@ def _cmd_check(args) -> int:
         }
         if not args.no_timestamp:
             doc["timestamp"] = datetime.now(timezone.utc).isoformat()
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     else:
         text = _render_text(reports, counts, passed)
     if args.output:

@@ -139,6 +139,24 @@ class TestCheckCommand:
         assert captured.err == ""
         assert json.loads(captured.out)["summary"]["skipped"] > 0
 
+    # the unguarded gauge entry rmatrix._g22 overflows here, and numpy warns
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_non_finite_residual_is_written_as_strict_json(self, capsys):
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        rc = main(["check", "--p", "0.8", "--points", "5", "--seed", "17",
+                   "--format", "json", "--no-timestamp"])
+        assert rc == 1
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        bare = [r for r in doc["reports"]
+                if r["residual"] is None and r["status"] != "skipped-singular"]
+        assert [(r["name"], r["point"]["index"]) for r in bare] == [
+            ("cor22chain.step4", 1), ("cor22chain.step4", 2)]
+        for r in bare:
+            assert r["status"] == "fail"
+            assert r["detail"] == "residual is not finite"
+
     def test_byte_identical_rerun(self, tmp_path):
         args = [
             "check", "--seed", "12", "--points", "2", "--format", "json",
