@@ -9,11 +9,14 @@ residual convention throughout is
 with shift-valued sides compared coefficient-wise per E-degree at sampled
 values of the dynamical coordinate.  The checks marked _over_points (every
 row that builds a DynMatrix; all but the scalar theta, nscalar and aequalsn
-rows) run once over all grid points.  A singular guard does not stop such
-a batch: its reads note each point's first trip in a Trips record, in the
-order a single point's run would meet them (scalar calls between reads
-included), and the point's result is that trip, a SingularPointError.
-Called at one point, a check raises it.
+rows) run once over all grid points; each builds both sides of its identity
+as DynMatrix expressions and reads them through _skew_resids.  A singular
+guard does not stop such a batch: its reads note each point's first trip in
+a Trips record, in the order a single point's run would meet them, and the
+point's result is that trip, a SingularPointError.  Called at one point, a
+check raises it.  A scalar factor such as 1/n(z) is a lazy scale factor,
+read per sample with the side it scales and logging its trips as a leaf
+does; traceint alone calls n(z) as it builds, noting a trip before any read.
 
 The suite runner alone turns residuals into CheckReports: it names each
 report after its row of the _SUITE table, takes the point from the row's
@@ -47,7 +50,6 @@ from .shiftcalc import (
     _leg_shifts,
     guarded_div,
     index_bits,
-    inv_guarded,
     point_blocks,
     shift_scalar,
     weight,
@@ -155,21 +157,21 @@ def _skew_resids(lhs: DynMatrix, rhs: DynMatrix, samples, points: int = 1,
     return _worst(np.max([np.zeros(n)] + diffs, axis=0) / norm, points)
 
 
-def _block_resids(lhs: np.ndarray, rhs: np.ndarray, points: int) -> list:
-    """max-entry |lhs - rhs| / max(1, max-entry |lhs|) per sample of two
-    evaluated stacks, worst over each grid point's block: one residual per
-    grid point."""
-    n = len(lhs)
-    diff = abs(lhs - rhs).reshape(n, -1).max(axis=1)
-    return _worst(diff / np.maximum(1.0, abs(lhs).reshape(n, -1).max(axis=1)), points)
-
-
 # ---------------------------------------------------------------------------
 # shared builders
 
 @functools.cache
 def _sigma_y1() -> DynMatrix:
     return DynMatrix.constant(PAULI_Y).embed(2, (1,))
+
+
+def _scalar(f, zs, params) -> list:
+    """f(z, params) of each point as a lazy per-point scale factor."""
+    return [lambda s, z=z, p=p: f(z, p) for z, p in zip(zs, params)]
+
+
+def _inv_n(z, params) -> complex:
+    return 1.0 / unitarity_scalar(z, params)
 
 
 def _ups_diag(params, nlegs, num: dict, den: dict) -> DynMatrix:
@@ -295,20 +297,20 @@ def check_dybe(tr, params, s, z1, z2, z3, twisted=False, corruption=None) -> lis
     r13 = _r_dyn([a / b for a, b in zip(z1, z3)], params, twisted).embed(3, (1, 3))
     r23 = _r_dyn([a / b for a, b in zip(z2, z3)], params, twisted).embed(3, (2, 3))
     r23_s1 = r23 if corruption == "drop_spectator_shift" else r23.shift_col({1: +1})
-    lhs = r12.shift_col({3: +1}).at(s, tr) @ r13.at(s, tr) @ r23_s1.at(s, tr)
-    rhs = r23.at(s, tr) @ r13.shift_col({2: +1}).at(s, tr) @ r12.at(s, tr)
-    return _block_resids(lhs, rhs, len(params))
+    lhs = r12.shift_col({3: +1}) @ r13 @ r23_s1
+    rhs = r23 @ r13.shift_col({2: +1}) @ r12
+    return _skew_resids(lhs, rhs, s, len(params), tr)
 
 
 @_over_points
 def check_unitarity(tr, params, s, z, twisted=False, corruption=None) -> list:
     """R_12(z) R_21(1/z) equals the unitarity scalar times the identity."""
-    a = _r_dyn(z, params, twisted).at(s, tr)
+    a = _r_dyn(z, params, twisted)
     if corruption == "rescale":
-        a = 2.0 * a
-    b = _r_dyn([1.0 / x for x in z], params, twisted).swap_legs(1, 2).at(s, tr)
-    rhs = np.array(tr.each(unitarity_scalar, z, params))[:, None, None] * np.eye(4)
-    return _block_resids(a @ b, rhs, len(params))
+        a = a.scale(2.0)
+    b = _r_dyn([1.0 / x for x in z], params, twisted).swap_legs(1, 2)
+    rhs = DynMatrix.identity(2).scale(_scalar(unitarity_scalar, z, params))
+    return _skew_resids(a @ b, rhs, s, len(params), tr)
 
 
 @_over_points
@@ -319,7 +321,7 @@ def check_crossing(tr, params, s, z, twisted=False, corruption=None) -> list:
     dressed by the diagonal Gamma on leg 1; its negative control
     ("drop_gamma") drops Gamma."""
     g = _guard(params)
-    sy = _sigma_y1().at(s)
+    sy = _sigma_y1()
     args = [1.0 / (x * (p.q * p.q)) for x, p in zip(z, params)]
     x = _r_dyn(args, params, twisted).transpose_leg(1).shift_row({1: -1})
     u = _ups_diag(params, 2, {2: +1}, {})
@@ -329,19 +331,11 @@ def check_crossing(tr, params, s, z, twisted=False, corruption=None) -> list:
         else:
             g1 = gamma_twist(params).embed(2, (1,))
             g1s2 = g1.shift_col({2: +1})
-        lhs = sy @ g1.at(s, tr) @ x.at(s, tr) @ g1s2.inv(g).at(s, tr) @ sy @ u.at(s, tr)
+        lhs = sy @ g1 @ x @ g1s2.inv(g) @ sy @ u
     else:
-        lhs = sy @ x.at(s, tr) @ sy @ u.at(s, tr)
-    rhs = _r_dyn([1.0 / x for x in z], params, twisted).inv(g).at(s, tr)
-    return _block_resids(lhs, rhs, len(params))
-
-
-def _inverted(arrs, guard, tr: Trips) -> np.ndarray:
-    """inv_guarded of a stack read point by point, its trips noted in tr."""
-    log = []
-    inverses = inv_guarded(arrs, guard, log)
-    tr.note(log, len(arrs))
-    return inverses
+        lhs = sy @ x @ sy @ u
+    rhs = _r_dyn([1.0 / x for x in z], params, twisted).inv(g)
+    return _skew_resids(lhs, rhs, s, len(params), tr)
 
 
 @_over_points
@@ -355,16 +349,10 @@ def check_crossing_unitarity(tr, params, s, z, twisted=True, corruption=None) ->
             for x, p in zip(z, params)]
     g1 = cross_gauge(params).embed(2, (1,))
     x = _r_dyn(args, params, twisted).shift_row({2: -1}).transpose_leg(1)
-    lhs = _inverted(x.at(s, tr), g, tr)
     r21t1 = _r_dyn(z, params, twisted).swap_legs(1, 2).transpose_leg(1)
-    inv_n = np.array([1.0 / u for u in tr.each(unitarity_scalar, z, params)])
-    rhs = (
-        inv_n[:, None, None]
-        * g1.inv(g).at(s, tr)
-        @ r21t1.shift_col({2: -1}).at(s, tr)
-        @ g1.shift_col({2: -1}).at(s, tr)
-    )
-    return _block_resids(lhs, rhs, len(params))
+    g1i_n = g1.inv(g).scale(_scalar(_inv_n, z, params))
+    rhs = g1i_n @ r21t1.shift_col({2: -1}) @ g1.shift_col({2: -1})
+    return _skew_resids(x.inv(g), rhs, s, len(params), tr)
 
 
 @_over_points
@@ -372,9 +360,8 @@ def check_n_forms(tr, params, s, corruption=None) -> list:
     """The two constructions of the trace weight N agree: the -sc dressing of
     G versus the direct shifted-ratio form."""
     sign = +1 if corruption == "flip_sc_sign" else -1
-    form_sc = cross_gauge(params).shift_col({1: sign}).at(s, tr)
-    direct = trace_weight_direct(params).at(s, tr)
-    return _block_resids(form_sc, direct, len(params))
+    form_sc = cross_gauge(params).shift_col({1: sign})
+    return _skew_resids(form_sc, trace_weight_direct(params), s, len(params), tr)
 
 
 @_over_points
@@ -387,17 +374,11 @@ def check_magic(tr, params, s, z1, z2, alpha, beta) -> list:
     n1_m2_sc = n.embed(2, (1,)).shift_col({1: +1, 2: -1})
     args = [b * x / y for b, x, y in zip(beta, z1, z2)]
     x = _r_dyn(args, params, False).shift_row({2: -1}).transpose_leg(1)
-    lhs = _inverted(x.at(s, tr), g, tr)
     args = [a * y / x for a, x, y in zip(alpha, z1, z2)]
-    inv_a = np.array([1.0 / a for a in tr.each(unitarity_scalar, args, params)])
     r21t1 = _r_dyn(args, params, False).swap_legs(1, 2).transpose_leg(1)
-    rhs = (
-        inv_a[:, None, None]
-        * n1_sc.inv(g).at(s, tr)
-        @ r21t1.shift_col({2: -1}).at(s, tr)
-        @ n1_m2_sc.at(s, tr)
-    )
-    return _block_resids(lhs, rhs, len(params))
+    n1i_a = n1_sc.inv(g).scale(_scalar(_inv_n, args, params))
+    rhs = n1i_a @ r21t1.shift_col({2: -1}) @ n1_m2_sc
+    return _skew_resids(x.inv(g), rhs, s, len(params), tr)
 
 
 _A_EQ_N_ROWS = (
@@ -477,9 +458,8 @@ def _chain_steps(params, s, z, samples, corruption=None) -> list:
         return guarded_div(mu, shift_scalar(upsilon(prm), weight(i)), g)
 
     def step7(tr):
-        gsc = gm.shift_col({1: +1})
-        lhs = gm.at(flat, tr) @ _diag(params, 1, mid).at(flat, tr) @ gsc.at(flat, tr)
-        return _block_resids(lhs, cross_gauge(params).at(flat, tr), n)
+        lhs = gm @ _diag(params, 1, mid) @ gm.shift_col({1: +1})
+        return _skew_resids(lhs, cross_gauge(params), flat, n, tr)
 
     if corruption:
         return [step7]
@@ -496,9 +476,8 @@ def _chain_steps(params, s, z, samples, corruption=None) -> list:
     def step1(tr):
         uinv = _ups_diag(params, 2, {}, {2: +1})
         x = rt(lambda x, q: 1.0 / (x * (q * q))).transpose_leg(1).shift_row({1: -1})
-        lhs = (uinv.at(s, tr) @ sy.at(s, tr) @ g1s2.at(s, tr) @ x.inv(g).at(s, tr)
-               @ g1i.at(s, tr) @ sy.at(s, tr))
-        return _block_resids(lhs, rt(lambda x, q: 1.0 / x).at(s, tr), n)
+        lhs = uinv @ sy @ g1s2 @ x.inv(g) @ g1i @ sy
+        return _skew_resids(lhs, rt(lambda x, q: 1.0 / x), s, n, tr)
 
     # step 2: zero-weight shift commutation for the inverted dressed matrix
     def step2(tr):
@@ -514,7 +493,7 @@ def _chain_steps(params, s, z, samples, corruption=None) -> list:
         x4 = rt(lambda x, q: 1.0 / (x * q**4)).transpose_leg(1)
         lhs = (g1 @ x4.shift_row({1: -1}) @ g1s2i).shift_row({1: +1, 2: -1})
         rhs = g1m2.shift_col({1: +1}) @ x4.shift_row({2: -1}) @ g1i.shift_col({1: +1})
-        return _block_resids(lhs.at(s, tr), rhs.at(s, tr), n)
+        return _skew_resids(lhs, rhs, s, n, tr)
 
     # step 4: sigma_y / shift-column exchange on a zero-weight matrix
     def step4(tr):
@@ -531,20 +510,16 @@ def _chain_steps(params, s, z, samples, corruption=None) -> list:
         mur = _diag(params, 2, lambda prm, i: guarded_div(
             shift_scalar(mu_scalar(prm), k2[i]), mu_scalar(prm), g))
         x4 = rt(lambda x, q: 1.0 / (x * q**4)).shift_row({2: -1}).transpose_leg(1)
-        lhs = (g1.shift_col({1: +1}).at(s, tr) @ _inverted(x4.at(s, tr), g, tr)
-               @ g1m2.inv(g).shift_col({1: +1}).at(s, tr))
-        rhs = (ups1.at(s, tr) @ m12.transpose_leg(1).shift_col({2: -1}).at(s, tr)
-               @ mur.at(s, tr))
-        return _block_resids(lhs, rhs, n)
+        lhs = g1.shift_col({1: +1}) @ x4.inv(g) @ g1m2.inv(g).shift_col({1: +1})
+        rhs = ups1 @ m12.transpose_leg(1).shift_col({2: -1}) @ mur
+        return _skew_resids(lhs, rhs, s, n, tr)
 
     # step 6: unitarity in components
     def step6(tr):
-        lhs = m12.transpose_leg(1).shift_col({2: -1}).at(s, tr)
-        inv_n = [1.0 / u for u in tr.each(unitarity_scalar, z, params)]
+        lhs = m12.transpose_leg(1).shift_col({2: -1})
         r21t1 = rt(lambda x, q: x).swap_legs(1, 2).transpose_leg(1)
-        rhs = (g1i.scale(inv_n).at(s, tr) @ r21t1.shift_col({2: -1}).at(s, tr)
-               @ g1m2.at(s, tr))
-        return _block_resids(lhs, rhs, n)
+        rhs = g1i.scale(_scalar(_inv_n, z, params)) @ r21t1.shift_col({2: -1}) @ g1m2
+        return _skew_resids(lhs, rhs, s, n, tr)
 
     return [step1, step2, step3, step4, step5, step6, step7]
 
@@ -667,8 +642,7 @@ def check_sigma_y_transpose(tr, params, rng) -> list[float]:
     sy = _sigma_y1()
     lhs = (sy @ a @ sy).transpose_leg(1)
     rhs = sy @ a.transpose_leg(1) @ sy
-    samples = _rand_samples(rng, 4)
-    return _block_resids(lhs.at(samples, tr), rhs.at(samples, tr), len(rng))
+    return _skew_resids(lhs, rhs, _rand_samples(rng, 4), len(rng), tr)
 
 
 def _skew_element(terms: dict) -> DynMatrix:
@@ -711,6 +685,14 @@ class GridPoint:
     zs: tuple[complex, ...]
 
 
+# Sampling ranges: p and q_half unless fixed, s, and |z| inside (0.5, 2).
+P_RANGE = (0.05, 0.5)
+Q_HALF_RANGE = (0.4, 0.8)
+S_RE_RANGE = (-1.0, 1.0)
+S_IM_MAX = 0.5
+Z_ABS_RANGE = (0.55, 1.9)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Seeded sampling plan for the suite; a fixed seed reproduces the run
@@ -719,11 +701,6 @@ class GridSpec:
     seed: int = 0
     n_points: int = 25
     n_z: int = 3
-    p_range: tuple[float, float] = (0.05, 0.5)
-    q_half_range: tuple[float, float] = (0.4, 0.8)
-    s_re_range: tuple[float, float] = (-1.0, 1.0)
-    s_im_max: float = 0.5
-    z_abs_range: tuple[float, float] = (0.55, 1.9)
     tolerance: float = 1e-9
     singular_guard: float = 1e-6
     truncation_order: int | None = None
@@ -743,26 +720,20 @@ class GridSpec:
             raise ValueError("n_points must be >= 1")
         if self.n_z < 3:
             raise ValueError("n_z must be >= 3 (three-spectral checks)")
-        lo, hi = self.z_abs_range
-        if not (0.5 < lo <= hi < 2.0):
-            raise ValueError("z_abs_range must lie inside the annulus (0.5, 2)")
 
     def sample_points(self) -> list[GridPoint]:
         rng = np.random.default_rng(np.random.SeedSequence([self.seed]))
         points = []
         for i in range(self.n_points):
-            p = self.p_fixed if self.p_fixed is not None else rng.uniform(*self.p_range)
+            p = self.p_fixed if self.p_fixed is not None else rng.uniform(*P_RANGE)
             q_half = (
                 self.q_half_fixed
                 if self.q_half_fixed is not None
-                else rng.uniform(*self.q_half_range)
+                else rng.uniform(*Q_HALF_RANGE)
             )
-            s = complex(
-                rng.uniform(*self.s_re_range),
-                rng.uniform(-self.s_im_max, self.s_im_max),
-            )
+            s = complex(rng.uniform(*S_RE_RANGE), rng.uniform(-S_IM_MAX, S_IM_MAX))
             zs = []
-            lo, hi = self.z_abs_range
+            lo, hi = Z_ABS_RANGE
             for _ in range(self.n_z):
                 r = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
                 phi = rng.uniform(0.0, 2.0 * np.pi)

@@ -26,21 +26,21 @@ matrix on 0 legs.  ``ev(s, need, log)`` takes a 1-D complex array of n
 samples s, a demand {degree: boolean d x d mask} inside the pattern and a
 read's trip log, and returns {degree: complex (n, d, d) array}, slice i at
 s[i], exact on the demanded entries, zero off the pattern and finite
-elsewhere.  A leaf or an inverse that trips a guard at sample i appends
-(i, the SingularPointError, its traceback dropped) to the log and holds
-zeros or the identity there; every operation hands the log down as it is,
-as a shift keeps sample positions.  So a read's log lists its trips in the
-order evaluation met them.  Every operation works out from the patterns
-alone which entries of its operands the demanded entries read, and at which
-shifts of s, and evaluates only those, for the whole batch at once: a
-guarded entry or an inverse is evaluated only where a result reads it.
-Scalar entry functions (``from_entries``, ``scale``) see one sample at a
-time; a leaf may evaluate its whole batch as one stack.  ``at``/``coeffs_at``
-take a scalar s (a batch of one, read out as d x d arrays) or a sequence of
-samples, and note the log in a ``Trips`` record or, without one, raise its
-first trip.  Slice i depends on s[i] alone, bit for bit.  Arrays an
-evaluator keeps (constant leaves, cached inverses) are read-only, and so is
-what a scalar read returns.
+elsewhere.  A leaf, a ``scale`` factor or an inverse that trips a guard at
+sample i appends (i, the SingularPointError, its traceback dropped) to the
+log and holds zeros, 1.0 or the identity there; every operation hands the
+log down as it is, as a shift keeps sample positions.  So a read's log
+lists its trips in the order evaluation met them.  Every operation works
+out from the patterns alone which entries of its operands the demanded
+entries read, and at which shifts of s, and evaluates only those, for the
+whole batch at once: a guarded entry or an inverse is evaluated only where
+a result reads it.  Scalar entry functions (``from_entries``, ``scale``) see
+one sample at a time; a leaf may evaluate its whole batch as one stack.
+``at``/``coeffs_at`` take a scalar s (a batch of one, read out as d x d
+arrays) or a sequence of samples, and note the log in a ``Trips`` record
+or, without one, raise its first trip.  Slice i depends on s[i] alone, bit
+for bit.  Arrays an evaluator keeps (constant leaves, cached inverses) are
+read-only, and so is what a scalar read returns.
 
 The batch may run over the points of a grid: a grid read lays its samples
 out in P equal, point-major blocks, and as every operation maps sample i to
@@ -531,7 +531,9 @@ class DynMatrix:
 
     def scale(self, factor) -> "DynMatrix":
         """Left-multiply every entry by a scalar (a number or a function of s),
-        or by a list of one per grid point: block p takes factor p."""
+        or by a list of one per grid point: block p takes factor p.  Factors
+        are read per sample, before the matrix; a sample whose factor trips
+        a guard logs the trip and takes the factor 1.0."""
         src = self
         grid = isinstance(factor, list)
         fs = [f if callable(f) else (lambda s, c=complex(f): c) for f in
@@ -539,7 +541,8 @@ class DynMatrix:
 
         def ev(s, need, log):
             rows = point_blocks(s, len(fs)).tolist()
-            v = np.array([f(x) for f, row in zip(fs, rows) for x in row])[:, None, None]
+            items = [(f, x) for f, row in zip(fs, rows) for x in row]
+            v = np.array(_sampled(lambda f, x: f(x), items, 1.0, log))[:, None, None]
             return {k: v * arr for k, arr in src.ev(s, need, log).items()}
 
         points = _points(self.points, len(fs) if grid else 0)

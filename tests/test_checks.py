@@ -144,7 +144,6 @@ class TestProofChain:
             return inv_guarded(arrs, *args)
 
         monkeypatch.setattr(shiftcalc, "inv_guarded", counting)
-        monkeypatch.setattr(checks, "inv_guarded", counting)
         _, args = checks._chain_samples(GRID, POINT0)
         assert len(check_proof_chain_cor22(*args)) == 7
         assert inverted
@@ -619,9 +618,9 @@ class TestNonFiniteResiduals:
     residual fails, as an identity and as a negative control."""
 
     def test_folds_keep_a_nan(self):
-        lhs = np.zeros((4, 2, 2), complex)
-        lhs[1, 0, 1] = np.nan
-        assert [math.isnan(r) for r in checks._block_resids(lhs, 0 * lhs, 2)] == [True, False]
+        per_sample = np.zeros(4)
+        per_sample[1] = np.nan
+        assert [math.isnan(r) for r in checks._worst(per_sample, 2)] == [True, False]
         nan, one = DynMatrix.constant([[np.nan]]), DynMatrix.constant([[1.0]])
         for lhs, rhs in ((nan, one), (one, nan)):
             [res] = checks._skew_resids(lhs, rhs, [S0, S0 + 0.4])

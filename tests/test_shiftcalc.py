@@ -683,6 +683,25 @@ class TestTripRecords:
         later.note([(0, SingularPointError("later read"))], 2)
         assert later[0] is tr[0]  # the first read's trip stays
 
+    def test_a_tripped_scale_factor_is_noted_at_its_sample_alone(self):
+        # per-point factors on a grid matrix; point 1's factor has a zero
+        # denominator at BAD, its second sample, which takes the factor 1.0
+        entries = [lambda s, p=p: s * p.q for p in TestGridLeaves.PARAMS]
+        factors = [lambda s: 2.0 + s, guarded_div(lambda s: 3.0, lambda s: s - self.BAD)]
+        grid = DynMatrix.diagonal(1, lambda i: entries if i else 2.0)
+        s = [S_SAMPLES[0], S_SAMPLES[2], S_SAMPLES[3], self.BAD]
+        tr = Trips(2)
+        got = grid.scale(factors).at(s, tr)
+        assert tr[0] is None
+        assert str(tr[1]).startswith("singular point: |denominator|")
+        assert str(tr[1]).endswith(f"at s = {self.BAD}")
+        for i, p in ((0, 0), (1, 0), (2, 1)):
+            alone = DynMatrix.diagonal(1, lambda i: entries[p] if i else 2.0)
+            assert np.array_equal(got[i], alone.scale(factors[p]).at(s[i]))
+        assert np.array_equal(got[3], grid.at(s)[3])
+        with pytest.raises(SingularPointError, match=re.escape(str(tr[1]))):
+            grid.scale(factors).at(s)
+
     def test_a_kept_inverse_trip_stays_first_when_read_again(self):
         # X trips its det guard at a, Y its leaf guard at b; the read meets
         # X's trip first, and reading X again later does not move it
