@@ -141,11 +141,10 @@ def _worst(per_sample: np.ndarray, points: int) -> list:
     return per_sample.reshape(points, -1).max(axis=1).tolist()
 
 
-def _skew_resids(lhs: DynMatrix, rhs: DynMatrix, samples, points: int = 1,
-                 trips: Trips | None = None) -> list:
+def _skew_resids(lhs: DynMatrix, rhs: DynMatrix, samples, trips: Trips | None = None) -> list:
     """Coefficient-wise residual per E-degree, normalised per sample point,
-    worst over each grid point's block of samples (all evaluated in one
-    batch): one residual per grid point; trips as in DynMatrix.at."""
+    worst over each block of samples (all evaluated in one batch): one
+    residual per grid point of the sides' grid leaves; trips as in DynMatrix.at."""
     samples = list(samples)
     lc = lhs.coeffs_at(samples, trips)
     rc = rhs.coeffs_at(samples, trips)
@@ -154,7 +153,7 @@ def _skew_resids(lhs: DynMatrix, rhs: DynMatrix, samples, points: int = 1,
     peaks = [abs(m).max(axis=(1, 2)) for m in lc.values()]
     diffs = [abs(lc.get(k, zero) - rc.get(k, zero)).max(axis=(1, 2)) for k in set(lc) | set(rc)]
     norm = np.max([np.ones(n)] + peaks, axis=0)
-    return _worst(np.max([np.zeros(n)] + diffs, axis=0) / norm, points)
+    return _worst(np.max([np.zeros(n)] + diffs, axis=0) / norm, lhs.points or rhs.points or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +298,7 @@ def check_dybe(tr, params, s, z1, z2, z3, twisted=False, corruption=None) -> lis
     r23_s1 = r23 if corruption == "drop_spectator_shift" else r23.shift_col({1: +1})
     lhs = r12.shift_col({3: +1}) @ r13 @ r23_s1
     rhs = r23 @ r13.shift_col({2: +1}) @ r12
-    return _skew_resids(lhs, rhs, s, len(params), tr)
+    return _skew_resids(lhs, rhs, s, tr)
 
 
 @_over_points
@@ -310,7 +309,7 @@ def check_unitarity(tr, params, s, z, twisted=False, corruption=None) -> list:
         a = a.scale(2.0)
     b = _r_dyn([1.0 / x for x in z], params, twisted).swap_legs(1, 2)
     rhs = DynMatrix.identity(2).scale(_scalar(unitarity_scalar, z, params))
-    return _skew_resids(a @ b, rhs, s, len(params), tr)
+    return _skew_resids(a @ b, rhs, s, tr)
 
 
 @_over_points
@@ -335,7 +334,7 @@ def check_crossing(tr, params, s, z, twisted=False, corruption=None) -> list:
     else:
         lhs = sy @ x @ sy @ u
     rhs = _r_dyn([1.0 / x for x in z], params, twisted).inv(g)
-    return _skew_resids(lhs, rhs, s, len(params), tr)
+    return _skew_resids(lhs, rhs, s, tr)
 
 
 @_over_points
@@ -352,7 +351,7 @@ def check_crossing_unitarity(tr, params, s, z, twisted=True, corruption=None) ->
     r21t1 = _r_dyn(z, params, twisted).swap_legs(1, 2).transpose_leg(1)
     g1i_n = g1.inv(g).scale(_scalar(_inv_n, z, params))
     rhs = g1i_n @ r21t1.shift_col({2: -1}) @ g1.shift_col({2: -1})
-    return _skew_resids(x.inv(g), rhs, s, len(params), tr)
+    return _skew_resids(x.inv(g), rhs, s, tr)
 
 
 @_over_points
@@ -361,7 +360,7 @@ def check_n_forms(tr, params, s, corruption=None) -> list:
     G versus the direct shifted-ratio form."""
     sign = +1 if corruption == "flip_sc_sign" else -1
     form_sc = cross_gauge(params).shift_col({1: sign})
-    return _skew_resids(form_sc, trace_weight_direct(params), s, len(params), tr)
+    return _skew_resids(form_sc, trace_weight_direct(params), s, tr)
 
 
 @_over_points
@@ -378,7 +377,7 @@ def check_magic(tr, params, s, z1, z2, alpha, beta) -> list:
     r21t1 = _r_dyn(args, params, False).swap_legs(1, 2).transpose_leg(1)
     n1i_a = n1_sc.inv(g).scale(_scalar(_inv_n, args, params))
     rhs = n1i_a @ r21t1.shift_col({2: -1}) @ n1_m2_sc
-    return _skew_resids(x.inv(g), rhs, s, len(params), tr)
+    return _skew_resids(x.inv(g), rhs, s, tr)
 
 
 _A_EQ_N_ROWS = (
@@ -430,7 +429,7 @@ def check_lemma_p1(tr, params, seed, corruption=None) -> list[float]:
         ).transpose_leg(2)
         dressed = prod.shift_col({1: -1})
     rhs = (dressed @ d1m @ m1 @ d1p).partial_trace(1).transpose_leg(1)
-    return _skew_resids(lhs, rhs, _rand_samples(rng, 8), len(rng), tr)
+    return _skew_resids(lhs, rhs, _rand_samples(rng, 8), tr)
 
 
 def _chain_steps(params, s, z, samples, corruption=None) -> list:
@@ -459,7 +458,7 @@ def _chain_steps(params, s, z, samples, corruption=None) -> list:
 
     def step7(tr):
         lhs = gm @ _diag(params, 1, mid) @ gm.shift_col({1: +1})
-        return _skew_resids(lhs, cross_gauge(params), flat, n, tr)
+        return _skew_resids(lhs, cross_gauge(params), flat, tr)
 
     if corruption:
         return [step7]
@@ -477,7 +476,7 @@ def _chain_steps(params, s, z, samples, corruption=None) -> list:
         uinv = _ups_diag(params, 2, {}, {2: +1})
         x = rt(lambda x, q: 1.0 / (x * (q * q))).transpose_leg(1).shift_row({1: -1})
         lhs = uinv @ sy @ g1s2 @ x.inv(g) @ g1i @ sy
-        return _skew_resids(lhs, rt(lambda x, q: 1.0 / x), s, n, tr)
+        return _skew_resids(lhs, rt(lambda x, q: 1.0 / x), s, tr)
 
     # step 2: zero-weight shift commutation for the inverted dressed matrix
     def step2(tr):
@@ -486,14 +485,14 @@ def _chain_steps(params, s, z, samples, corruption=None) -> list:
         if not zero_weight_check(m.transpose_leg(1), s, 1e-8, tr):
             raise AssertionError("commutation precondition violated")
         dmix = weight_shift_matrix(2, 1, -1) @ weight_shift_matrix(2, 2, +1)
-        return _skew_resids(m @ dmix, dmix @ m.shift_row({1: +1, 2: -1}), flat, n, tr)
+        return _skew_resids(m @ dmix, dmix @ m.shift_row({1: +1, 2: -1}), flat, tr)
 
     # step 3: sl_1 - sl_2 dressing of the gauged matrix in components
     def step3(tr):
         x4 = rt(lambda x, q: 1.0 / (x * q**4)).transpose_leg(1)
         lhs = (g1 @ x4.shift_row({1: -1}) @ g1s2i).shift_row({1: +1, 2: -1})
         rhs = g1m2.shift_col({1: +1}) @ x4.shift_row({2: -1}) @ g1i.shift_col({1: +1})
-        return _skew_resids(lhs, rhs, s, n, tr)
+        return _skew_resids(lhs, rhs, s, tr)
 
     # step 4: sigma_y / shift-column exchange on a zero-weight matrix
     def step4(tr):
@@ -501,7 +500,7 @@ def _chain_steps(params, s, z, samples, corruption=None) -> list:
         dmix = weight_shift_matrix(2, 1, -1) @ weight_shift_matrix(2, 2, +1)
         lhs = (m12.transpose_leg(1) @ sy).shift_col({1: +1}) @ dp
         rhs = dmix @ m12.transpose_leg(1).shift_col({2: -1}) @ sy
-        return _skew_resids(lhs, rhs, flat, n, tr)
+        return _skew_resids(lhs, rhs, flat, tr)
 
     # step 5: the comparison identity after eliminating sigma_y
     def step5(tr):
@@ -512,14 +511,14 @@ def _chain_steps(params, s, z, samples, corruption=None) -> list:
         x4 = rt(lambda x, q: 1.0 / (x * q**4)).shift_row({2: -1}).transpose_leg(1)
         lhs = g1.shift_col({1: +1}) @ x4.inv(g) @ g1m2.inv(g).shift_col({1: +1})
         rhs = ups1 @ m12.transpose_leg(1).shift_col({2: -1}) @ mur
-        return _skew_resids(lhs, rhs, s, n, tr)
+        return _skew_resids(lhs, rhs, s, tr)
 
     # step 6: unitarity in components
     def step6(tr):
         lhs = m12.transpose_leg(1).shift_col({2: -1})
         r21t1 = rt(lambda x, q: x).swap_legs(1, 2).transpose_leg(1)
         rhs = g1i.scale(_scalar(_inv_n, z, params)) @ r21t1.shift_col({2: -1}) @ g1m2
-        return _skew_resids(lhs, rhs, s, n, tr)
+        return _skew_resids(lhs, rhs, s, tr)
 
     return [step1, step2, step3, step4, step5, step6, step7]
 
@@ -577,7 +576,7 @@ def integration_trace_check(tr, params, s, z1, z2, u, corruption=None) -> list[f
     trace = (n1_shifted @ r21d @ conj_q @ r12d).partial_trace(1)
     args = [b / a for a, b in zip(z1, z2)]
     rhs = (r_loc @ d_loc @ trace).scale([1.0 / u for u in tr.each(unitarity_scalar, args, params)])
-    return _skew_resids(lhs, rhs, s, len(params), tr)
+    return _skew_resids(lhs, rhs, s, tr)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +591,7 @@ def check_sc_operator_form(tr, params, rng) -> list[float]:
         d = weight_shift_matrix(nlegs, 1, +1)
         di = weight_shift_matrix(nlegs, 1, -1)
         op = (d @ m.transpose_leg(1)).transpose_leg(1) @ di
-        resids.append(_skew_resids(m.shift_col({1: +1}), op, _rand_samples(rng, 4), len(rng), tr))
+        resids.append(_skew_resids(m.shift_col({1: +1}), op, _rand_samples(rng, 4), tr))
     return np.max(resids, axis=0).tolist()
 
 
@@ -605,7 +604,7 @@ def check_sl_operator_form(tr, params, rng) -> list[float]:
         d = weight_shift_matrix(nlegs, 1, +1)
         di = weight_shift_matrix(nlegs, 1, -1)
         op = ((d @ m).transpose_leg(1) @ di).transpose_leg(1)
-        resids.append(_skew_resids(m.shift_row({1: +1}), op, _rand_samples(rng, 4), len(rng), tr))
+        resids.append(_skew_resids(m.shift_row({1: +1}), op, _rand_samples(rng, 4), tr))
     return np.max(resids, axis=0).tolist()
 
 
@@ -615,7 +614,7 @@ def check_transpose_shift_exchange(tr, params, rng) -> list[float]:
     m = _rand_matrix(2, rng, params)
     lhs = m.transpose_leg(1).shift_col({1: +1})
     rhs = m.shift_row({1: +1}).transpose_leg(1)
-    return _skew_resids(lhs, rhs, _rand_samples(rng, 4), len(rng), tr)
+    return _skew_resids(lhs, rhs, _rand_samples(rng, 4), tr)
 
 
 @_over_points
@@ -632,7 +631,7 @@ def check_zero_weight_commutation(tr, params, rng) -> list[float]:
     m = _rand_matrix(2, rng, params, pattern)
     dmix = weight_shift_matrix(2, 1, -1) @ weight_shift_matrix(2, 2, +1)
     rhs = dmix @ m.shift_row({1: +1, 2: -1})
-    return _skew_resids(m @ dmix, rhs, _rand_samples(rng, 4), len(rng), tr)
+    return _skew_resids(m @ dmix, rhs, _rand_samples(rng, 4), tr)
 
 
 @_over_points
@@ -642,7 +641,7 @@ def check_sigma_y_transpose(tr, params, rng) -> list[float]:
     sy = _sigma_y1()
     lhs = (sy @ a @ sy).transpose_leg(1)
     rhs = sy @ a.transpose_leg(1) @ sy
-    return _skew_resids(lhs, rhs, _rand_samples(rng, 4), len(rng), tr)
+    return _skew_resids(lhs, rhs, _rand_samples(rng, 4), tr)
 
 
 def _skew_element(terms: dict) -> DynMatrix:
@@ -658,7 +657,7 @@ def check_skew_associativity(tr, params, rng) -> list[float]:
         return r.choice(np.arange(-2, 3), size=3, replace=False)
 
     a, b, c = (_rand_matrix(0, rng, params, degrees=degrees) for _ in range(3))
-    return _skew_resids((a @ b) @ c, a @ (b @ c), _rand_samples(rng, 4), len(rng), tr)
+    return _skew_resids((a @ b) @ c, a @ (b @ c), _rand_samples(rng, 4), tr)
 
 
 @_over_points
@@ -671,7 +670,7 @@ def check_skew_defining(tr, params, rng) -> list[float]:
 
     lhs = _skew_element({1: 1.0}) @ f
     rhs = DynMatrix(0, {1: f.masks[0]}, shifted, f.points)
-    return _skew_resids(lhs, rhs, _rand_samples(rng, 4), len(rng), tr)
+    return _skew_resids(lhs, rhs, _rand_samples(rng, 4), tr)
 
 
 # ---------------------------------------------------------------------------

@@ -48,9 +48,10 @@ sample i, block p holds point p's values.  A grid leaf evaluates block p
 with point p's data (``point_blocks`` rejects a batch that is not P equal
 blocks), and ``points`` records the P of the grid leaves a matrix holds (0
 for none); a single point is the batch of one.  ``from_entries`` and
-``scale`` take one entry or factor per point, and ``inv`` caches the inverse
+``scale`` take one entry or factor per point, and ``inv`` keeps the inverse
 and the trip at each (point, s) and inverts a read's new samples as one
-stack.  A grid read's point takes the first trip its block's samples logged.
+stack, read in equal point blocks padded with other samples of the read.  A
+grid read's point takes the first trip its block's samples logged.
 
 Patterns are interned ``Pattern`` objects: read-only dicts of read-only
 masks, one object per distinct pattern, where the order of the degrees is
@@ -72,7 +73,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special import DEFAULT_GUARD, SingularPointError, guarded
+from .special import DEFAULT_GUARD, SingularPointError, guarded, singular
 
 __all__ = [
     "DynMatrix",
@@ -687,73 +688,72 @@ class DynMatrix:
         """Lazy matrix inverse of a function-valued matrix.
 
         The inverse is itself a DynMatrix (evaluable at shifted s).  It keeps
-        the inverse and any trip at each (grid point, s) for later reads.  A
-        read evaluates the matrix at the samples it has not seen, into a log
-        of its own, and inverts them in one call to inv_guarded, which sees
-        the identity in place of each sample where the matrix tripped.  It
-        logs those trips at the read's positions, then the kept trips of the
-        samples it had already seen.  A grid read needs equal point blocks,
-        so where the new samples are not, the matrix is evaluated at the
-        whole batch and its log is filtered to the new samples.
+        the inverse and the first trip at each (grid point, s) for later
+        reads.  A read evaluates the matrix at the samples it has not seen,
+        into a log of its own, in P equal point blocks: each point's new
+        samples, then its other samples of the read, in read order, up to the
+        largest point's new count.  Such a padding sample's value and trips
+        are dropped.  It inverts the new samples in one call to inv_guarded,
+        which sees the identity in place of each sample where the matrix
+        tripped, and logs those trips at the read's positions, then the kept
+        trip of each other sample that has one.
         """
         self._require_function_valued("inverse")
-        cache: dict[tuple, np.ndarray] = {}
-        tripped: dict[tuple, SingularPointError] = {}
+        kept: dict[tuple, tuple] = {}  # (point, s) -> (inverse, trip or None)
         base = self
 
         def ev(s, need, log):
-            rows = point_blocks(s, base.points or 1).tolist()
-            keys = [(p, x) for p, row in enumerate(rows) for x in row]
-            new = {key: i for i, key in enumerate(keys) if key not in cache}
+            rows = point_blocks(s, base.points or 1)
+            keys = [(p, x) for p, row in enumerate(rows.tolist()) for x in row]
+            new: dict[tuple, int] = {}  # first positions, so in read order
+            for i, key in enumerate(keys):
+                if key not in kept:
+                    new.setdefault(key, i)
             at = list(new.values())
-            if new:
-                counts = np.bincount([p for p, _ in new], minlength=len(rows))
-                read = s[at] if (counts == counts[0]).all() else s
+            if at:
+                is_new = np.zeros(len(s), dtype=bool)
+                is_new[at] = True
+                blocks = is_new.reshape(rows.shape)
+                order = np.argsort(~blocks, axis=1, kind="stable")[:, :blocks.sum(1).max()]
+                pick = (order + np.arange(0, len(s), rows.shape[1])[:, None]).reshape(-1)
                 own = []
-                vals = base.ev(read, base.masks, own)
-                arrs = vals.get(0, np.zeros((len(read), base.dim, base.dim)))
-                if read is s:
-                    arrs, pos = arrs[at], {i: j for j, i in enumerate(at)}
-                    own = [(pos[i], exc) for i, exc in own if i in pos]
+                vals = base.ev(s[pick], base.masks, own)
+                used = is_new[pick]
+                arrs = vals.get(0, np.zeros((len(pick), base.dim, base.dim)))[used]
+                own = [(at.index(pick[k]), exc) for k, exc in own if used[k]]
                 if own:
-                    arrs = _identity_at(arrs, [j for j, _ in own])
+                    arrs[[j for j, _ in own]] = np.eye(base.dim)
                 arrs = inv_guarded(arrs, guard, own, " at s = {}", [x for _, x in new])
                 arrs.flags.writeable = False
-                cache.update(zip(new, arrs))
-                for j, exc in own:
-                    tripped.setdefault(keys[at[j]], exc)
-                    log.append((at[j], exc))
-            if tripped:
+                log.extend((at[j], exc) for j, exc in own)
+                first = dict(reversed(own))  # each new sample's first trip
+                kept.update((key, (arr, first.get(j)))
+                            for j, (key, arr) in enumerate(zip(new, arrs)))
+            got, trips = zip(*[kept[k] for k in keys])
+            if any(trips):
                 fresh = set(at)
-                log.extend((i, tripped[k]) for i, k in enumerate(keys)
-                           if i not in fresh and k in tripped)
-            return {0: _stack([cache[k] for k in keys])}
+                log.extend((i, t) for i, t in enumerate(trips) if t and i not in fresh)
+            return {0: _stack(got)}
 
         full = {0: np.ones((self.dim, self.dim), dtype=bool)}
         return DynMatrix(self.nlegs, full, ev, self.points)
 
 
-def _identity_at(arrs: np.ndarray, tripped: list) -> np.ndarray:
-    """A copy of the (n, d, d) stack arrs with the identity at tripped."""
-    arrs = arrs.copy()
-    arrs[tripped] = np.eye(arrs.shape[-1])
-    return arrs
-
-
 def inv_guarded(arrs: np.ndarray, guard: float, log, where: str = "", *args) -> np.ndarray:
-    """Inverses of an (n, d, d) stack of evaluated arrays in one call: a
-    sample whose |det| falls below the guard logs its trip in log (module
-    docstring; where and per-sample sequences args locate it, as in guarded)
+    """Inverses of an (n, d, d) stack of evaluated arrays in one call: one
+    comparison guards the stack of determinants, and a sample whose |det|
+    falls below the guard logs its trip in log (module docstring) with the
+    message guarded gives (where and per-sample sequences args locate it),
     and holds the identity, which np.linalg.inv inverts in its place.  The
     guard decides, so a det that overflows, or that is not finite where
     evaluation went on past a trip, is not warned of."""
     with np.errstate(over="ignore", invalid="ignore"):
         dets = np.linalg.det(arrs)
-    items = [(det, "det", guard, where, *(a[i] for a in args)) for i, det in enumerate(dets)]
-    start = len(log)
-    _sampled(guarded, items, None, log)
-    if len(log) > start:
-        arrs = _identity_at(arrs, [i for i, _ in log[start:]])
+        low = np.flatnonzero(np.abs(dets) < guard).tolist()
+    if low:
+        log.extend((i, singular(dets[i], "det", where, *(a[i] for a in args))) for i in low)
+        arrs = arrs.copy()
+        arrs[low] = np.eye(arrs.shape[-1])
     return np.linalg.inv(arrs)
 
 

@@ -21,9 +21,9 @@ def resid(lhs, rhs):
 
 
 def skew_resid(lhs, rhs, samples):
-    """The coefficient-wise skew-ring residual at one point: the worst over
-    all the samples."""
-    return _skew_resids(lhs, rhs, samples)[0]
+    """The coefficient-wise skew-ring residual: the worst over all the
+    samples, at every grid point (a NaN at any point is the result)."""
+    return np.max(_skew_resids(lhs, rhs, samples))
 
 
 def rand_fourier(rng):

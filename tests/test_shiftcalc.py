@@ -13,6 +13,7 @@ from dynell import (
     SingularPointError,
     promote_shifted_scalar,
     shift_scalar,
+    shiftcalc,
     skew_mul,
     weight_shift_matrix,
     zero_weight_check,
@@ -540,13 +541,15 @@ class TestGridLeaves:
 
     PARAMS = (make_params(), Params.make(0.61, 0.27))
     # two-point reads, point-major: the same s at both points, partly new
-    # samples, all new, all seen, and new samples at one point only
+    # samples, all new, all seen, new samples at one point only, and three
+    # samples per point with one new one, at point 1
     INVERSE_READS = (
         [S_SAMPLES[0]] * 2,
         [S_SAMPLES[0], S_SAMPLES[1]] * 2,
         S_SAMPLES[2:6],
         [S_SAMPLES[0], S_SAMPLES[2], S_SAMPLES[1], S_SAMPLES[4]],
         S_SAMPLES[:4],
+        S_SAMPLES[:5] + [S_SAMPLES[6]],
     )
 
     def leaf(self, nlegs=2, points=2, seed=41):
@@ -604,8 +607,9 @@ class TestGridLeaves:
         for s in self.INVERSE_READS:
             inv.at(s)
         # 2 new, 2 new in equal blocks, 4 new, none new, then new samples at
-        # point 1 only: a grid read of the whole batch
-        assert seen == [2, 2, 4, 4]
+        # point 1 only, 2 of 2 and 1 of 3: point 0's block is padded with
+        # samples it has seen up to point 1's new count
+        assert seen == [2, 2, 4, 4, 2]
 
     def test_first_grid_inverse_trip_is_the_first_in_point_major_order(self):
         # points 1 and 2 are singular at their own s; point 1's trip is first
@@ -714,20 +718,40 @@ class TestTripRecords:
         assert str(tr[0]).endswith(f" at s = {a}")
 
     def test_a_whole_batch_inverse_read_logs_new_trips_once_then_kept_ones(self):
-        # point 0 trips at BAD and at NEW; the second read's new sample NEW
-        # sits at point 0 only, so the base is read at the whole batch, where
-        # BAD trips again
+        # point 0 trips at BAD and at NEW; the second read has one new sample
+        # at point 0 and two at point 1, so point 0's block is padded with
+        # BAD, whose trip there is dropped: BAD's kept trip is logged once
         bad, new, good = self.BAD, S_SAMPLES[2], S_SAMPLES[3]
         ratio = guarded_div(lambda s: 1.0, lambda s: (s - bad) * (s - new))
         inv = DynMatrix.diagonal(1, lambda i: [ratio, lambda s: 1.0]).inv(1e-6)
         first, log = [], []
         inv.ev(np.array([bad, good]), inv.masks, first)
         assert [i for i, _ in first] == [0]
-        got = inv.ev(np.array([bad, new, good, good]), inv.masks, log)[0]
+        got = inv.ev(np.array([bad, new, S_SAMPLES[4], S_SAMPLES[5]]), inv.masks, log)[0]
         assert [i for i, _ in log] == [1, 0]
         assert str(log[0][1]).endswith(f"at s = {new}")
         assert log[1][1] is first[0][1]
         assert np.array_equal(got[:2], [np.eye(2)] * 2)
+
+    def test_a_repeated_sample_is_inverted_once_and_logs_its_trip_at_each_position(
+        self, monkeypatch
+    ):
+        seen, inverted = [], []
+        counted = shiftcalc.inv_guarded
+        monkeypatch.setattr(
+            shiftcalc, "inv_guarded",
+            lambda arrs, *args: inverted.append(len(arrs)) or counted(arrs, *args),
+        )
+        base = DynMatrix.diagonal(1, lambda i: lambda s: seen.append(s) or s - self.BAD)
+        good, log = S_SAMPLES[0], []
+        got = base.inv(1e-6).ev(np.array([self.BAD, good, self.BAD]), base.masks, log)[0]
+        assert seen == [self.BAD] * 2 + [good] * 2  # each entry once per sample
+        assert inverted == [2]
+        assert sorted(i for i, _ in log) == [0, 2]
+        assert log[0][1] is log[1][1]
+        assert str(log[0][1]).startswith("singular point: |det| = 0.000e+00")
+        assert np.array_equal(got[[0, 2]], [np.eye(2)] * 2)
+        assert np.allclose(got[1], np.eye(2) / (good - self.BAD))
 
     def test_a_tripped_inverse_holds_the_identity_and_keeps_its_trip(self):
         seen = []

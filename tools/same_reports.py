@@ -1,13 +1,16 @@
-"""Compare `dynell check` reports between a git revision and the working tree.
+"""Compare `dynell check` reports and `dynell eval` outputs between a git
+revision and the working tree.
 
 Usage: python3 tools/same_reports.py REF
 
 Exports REF with `git archive` into a temporary directory, then runs
 `python3 -m dynell check --format json --no-timestamp` there and in the
-working tree at a fixed list of settings.  Prints SAME or DIFF per setting,
-comparing stdout, stderr and the exit code, and exits 1 on any DIFF.  It is
-the gate for a refactor that must leave every report as it was; it needs no
-network access and is not part of the test suite.
+working tree at a fixed list of settings, and `python3 -m dynell eval` of
+each object at the default point and at s = -30, where the gauges and R
+overflow.  Prints SAME or DIFF per command, comparing stdout, stderr and the
+exit code, and exits 1 on any DIFF.  It is the gate for a refactor that must
+leave every report and every printed value as it was; it needs no network
+access and is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-SETTINGS = (
+CHECK_SETTINGS = (
     "--seed 0",
     "--seed 1",
     "--seed 2",
@@ -36,6 +39,12 @@ SETTINGS = (
     "--p 0.85 --points 4 --seed 12 --truncation-order 200",
 )
 
+COMMANDS = (
+    [f"check --format json --no-timestamp {setting}" for setting in CHECK_SETTINGS]
+    + [f"eval {obj}{at}" for obj in ("R", "Rtilde", "theta", "rho", "N", "G", "Gamma")
+       for at in ("", " --s -30")]
+)
+
 
 def export(ref: str, into: Path) -> None:
     """Unpack the tree of ref into the directory into."""
@@ -47,12 +56,12 @@ def export(ref: str, into: Path) -> None:
         archive.extractall(into, **safe)
 
 
-def run(tree: Path, setting: str) -> tuple:
-    """(stdout, stderr, exit code) of one check run on the sources of tree."""
+def run(tree: Path, command: str) -> tuple:
+    """(stdout, stderr, exit code) of one dynell command on the sources of
+    tree."""
     env = {k: v for k, v in os.environ.items() if k != "DYNELL_CONFIG"}
     env["PYTHONPATH"] = str(tree / "src")
-    cmd = [sys.executable, "-m", "dynell", "check", "--format", "json",
-           "--no-timestamp", *setting.split()]
+    cmd = [sys.executable, "-m", "dynell", *command.split()]
     done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True)
     return done.stdout, done.stderr, done.returncode
 
@@ -65,10 +74,10 @@ def main(argv: list[str]) -> int:
         ref = Path(tmp)
         export(argv[0], ref)
         diff = False
-        for setting in SETTINGS:
-            same = run(ref, setting) == run(ROOT, setting)
+        for command in COMMANDS:
+            same = run(ref, command) == run(ROOT, command)
             diff |= not same
-            print(f"{'SAME' if same else 'DIFF'}  {setting}", flush=True)
+            print(f"{'SAME' if same else 'DIFF'}  {command}", flush=True)
     return 1 if diff else 0
 
 
