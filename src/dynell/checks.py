@@ -50,7 +50,6 @@ from .shiftcalc import (
     _leg_shifts,
     guarded_div,
     index_bits,
-    point_blocks,
     shift_scalar,
     weight,
     weight_shift_matrix,
@@ -61,13 +60,13 @@ from .rmatrix import (
     _diag,
     _guard,
     _r_dyn,
+    _ups_diag,
     cross_gauge,
     dyn_w,
     gamma_twist,
     mu_scalar,
     trace_weight,
     trace_weight_direct,
-    ups_ratio,
     upsilon,
 )
 
@@ -164,6 +163,11 @@ def _sigma_y1() -> DynMatrix:
     return DynMatrix.constant(PAULI_Y).embed(2, (1,))
 
 
+@functools.cache
+def _dmix() -> DynMatrix:
+    return weight_shift_matrix(2, 1, -1) @ weight_shift_matrix(2, 2, +1)
+
+
 def _scalar(f, zs, params) -> list:
     """f(z, params) of each point as a lazy per-point scale factor."""
     return [lambda s, z=z, p=p: f(z, p) for z, p in zip(zs, params)]
@@ -171,13 +175,6 @@ def _scalar(f, zs, params) -> list:
 
 def _inv_n(z, params) -> complex:
     return 1.0 / unitarity_scalar(z, params)
-
-
-def _ups_diag(params, nlegs, num: dict, den: dict) -> DynMatrix:
-    """Diagonal matrix of crossing-scalar ratios; the shifts in numerator and
-    denominator are signed leg weights of the diagonal index."""
-    kn, kd = _leg_shifts(nlegs, num), _leg_shifts(nlegs, den)
-    return _diag(params, nlegs, lambda prm, i: ups_ratio(kn[i], kd[i], prm))
 
 
 def _laurent(cs, w):
@@ -201,17 +198,18 @@ def _rand_matrix(nlegs, rng, params, pattern=None, degrees=lambda r: (0,)) -> Dy
         degs = [int(k) for k in degrees(r)]
         raw = r.standard_normal((len(degs), int(pattern.sum()), 2, 5))
         drawn.append(dict(zip(degs, raw[..., 0, :] + 1j * raw[..., 1, :])))
-    coeffs = {k: np.zeros((5, len(rng), 1, d * d), complex) for k in sorted(set().union(*drawn))}
+    degs = sorted(set().union(*drawn))
+    coeffs = np.zeros((len(rng), len(degs), 5, d * d), complex)  # point-major
     for p, table in enumerate(drawn):
         for k, cs in table.items():
-            coeffs[k][:, p, 0, pattern.reshape(-1)] = cs.T
+            coeffs[p, degs.index(k)][:, pattern.reshape(-1)] = cs.T
 
-    def ev(s, need, log):
-        blocks = point_blocks(s, len(params)).tolist()
-        w = np.array([[dyn_w(x, p) for x in b] for p, b in zip(params, blocks)], complex)
-        return {k: _laurent(coeffs[k], w[..., None]).reshape(len(s), d, d) for k in need}
+    def ev(s, pts, need, log):
+        w = np.array([dyn_w(x, params[p]) for x, p in zip(s.tolist(), pts.tolist())], complex)
+        cs = coeffs[pts].transpose(1, 2, 0, 3)  # one take: [degree][c] is (n, d * d)
+        return {k: _laurent(cs[degs.index(k)], w[:, None]).reshape(len(s), d, d) for k in need}
 
-    return DynMatrix(nlegs, {k: pattern for k in coeffs}, ev, len(params))
+    return DynMatrix(nlegs, {k: pattern for k in degs}, ev, len(params))
 
 
 def _rand_samples(rngs, n):
@@ -484,7 +482,7 @@ def _chain_steps(params, s, z, samples, corruption=None) -> list:
         m = (g1 @ x4 @ g1s2i).inv(g)
         if not zero_weight_check(m.transpose_leg(1), s, 1e-8, tr):
             raise AssertionError("commutation precondition violated")
-        dmix = weight_shift_matrix(2, 1, -1) @ weight_shift_matrix(2, 2, +1)
+        dmix = _dmix()
         return _skew_resids(m @ dmix, dmix @ m.shift_row({1: +1, 2: -1}), flat, tr)
 
     # step 3: sl_1 - sl_2 dressing of the gauged matrix in components
@@ -497,9 +495,8 @@ def _chain_steps(params, s, z, samples, corruption=None) -> list:
     # step 4: sigma_y / shift-column exchange on a zero-weight matrix
     def step4(tr):
         dp = weight_shift_matrix(2, 1, +1) @ weight_shift_matrix(2, 2, +1)
-        dmix = weight_shift_matrix(2, 1, -1) @ weight_shift_matrix(2, 2, +1)
         lhs = (m12.transpose_leg(1) @ sy).shift_col({1: +1}) @ dp
-        rhs = dmix @ m12.transpose_leg(1).shift_col({2: -1}) @ sy
+        rhs = _dmix() @ m12.transpose_leg(1).shift_col({2: -1}) @ sy
         return _skew_resids(lhs, rhs, flat, tr)
 
     # step 5: the comparison identity after eliminating sigma_y
@@ -629,9 +626,8 @@ def check_zero_weight_commutation(tr, params, rng) -> list[float]:
         for i in range(4)
     ])
     m = _rand_matrix(2, rng, params, pattern)
-    dmix = weight_shift_matrix(2, 1, -1) @ weight_shift_matrix(2, 2, +1)
-    rhs = dmix @ m.shift_row({1: +1, 2: -1})
-    return _skew_resids(m @ dmix, rhs, _rand_samples(rng, 4), tr)
+    rhs = _dmix() @ m.shift_row({1: +1, 2: -1})
+    return _skew_resids(m @ _dmix(), rhs, _rand_samples(rng, 4), tr)
 
 
 @_over_points
@@ -665,8 +661,8 @@ def check_skew_defining(tr, params, rng) -> list[float]:
     """E . f = (f o shift_1) . E"""
     f = _rand_matrix(0, rng, params)
 
-    def shifted(s, need, log):  # f read at s + 1, as the coefficient of E
-        return {1: f.ev(s + 1, f.masks, log)[0]}
+    def shifted(s, pts, need, log):  # f read at s + 1, as the coefficient of E
+        return {1: f.ev(s + 1, pts, f.masks, log)[0]}
 
     lhs = _skew_element({1: 1.0}) @ f
     rhs = DynMatrix(0, {1: f.masks[0]}, shifted, f.points)

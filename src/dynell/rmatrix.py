@@ -24,8 +24,8 @@ and, for the twist-gauged variant, the middle diagonal replaced by
       bbar' = q (q^2 w; p)(w/q^2; p)/(w; p)^2 * Th(z)/Th(q^2 z).
 
 The diagonal leaves, gamma_twist and _r_dyn also take per-point Params (and
-z): a grid matrix (shiftcalc) whose block p is read with point p's data.  A
-grid read of R is one stack (_r_stack); a one-point leaf reads _r_array.
+z): a grid matrix (shiftcalc) that reads each sample with its point's data.
+A grid read of R is one stack (_r_stack); a one-point leaf reads _r_array.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 
 from .special import (Params, SingularPointError, _poch1, _poch1_rows, _powers, guarded,
                       rho_norm, singular, theta)
-from .shiftcalc import DynMatrix, _sampled, _stack, guarded_div, point_blocks, weight
+from .shiftcalc import DynMatrix, _leg_shifts, _sampled, _stack, guarded_div
 
 __all__ = [
     "RPoint",
@@ -153,41 +153,42 @@ def _r_array(z: complex, s: complex, params: Params, twisted: bool) -> np.ndarra
 @lru_cache(maxsize=64)
 def _grid_tables(params: tuple) -> tuple:
     """Per point: the powers of p padded with zeros to the widest order
-    (_poch1_rows), and the columns (p; p) and log q."""
+    (_poch1_rows), (p; p) and log q."""
     table = np.zeros((len(params), max(x.truncation_order for x in params)), complex)
     for row, x in zip(table, params):
         row[:x.truncation_order] = _powers(x.p, x.truncation_order)
     cols = [(_poch1(x.p, x.p, x.truncation_order), _logq(x.q)) for x in params]
-    return (table, *np.array(cols).T[:, :, None])
+    return (table, *np.array(cols).T)
 
 
-def _r_stack(zs: list, params: tuple, twisted: bool, s: np.ndarray, log: list) -> dict:
-    """The evaluation of a grid read of R (shiftcalc), row s[p] holding point
-    p's samples: the factors of z alone come once per point from the cached
-    scalar kernels (_z_factors), every factor with w in one broadcast over
-    the read, taken past the trips that the guards then pick out and log."""
+def _r_stack(zs: list, params: tuple, twisted: bool, s, pts, log: list) -> dict:
+    """The evaluation of a grid read of R (shiftcalc), s[i] at point pts[i]:
+    the factors of z alone come once per point from the cached scalar
+    kernels (_z_factors), gathered by pts once per read, every factor with w
+    in one broadcast over the read, taken past the trips that the guards
+    then pick out and log."""
     ks, rho, rho_trips = zip(*[_z_factors(z, x) for z, x in zip(zs, params)])
-    k = [np.array(col)[:, None] for col in zip(*ks)]
-    table, pp, logq = _grid_tables(params)
-    # per sample, the first guard it trips: made[i](p, j) is the trip of guard i
-    g, first, made = _guard(params), np.full(s.shape, -1), []
+    k = [np.array(col)[pts] for col in zip(*ks)]
+    table, pp, logq = (col[pts] for col in _grid_tables(params))
+    # per sample, the first guard it trips: made[k](i) is guard k's trip at sample i
+    g, first, made, point = _guard(params), np.full(len(s), -1), [], pts.tolist()
 
     def guard(value, label, where):
         first[(abs(value) < g) & (first < 0)] = len(made)
         vals = np.broadcast_to(value, s.shape)
-        made.append(lambda p, j: singular(vals[p, j], label, where, zs[p], complex(s[p, j])))
+        made.append(lambda i: singular(vals[i], label, where, zs[point[i]], complex(s[i])))
         return value
 
     poch = partial(_poch1_rows, table=table)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         b_c = _entries(np.exp(2.0 * s * logq), k, lambda x: poch(x) * poch(k[1] / x) * pp,
                        poch, guard, twisted)
-        r = _assemble(np.array(rho)[:, None, None, None], *b_c).reshape(-1, 4, 4)
-    first[np.array([[t is not None] for t in rho_trips]) & (first < 0)] = len(made)
-    made.append(lambda p, j: SingularPointError(*rho_trips[p].args))
+        r = _assemble(np.array(rho)[pts, None, None], *b_c)
+    first[np.array([t is not None for t in rho_trips])[pts] & (first < 0)] = len(made)
+    made.append(lambda i: SingularPointError(*rho_trips[point[i]].args))
     at = np.flatnonzero(first >= 0).tolist()
     for i in at:  # made and logged in sample order
-        log.append((i, made[first.flat[i]](*divmod(i, s.shape[1]))))
+        log.append((i, made[first[i]](i)))
     r[at] = 0.0
     return {0: r}
 
@@ -195,17 +196,17 @@ def _r_stack(zs: list, params: tuple, twisted: bool, s: np.ndarray, log: list) -
 def _r_dyn(z, params, twisted: bool) -> DynMatrix:
     """One matrix-valued leaf: a sample that trips a guard holds zeros.  At
     one Params every sample reads the cached _r_array; per-point sequences of
-    z and params make a grid leaf whose block p is read at z[p] with
-    params[p], each read stacked by _r_stack."""
+    z and params make a grid leaf that reads a sample at point p at z[p]
+    with params[p], each read stacked by _r_stack."""
     if isinstance(params, Params):
-        def ev(s, need, log):
+        def ev(s, pts, need, log):
             args = [(complex(z), x, params, twisted) for x in s.tolist()]
             return {0: _stack(_sampled(_r_array, args, _R_TRIPPED, log))}
 
         return DynMatrix(2, {0: _R_PATTERN}, ev)
     zs, ps = [complex(x) for x in z], tuple(params)
-    return DynMatrix(2, {0: _R_PATTERN}, lambda s, need, log: _r_stack(
-        zs, ps, twisted, point_blocks(s, len(ps)), log), len(ps))
+    return DynMatrix(2, {0: _R_PATTERN}, lambda s, pts, need, log: _r_stack(
+        zs, ps, twisted, s, pts, log), len(ps))
 
 
 def _each(f, params):
@@ -215,7 +216,7 @@ def _each(f, params):
 
 def _diag(params, nlegs: int, entry) -> DynMatrix:
     """The diagonal leaf with entry(params, i) at flat index i; per-point
-    Params make it a grid leaf whose block p takes entry(params[p], i)."""
+    Params make it a grid leaf whose samples at point p read params[p]."""
     return DynMatrix.diagonal(nlegs, lambda i: _each(lambda p: entry(p, i), params))
 
 
@@ -293,9 +294,16 @@ def upsilon_ratio(s: complex, k: int, params: Params) -> complex:
     return ups_ratio(k, 0, params)(s)
 
 
+def _ups_diag(params, nlegs, num: dict, den: dict) -> DynMatrix:
+    """Diagonal matrix of crossing-scalar ratios; the shifts in numerator and
+    denominator are signed leg weights of the diagonal index."""
+    kn, kd = _leg_shifts(nlegs, num), _leg_shifts(nlegs, den)
+    return _diag(params, nlegs, lambda prm, i: ups_ratio(kn[i], kd[i], prm))
+
+
 def cross_gauge(params: Params) -> DynMatrix:
     """One-leg diagonal matrix G with entries upsilon(s)/upsilon(s + weight)."""
-    return _diag(params, 1, lambda prm, i: ups_ratio(0, weight(i), prm))
+    return _ups_diag(params, 1, {}, {1: +1})
 
 
 def trace_weight(params: Params) -> DynMatrix:
@@ -305,7 +313,7 @@ def trace_weight(params: Params) -> DynMatrix:
 
 def trace_weight_direct(params: Params) -> DynMatrix:
     """Equivalent direct form of N: entries upsilon(s - weight)/upsilon(s)."""
-    return _diag(params, 1, lambda prm, i: ups_ratio(-weight(i), 0, prm))
+    return _ups_diag(params, 1, {1: -1}, {})
 
 
 def gamma_twist(params: Params) -> DynMatrix:

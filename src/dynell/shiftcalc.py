@@ -22,36 +22,37 @@ Conventions used throughout the package:
 A DynMatrix is a d x d matrix (d = 2^nlegs) of skew-ring elements, held as
 a pattern and an evaluator.  ``masks`` maps each E-degree to the boolean
 d x d pattern of its structurally nonzero entries; a skew-ring element is a
-matrix on 0 legs.  ``ev(s, need, log)`` takes a 1-D complex array of n
-samples s, a demand {degree: boolean d x d mask} inside the pattern and a
-read's trip log, and returns {degree: complex (n, d, d) array}, slice i at
-s[i], exact on the demanded entries, zero off the pattern and finite
-elsewhere.  A leaf, a ``scale`` factor or an inverse that trips a guard at
-sample i appends (i, the SingularPointError, its traceback dropped) to the
-log and holds zeros, 1.0 or the identity there; every operation hands the
-log down as it is, as a shift keeps sample positions.  So a read's log
-lists its trips in the order evaluation met them.  Every operation works
-out from the patterns alone which entries of its operands the demanded
-entries read, and at which shifts of s, and evaluates only those, for the
-whole batch at once: a guarded entry or an inverse is evaluated only where
-a result reads it.  Scalar entry functions (``from_entries``, ``scale``) see
-one sample at a time; a leaf may evaluate its whole batch as one stack.
-``at``/``coeffs_at`` take a scalar s (a batch of one, read out as d x d
-arrays) or a sequence of samples, and note the log in a ``Trips`` record
-or, without one, raise its first trip.  Slice i depends on s[i] alone, bit
-for bit.  Arrays an evaluator keeps (constant leaves, cached inverses) are
-read-only, and so is what a scalar read returns.
+matrix on 0 legs.  ``ev(s, pts, need, log)`` takes a 1-D complex array of
+n samples s, their grid points pts, a demand {degree: boolean d x d mask}
+inside the pattern and a read's trip log, and returns {degree: complex
+(n, d, d) array}, slice i at s[i], exact on the demanded entries, zero off
+the pattern and finite elsewhere.  A leaf, a ``scale`` factor or an inverse
+that trips a guard at sample i appends (i, the SingularPointError, its
+traceback dropped) to the log and holds zeros, 1.0 or the identity there;
+every operation hands pts and the log down as they are, as a shift keeps
+positions.  So a read's log lists its trips in the order evaluation met
+them.  Every operation works out from the patterns alone which entries of
+its operands the demanded entries read, and at which shifts of s, and
+evaluates only those, for the whole batch at once: a guarded entry or an
+inverse is evaluated only where a result reads it.  Scalar entry functions
+(``from_entries``, ``scale``) see one sample at a time; a leaf may evaluate
+its whole batch as one stack.  ``at``/``coeffs_at`` take a scalar s (a
+batch of one, read out as d x d arrays) or a sequence of samples, and note
+the log in a ``Trips`` record or, without one, raise its first trip.  Slice
+i depends on s[i] alone, bit for bit.  Arrays an evaluator keeps (constant
+leaves, cached inverses) are read-only, and so is what a scalar read
+returns.
 
-The batch may run over the points of a grid: a grid read lays its samples
-out in P equal, point-major blocks, and as every operation maps sample i to
-sample i, block p holds point p's values.  A grid leaf evaluates block p
-with point p's data (``point_blocks`` rejects a batch that is not P equal
-blocks), and ``points`` records the P of the grid leaves a matrix holds (0
-for none); a single point is the batch of one.  ``from_entries`` and
-``scale`` take one entry or factor per point, and ``inv`` keeps the inverse
-and the trip at each (point, s) and inverts a read's new samples as one
-stack, read in equal point blocks padded with other samples of the read.  A
-grid read's point takes the first trip its block's samples logged.
+The batch may run over the points of a grid: a grid leaf evaluates sample
+i with the data of point pts[i], and any other leaf ignores pts.  ``points``
+records the P of the grid leaves a matrix holds (0 for none); a single
+point is the batch of one.  A read (``at``, ``coeffs_at``,
+``zero_weight_check``) lays its samples out in P equal, point-major blocks,
+from which ``point_index`` derives pts, rejecting any other layout.
+``from_entries`` and ``scale`` take one entry or factor per point, and
+``inv`` keeps the inverse and the trip at each (point, s) and evaluates and
+inverts exactly a read's new samples, as one stack.  A grid read's point
+takes the first trip its block's samples logged.
 
 Patterns are interned ``Pattern`` objects: read-only dicts of read-only
 masks, one object per distinct pattern, where the order of the degrees is
@@ -87,7 +88,7 @@ __all__ = [
     "promote_shifted_scalar",
     "zero_weight_check",
     "inv_guarded",
-    "point_blocks",
+    "point_index",
     "Trips",
 ]
 
@@ -205,12 +206,16 @@ def _derived(key, derive, *args):
     return value
 
 
-def point_blocks(s: np.ndarray, points: int) -> np.ndarray:
-    """The samples s of a grid read as a (points, m) array, one row per point;
-    raises ValueError unless s is points equal blocks."""
-    if len(s) % points:
-        raise ValueError(f"{len(s)} samples are not {points} equal point blocks")
-    return s.reshape(points, len(s) // points)
+@lru_cache(maxsize=256)
+def point_index(n: int, points: int) -> np.ndarray:
+    """The grid point of each of a read's n samples, laid out in points
+    equal, point-major blocks (read-only: every read of that layout shares
+    it); raises ValueError unless n is such blocks."""
+    if n % points:
+        raise ValueError(f"{n} samples are not {points} equal point blocks")
+    pts = np.repeat(np.arange(points), n // points)
+    pts.flags.writeable = False
+    return pts
 
 
 def _points(a: int, b: int) -> int:
@@ -406,8 +411,8 @@ class DynMatrix:
     def from_entries(cls, nlegs: int, fn) -> "DynMatrix":
         """fn(i, j) -> None (a structural zero), a number, a function of s,
         or a {E-degree: number or function of s} dict.  A list of numbers or
-        functions, one per grid point, makes a grid leaf: block p of a read
-        takes item p."""
+        functions, one per grid point, makes a grid leaf: a sample at point
+        p takes item p."""
         d = 1 << nlegs
         consts: dict[int, np.ndarray] = {}
         masks: dict[int, np.ndarray] = {}
@@ -434,27 +439,25 @@ class DynMatrix:
         for arr in consts.values():
             arr.flags.writeable = False
 
-        def ev(s, need, log):
+        def ev(s, pts, need, log):
             out = {}
-            rows = point_blocks(s, points or 1).tolist()
+            samples = list(zip(s.tolist(), pts.tolist() if points else [0] * len(s)))
             for k, n in need.items():
                 if not fns[k]:  # a read-only view, not n copies
                     out[k] = np.broadcast_to(consts[k], (len(s), d, d))
                     continue
                 wanted = n.reshape(-1)
-                todo = [(ij, f if isinstance(f, list) else [f] * len(rows))
+                todo = [(ij, f if isinstance(f, list) else [f] * (points or 1))
                         for ij, f in fns[k] if wanted[ij]]
                 out[k] = arr = consts[k][None].repeat(len(s), 0)
-                blocks = arr.reshape(len(rows), -1, d * d)
                 # one sample at a time, each entry in row-major order
-                for p, (xs, vals) in enumerate(zip(rows, blocks)):
-                    for j, (x, row) in enumerate(zip(xs, vals)):
-                        try:
-                            for ij, f in todo:
-                                row[ij] = f[p](x)
-                        except SingularPointError as exc:
-                            row[:] = consts[k].reshape(-1)
-                            log.append((p * len(xs) + j, exc.with_traceback(None)))
+                for i, ((x, p), row) in enumerate(zip(samples, arr.reshape(len(s), d * d))):
+                    try:
+                        for ij, f in todo:
+                            row[ij] = f[p](x)
+                    except SingularPointError as exc:
+                        row[:] = consts[k].reshape(-1)
+                        log.append((i, exc.with_traceback(None)))
             return out
 
         return cls(nlegs, masks, ev, points)
@@ -488,13 +491,13 @@ class DynMatrix:
         a, b = self, other
         pa, pb = a.masks, b.masks
 
-        def ev(s, need, log):
+        def ev(s, pts, need, log):
             need = _intern(need)
             need_a, need_b, pairs = _derived(
                 ("@", pa, pb, need), _matmul_plan, pa, pb, need
             )
-            va = a.ev(s, need_a, log)
-            vb = {da: b.ev(s + da, nb, log) for da, nb in need_b.items()}
+            va = a.ev(s, pts, need_a, log)
+            vb = {da: b.ev(s + da, pts, nb, log) for da, nb in need_b.items()}
             out: dict[int, np.ndarray] = {}
             for da, db in pairs:  # each term is fresh: sum in place
                 term = va[da] @ vb[da].pop(db)
@@ -514,13 +517,13 @@ class DynMatrix:
         terms = (self, other)
         pa, pb = self.masks, other.masks
 
-        def ev(s, need, log):
+        def ev(s, pts, need, log):
             need = _intern(need)
             plan = _derived(("+", pa, pb, need), _add_plan, pa, pb, need)
             out = {}
             for t, nt in zip(terms, plan):
                 if nt:
-                    for k, v in t.ev(s, nt, log).items():
+                    for k, v in t.ev(s, pts, nt, log).items():
                         out[k] = out[k] + v if k in out else v
             return out
 
@@ -532,19 +535,18 @@ class DynMatrix:
 
     def scale(self, factor) -> "DynMatrix":
         """Left-multiply every entry by a scalar (a number or a function of s),
-        or by a list of one per grid point: block p takes factor p.  Factors
-        are read per sample, before the matrix; a sample whose factor trips
-        a guard logs the trip and takes the factor 1.0."""
+        or by a list of one per grid point: a sample at point p takes factor
+        p.  Factors are read per sample, before the matrix; a sample whose
+        factor trips a guard logs the trip and takes the factor 1.0."""
         src = self
         grid = isinstance(factor, list)
         fs = [f if callable(f) else (lambda s, c=complex(f): c) for f in
               (factor if grid else [factor])]
 
-        def ev(s, need, log):
-            rows = point_blocks(s, len(fs)).tolist()
-            items = [(f, x) for f, row in zip(fs, rows) for x in row]
+        def ev(s, pts, need, log):
+            items = zip([fs[p] for p in pts.tolist()] if grid else fs * len(s), s.tolist())
             v = np.array(_sampled(lambda f, x: f(x), items, 1.0, log))[:, None, None]
-            return {k: v * arr for k, arr in src.ev(s, need, log).items()}
+            return {k: v * arr for k, arr in src.ev(s, pts, need, log).items()}
 
         points = _points(self.points, len(fs) if grid else 0)
         return DynMatrix(self.nlegs, self.masks, ev, points)
@@ -559,10 +561,10 @@ class DynMatrix:
         layout = (self.nlegs,) + key
         table = _derived(layout, _gather_table, self.nlegs, nlegs, sources)
 
-        def ev(s, need, log):
+        def ev(s, pts, need, log):
             need = _intern(need)
             plan = _derived((layout, p, need), _gather_plan, table, d, p, need)
-            vals = src.ev(s, plan, log)
+            vals = src.ev(s, pts, plan, log)
             n = len(s)
             out = {}
             for k in need:
@@ -634,11 +636,11 @@ class DynMatrix:
         groups = _derived(dressing, _shift_groups, *dressing[1:])
         src, d = self, self.dim
 
-        def ev(s, need, log):
+        def ev(s, pts, need, log):
             need = _intern(need)
             out = np.zeros((len(s), d, d), dtype=complex)
             for k, sel, nk in _derived((dressing, need), _shift_plan, groups, need):
-                np.copyto(out, src.ev(s + k, nk, log)[0], where=sel)
+                np.copyto(out, src.ev(s + k, pts, nk, log)[0], where=sel)
             return {0: out}
 
         return DynMatrix(self.nlegs, self.masks, ev, self.points)
@@ -680,7 +682,7 @@ class DynMatrix:
         if not self.masks:
             return {}
         log = []
-        vals = self.ev(xs.reshape(-1), self.masks, log)
+        vals = self.ev(xs.reshape(-1), point_index(xs.size, self.points or 1), self.masks, log)
         _settle(log, xs.size, trips)
         return vals if xs.ndim else {k: v[0] for k, v in vals.items()}
 
@@ -689,39 +691,30 @@ class DynMatrix:
 
         The inverse is itself a DynMatrix (evaluable at shifted s).  It keeps
         the inverse and the first trip at each (grid point, s) for later
-        reads.  A read evaluates the matrix at the samples it has not seen,
-        into a log of its own, in P equal point blocks: each point's new
-        samples, then its other samples of the read, in read order, up to the
-        largest point's new count.  Such a padding sample's value and trips
-        are dropped.  It inverts the new samples in one call to inv_guarded,
-        which sees the identity in place of each sample where the matrix
-        tripped, and logs those trips at the read's positions, then the kept
-        trip of each other sample that has one.
+        reads.  A read evaluates the matrix at exactly the samples it has not
+        seen, each once and with its point, into a log of its own, and
+        inverts them in one call to inv_guarded, which sees the identity in
+        place of each sample where the matrix tripped.  It logs those trips
+        at the read's positions, then the kept trip of each other sample
+        that has one.
         """
         self._require_function_valued("inverse")
         kept: dict[tuple, tuple] = {}  # (point, s) -> (inverse, trip or None)
         base = self
 
-        def ev(s, need, log):
-            rows = point_blocks(s, base.points or 1)
-            keys = [(p, x) for p, row in enumerate(rows.tolist()) for x in row]
+        def ev(s, pts, need, log):
+            keys = list(zip(pts.tolist(), s.tolist()))
             new: dict[tuple, int] = {}  # first positions, so in read order
             for i, key in enumerate(keys):
                 if key not in kept:
                     new.setdefault(key, i)
             at = list(new.values())
             if at:
-                is_new = np.zeros(len(s), dtype=bool)
-                is_new[at] = True
-                blocks = is_new.reshape(rows.shape)
-                order = np.argsort(~blocks, axis=1, kind="stable")[:, :blocks.sum(1).max()]
-                pick = (order + np.arange(0, len(s), rows.shape[1])[:, None]).reshape(-1)
                 own = []
-                vals = base.ev(s[pick], base.masks, own)
-                used = is_new[pick]
-                arrs = vals.get(0, np.zeros((len(pick), base.dim, base.dim)))[used]
-                own = [(at.index(pick[k]), exc) for k, exc in own if used[k]]
-                if own:
+                vals = base.ev(s[at], pts[at], base.masks, own)
+                arrs = vals.get(0, np.zeros((len(at), base.dim, base.dim)))
+                if own:  # a copy: the base may hand out arrays it keeps
+                    arrs = arrs.copy()
                     arrs[[j for j, _ in own]] = np.eye(base.dim)
                 arrs = inv_guarded(arrs, guard, own, " at s = {}", [x for _, x in new])
                 arrs.flags.writeable = False
@@ -794,7 +787,7 @@ def zero_weight_check(m: DynMatrix, samples, tol: float, trips: Trips | None = N
     if not need:
         return True
     xs, log = np.asarray(samples, dtype=complex).reshape(-1), []
-    vals = m.ev(xs, need, log)
+    vals = m.ev(xs, point_index(len(xs), m.points or 1), need, log)
     _settle(log, len(xs), trips)
     ok = np.ones(len(xs), dtype=bool)
     ok[[i for i, _ in log]] = False

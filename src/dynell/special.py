@@ -191,11 +191,11 @@ def _poch1(z: complex, base: complex, order: int) -> complex:
 
 
 def _poch1_rows(x: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """(x[i, j]; b_i) for every sample j of every point i in one broadcast:
-    table[i] is _powers(b_i, order_i) padded with zeros to the widest order,
-    and a padded factor 1 - x * 0 is exactly 1, so each product is _poch1's
-    to the last bit."""
-    return np.multiply.reduce(1.0 - x[..., None] * table[:, None, :], -1)
+    """(x[i]; b_i) for every sample i in one broadcast, x 1-D and aligned
+    with the rows of table: table[i] is _powers(b_i, order_i) padded with
+    zeros to the widest order, and a padded factor 1 - x * 0 is exactly 1, so
+    each product is _poch1's to the last bit."""
+    return np.multiply.reduce(1.0 - x[:, None] * table, -1)
 
 
 @lru_cache(maxsize=1 << 16)

@@ -411,11 +411,12 @@ class TestGridBatch:
                 assert skips == {name: POINT1_SKIPS[name]}
 
     def test_r_rows_do_the_same_work_at_3_and_25_points(self, monkeypatch):
-        # R-leaf evaluations, grid-leaf and inverse reads, and np.linalg.inv
-        # calls per row do not grow with the grid: each R-matrix family runs
-        # once over the whole grid, tripped points included
+        # R-leaf evaluations, R stacks, reads and np.linalg.inv calls per
+        # row do not grow with the grid: each R-matrix family runs once over
+        # the whole grid, tripped points included
         counts = {}
-        r_dyn, inv, blocks = checks._r_dyn, np.linalg.inv, shiftcalc.point_blocks
+        r_dyn, inv = checks._r_dyn, np.linalg.inv
+        stack, index = rmatrix._r_stack, shiftcalc.point_index
 
         def count(key, f):
             def counted(*args):
@@ -430,12 +431,12 @@ class TestGridBatch:
 
         monkeypatch.setattr(checks, "_r_dyn", counting_r_dyn)
         monkeypatch.setattr(np.linalg, "inv", count("inv", inv))
-        for module in (shiftcalc, rmatrix):
-            monkeypatch.setattr(module, "point_blocks", count("reads", blocks))
+        monkeypatch.setattr(rmatrix, "_r_stack", count("stack", stack))
+        monkeypatch.setattr(shiftcalc, "point_index", count("reads", index))
         for name in R_ROWS:
             work = []
             for n in (3, 25):
-                counts.update(r=0, inv=0, reads=0)
+                counts.update(r=0, stack=0, inv=0, reads=0)
                 run_suite(GridSpec(n_points=n, checks=(name,)))
                 work.append(dict(counts))
             assert work[0] == work[1], name
@@ -448,7 +449,7 @@ class TestGridBatch:
         def counting(*args, **kwargs):
             m = rand_matrix(*args, **kwargs)
             ev = m.ev
-            m.ev = lambda s, need, log: calls.append(len(s)) or ev(s, need, log)
+            m.ev = lambda s, pts, need, log: calls.append(len(s)) or ev(s, pts, need, log)
             return m
 
         monkeypatch.setattr(checks, "_rand_matrix", counting)

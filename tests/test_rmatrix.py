@@ -288,11 +288,12 @@ class TestStackedR:
         points = GridSpec().sample_points()
         ps = [pt.params for pt in points]
         s = np.array([pt.s + k for pt in points for k in (0, 1, -1, 2)])
+        pts = np.repeat(np.arange(len(points)), 4)
         for i in range(3):
             zs = [pt.zs[i] for pt in points]
             leaf = _r_dyn(zs, ps, twisted)
             log = []
-            vals = leaf.ev(s, leaf.masks, log)
+            vals = leaf.ev(s, pts, leaf.masks, log)
             assert log == []
             for j, r in enumerate(vals[0]):
                 p = j // 4
@@ -307,7 +308,7 @@ class TestStackedR:
         s = np.array([S0, 0.0, S0 + 1] * 3)
         leaf = _r_dyn(zs, [PARAMS] * 3, twisted)
         log = []
-        vals = leaf.ev(s, leaf.masks, log)
+        vals = leaf.ev(s, np.repeat(np.arange(3), 3), leaf.masks, log)
         trips = [None] * len(s)
         for i, exc in log:
             trips[i] = exc

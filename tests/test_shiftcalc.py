@@ -578,6 +578,8 @@ class TestGridLeaves:
         with pytest.raises(ValueError, match="not 2 equal point blocks"):
             grid.at(S_SAMPLES[:3])
         with pytest.raises(ValueError, match="not 2 equal point blocks"):
+            zero_weight_check(grid, S_SAMPLES[:3], 1e-12)
+        with pytest.raises(ValueError, match="not 2 equal point blocks"):
             grid.at(S_SAMPLES[0])
         dressed = grid.shift_row({1: +1}).transpose_leg(2) @ weight_shift_matrix(2, 2, -1)
         assert dressed.points == 2
@@ -599,17 +601,16 @@ class TestGridLeaves:
                 for p, block in enumerate(np.reshape(s, (2, -1))):
                     assert np.array_equal(got[p], invs[p].at(block))
 
-    def test_grid_inverse_evaluates_new_samples_only_in_equal_blocks(self):
+    def test_grid_inverse_evaluates_exactly_its_new_samples(self):
         leaf, seen = self.leaf(), []
         ev = leaf.ev
-        leaf.ev = lambda s, need, log: seen.append(len(s)) or ev(s, need, log)
+        leaf.ev = lambda s, pts, need, log: seen.append(len(s)) or ev(s, pts, need, log)
         inv = leaf.inv(1e-9)
         for s in self.INVERSE_READS:
             inv.at(s)
-        # 2 new, 2 new in equal blocks, 4 new, none new, then new samples at
-        # point 1 only, 2 of 2 and 1 of 3: point 0's block is padded with
-        # samples it has seen up to point 1's new count
-        assert seen == [2, 2, 4, 4, 2]
+        # 2 new, 2 new, 4 new, none new, then new samples at point 1 only,
+        # 2 of 2 and 1 of 3: each read evaluates its new samples alone
+        assert seen == [2, 2, 4, 2, 1]
 
     def test_first_grid_inverse_trip_is_the_first_in_point_major_order(self):
         # points 1 and 2 are singular at their own s; point 1's trip is first
@@ -718,16 +719,17 @@ class TestTripRecords:
         assert str(tr[0]).endswith(f" at s = {a}")
 
     def test_a_whole_batch_inverse_read_logs_new_trips_once_then_kept_ones(self):
-        # point 0 trips at BAD and at NEW; the second read has one new sample
-        # at point 0 and two at point 1, so point 0's block is padded with
-        # BAD, whose trip there is dropped: BAD's kept trip is logged once
+        # point 0 trips at BAD and at NEW; the second read evaluates its new
+        # samples alone (NEW at point 0, two at point 1), so BAD is not
+        # evaluated again and its kept trip is logged once, after NEW's
         bad, new, good = self.BAD, S_SAMPLES[2], S_SAMPLES[3]
         ratio = guarded_div(lambda s: 1.0, lambda s: (s - bad) * (s - new))
         inv = DynMatrix.diagonal(1, lambda i: [ratio, lambda s: 1.0]).inv(1e-6)
         first, log = [], []
-        inv.ev(np.array([bad, good]), inv.masks, first)
+        inv.ev(np.array([bad, good]), np.array([0, 1]), inv.masks, first)
         assert [i for i, _ in first] == [0]
-        got = inv.ev(np.array([bad, new, S_SAMPLES[4], S_SAMPLES[5]]), inv.masks, log)[0]
+        s, pts = np.array([bad, new, S_SAMPLES[4], S_SAMPLES[5]]), np.array([0, 0, 1, 1])
+        got = inv.ev(s, pts, inv.masks, log)[0]
         assert [i for i, _ in log] == [1, 0]
         assert str(log[0][1]).endswith(f"at s = {new}")
         assert log[1][1] is first[0][1]
@@ -744,7 +746,8 @@ class TestTripRecords:
         )
         base = DynMatrix.diagonal(1, lambda i: lambda s: seen.append(s) or s - self.BAD)
         good, log = S_SAMPLES[0], []
-        got = base.inv(1e-6).ev(np.array([self.BAD, good, self.BAD]), base.masks, log)[0]
+        s = np.array([self.BAD, good, self.BAD])
+        got = base.inv(1e-6).ev(s, np.zeros(3, int), base.masks, log)[0]
         assert seen == [self.BAD] * 2 + [good] * 2  # each entry once per sample
         assert inverted == [2]
         assert sorted(i for i, _ in log) == [0, 2]
@@ -811,7 +814,7 @@ class TestPatterns:
 
     def test_interned_masks_are_read_only(self):
         mask = np.array([[True, False], [False, False]])
-        m = DynMatrix(1, {0: mask}, lambda s, need, log: {0: np.ones((len(s), 2, 2))})
+        m = DynMatrix(1, {0: mask}, lambda s, pts, need, log: {0: np.ones((len(s), 2, 2))})
         assert mask.flags.writeable  # interning copies what it keeps
         assert m.masks[0].tolist() == mask.tolist()
         assert not m.masks[0].flags.writeable
@@ -842,10 +845,11 @@ class TestPatterns:
             1, 2
         ) + a.inv(1e-9).transpose_leg(2)
         xs = np.asarray(S_SAMPLES, dtype=complex)
+        pts = np.zeros(len(xs), int)
         plain = {k: m.copy() for k, m in c.masks.items()}
         log = []
-        got = c.ev(xs, plain, log)
-        want = c.ev(xs, c.masks, log)
+        got = c.ev(xs, pts, plain, log)
+        want = c.ev(xs, pts, c.masks, log)
         assert log == []
         assert list(got) == list(want)
         for k in want:
@@ -853,4 +857,4 @@ class TestPatterns:
         assert all(m.flags.writeable for m in plain.values())
         one = np.zeros((4, 4), dtype=bool)
         one[1, 2] = True
-        assert c.ev(xs, {0: one}, log)[0][:, 1, 2].tolist() == want[0][:, 1, 2].tolist()
+        assert c.ev(xs, pts, {0: one}, log)[0][:, 1, 2].tolist() == want[0][:, 1, 2].tolist()

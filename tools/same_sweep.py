@@ -19,8 +19,10 @@ the largest |log10| ratio of a residual between the two sides among reports
 that pass on both (a residual below double epsilon counts as epsilon), the
 smallest negative-control margin (residual over CONTROL_THRESHOLD) on each
 side, and the counts of reports whose residual or whose detail alone
-changed.  It exits 1 on any status change, a report
-present on one side only included.  It is the gate for a change that may
+changed.  Its last line totals the status, residual and detail-only
+changes over all the grids, so a sweep that moved nothing reads 0 three
+times there.  It exits 1 on any status change, a report present on one
+side only included.  It is the gate for a change that may
 move last bits of residuals but must keep every status; it needs no network
 access and is not part of the test suite.
 """
@@ -101,8 +103,9 @@ def _log_ratio(a: float, b: float) -> float:
     return abs(math.log10(max(b, eps) / max(a, eps)))
 
 
-def compare(label: str, old: list, new: list) -> int:
-    """Print one grid's comparison; return its number of status changes."""
+def compare(label: str, old: list, new: list) -> tuple:
+    """Print one grid's comparison; return its numbers of status, residual
+    and detail-only changes."""
     before = {(r["name"], r["point"]["index"]): r for r in old}
     after = {(r["name"], r["point"]["index"]): r for r in new}
     lines, flips, resid, detail, worst = [], 0, 0, 0, 0.0
@@ -127,7 +130,7 @@ def compare(label: str, old: list, new: list) -> int:
           f"residual changes {resid}  detail-only changes {detail}", flush=True)
     for line in lines:
         print(line, flush=True)
-    return flips
+    return flips, resid, detail
 
 
 def main(argv: list[str]) -> int:
@@ -139,8 +142,10 @@ def main(argv: list[str]) -> int:
         export(argv[0], ref)
         procs = start(ref), start(ROOT)
         old, new = (finish(p) for p in procs)
-    flips = sum(compare(label, a, b) for (label, _), a, b in zip(GRIDS, old, new))
-    print(f"{len(GRIDS)} grids, {sum(map(len, new))} reports: {flips} status changes")
+    counts = [compare(label, a, b) for (label, _), a, b in zip(GRIDS, old, new)]
+    flips, resid, detail = map(sum, zip(*counts))
+    print(f"{len(GRIDS)} grids, {sum(map(len, new))} reports: {flips} status changes, "
+          f"{resid} residual changes, {detail} detail-only changes")
     return 1 if flips else 0
 
 
