@@ -17,6 +17,9 @@ point's result is that trip, a SingularPointError.  Called at one point, a
 check raises it.  A scalar factor such as 1/n(z) is a lazy scale factor,
 read per sample with the side it scales and logging its trips as a leaf
 does; traceint alone calls n(z) as it builds, noting a trip before any read.
+Every theta, rho and n(z) a check reads, in these factors and in the scalar
+rows, comes from the grid cache of special, the one-argument functions'
+values and trips to the last bit.
 
 The suite runner alone turns residuals into CheckReports: it names each
 report after its row of the _SUITE table, takes the point from the row's
@@ -39,9 +42,10 @@ import numpy as np
 from .special import (
     Params,
     SingularPointError,
-    rho_norm,
-    theta,
-    unitarity_scalar,
+    _grid_fill,
+    _grid_n,
+    _grid_rho,
+    _grid_theta,
 )
 from .shiftcalc import (
     PAULI_Y,
@@ -56,6 +60,7 @@ from .shiftcalc import (
     zero_weight_check,
 )
 from .rmatrix import (
+    _R_SAMPLES,
     _g22,
     _diag,
     _guard,
@@ -174,7 +179,7 @@ def _scalar(f, zs, params) -> list:
 
 
 def _inv_n(z, params) -> complex:
-    return 1.0 / unitarity_scalar(z, params)
+    return 1.0 / _grid_n(z, params)
 
 
 def _laurent(cs, w):
@@ -246,40 +251,49 @@ def _over_points(check):
 # ---------------------------------------------------------------------------
 # special-function layer checks
 
+# Each of these checks forms its point's special-function values in one fill
+# of the grid cache per Params, then reads them in the order of its formula,
+# so a trip is the first its formula meets.
+
 def check_theta_quasiperiodicity(params: Params, zs) -> float:
+    _grid_fill(params, thetas=[*zs, *(params.p * z for z in zs)])
     worst = 0.0
     for z in zs:
-        t = theta(z, params)
-        worst = np.maximum(worst, abs(theta(params.p * z, params) + t / z) / abs(t))
+        t = _grid_theta(z, params)
+        worst = np.maximum(worst, abs(_grid_theta(params.p * z, params) + t / z) / abs(t))
     return float(worst)
 
 
 def check_theta_inversion(params: Params, zs) -> float:
+    _grid_fill(params, thetas=[*zs, *(1.0 / z for z in zs if z)])  # z = 0 raises below
     worst = 0.0
     for z in zs:
-        t = theta(z, params)
-        worst = np.maximum(worst, abs(theta(1.0 / z, params) + t / z) / abs(t))
+        t = _grid_theta(z, params)
+        worst = np.maximum(worst, abs(_grid_theta(1.0 / z, params) + t / z) / abs(t))
     return float(worst)
 
 
 def check_theta_truncation(params: Params, zs) -> float:
     """Doubling the truncation order moves theta and rho by < tolerance."""
     fine = replace(params, truncation_order=2 * params.truncation_order)
+    for prm in (params, fine):
+        _grid_fill(prm, thetas=zs, rhos=zs)
     worst = 0.0
     for z in zs:
-        t0, t1 = theta(z, params), theta(z, fine)
+        t0, t1 = _grid_theta(z, params), _grid_theta(z, fine)
         worst = np.maximum(worst, abs(t0 - t1) / max(1.0, abs(t0)))
-        r0, r1 = rho_norm(z, params), rho_norm(z, fine)
+        r0, r1 = _grid_rho(z, params), _grid_rho(z, fine)
         worst = np.maximum(worst, abs(r0 - r1) / max(1.0, abs(r0)))
     return float(worst)
 
 
 def check_n_periodicity(params: Params, zs) -> float:
     q4 = params.q**4
+    _grid_fill(params, ns=[*zs, *(q4 * z for z in zs)])
     worst = 0.0
     for z in zs:
-        n0 = unitarity_scalar(z, params)
-        n1 = unitarity_scalar(q4 * z, params)
+        n0 = _grid_n(z, params)
+        n1 = _grid_n(q4 * z, params)
         worst = np.maximum(worst, abs(n1 - n0) / abs(n0))
     return float(worst)
 
@@ -306,7 +320,7 @@ def check_unitarity(tr, params, s, z, twisted=False, corruption=None) -> list:
     if corruption == "rescale":
         a = a.scale(2.0)
     b = _r_dyn([1.0 / x for x in z], params, twisted).swap_legs(1, 2)
-    rhs = DynMatrix.identity(2).scale(_scalar(unitarity_scalar, z, params))
+    rhs = DynMatrix.identity(2).scale(_scalar(_grid_n, z, params))
     return _skew_resids(a @ b, rhs, s, tr)
 
 
@@ -392,11 +406,13 @@ def check_a_equals_n(params: Params, z1, z2) -> float:
     charge, the trace-reduction scalar a = n(alpha z2/z1) equals the exchange
     normalization from the pairing table (via q^4-periodicity of n)."""
     q = params.q
+    _grid_fill(params, ns=[q ** e(c) * z2 / z1 for _label, c, *exps in _A_EQ_N_ROWS
+                           for e in exps])
     worst = 0.0
     for _label, c, alpha_exp, norm_exp in _A_EQ_N_ROWS:
         alpha = q ** alpha_exp(c)
-        a = unitarity_scalar(alpha * z2 / z1, params)
-        norm = unitarity_scalar(q ** norm_exp(c) * z2 / z1, params)
+        a = _grid_n(alpha * z2 / z1, params)
+        norm = _grid_n(q ** norm_exp(c) * z2 / z1, params)
         worst = np.maximum(worst, abs(a - norm) / max(1.0, abs(a)))
     return float(worst)
 
@@ -572,7 +588,7 @@ def integration_trace_check(tr, params, s, z1, z2, u, corruption=None) -> list[f
     r12d = r(z1, z2).embed(3, (1, 2)).shift_row({1: -1, 2: -1})
     trace = (n1_shifted @ r21d @ conj_q @ r12d).partial_trace(1)
     args = [b / a for a, b in zip(z1, z2)]
-    rhs = (r_loc @ d_loc @ trace).scale([1.0 / u for u in tr.each(unitarity_scalar, args, params)])
+    rhs = (r_loc @ d_loc @ trace).scale([1.0 / u for u in tr.each(_grid_n, args, params)])
     return _skew_resids(lhs, rhs, s, tr)
 
 
@@ -931,7 +947,10 @@ def run_suite(grid: GridSpec) -> list[CheckReport]:
     reports are ordered by check name, then point index."""
     names = resolve_check_names(grid.checks)
     points = grid.sample_points()
-    return [rep for name in names for rep in _REGISTRY[name](grid, points)]
+    _R_SAMPLES.clear()  # the R-sample memo lives for one run
+    reports = [rep for name in names for rep in _REGISTRY[name](grid, points)]
+    _R_SAMPLES.clear()
+    return reports
 
 
 def summarize(reports) -> dict:

@@ -25,7 +25,10 @@ and, for the twist-gauged variant, the middle diagonal replaced by
 
 The diagonal leaves, gamma_twist and _r_dyn also take per-point Params (and
 z): a grid matrix (shiftcalc) that reads each sample with its point's data.
-A grid read of R is one stack (_r_stack); a one-point leaf reads _r_array.
+A one-point leaf reads _r_array.  A grid read of R goes through a memo of
+the samples evaluated in the run (_r_read), and evaluates the samples it
+has not seen in one stack (_r_stack), whose factors of z alone come from
+the grid cache of special.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .special import (Params, SingularPointError, _poch1, _poch1_rows, _powers, guarded,
-                      rho_norm, singular, theta)
+from .special import (Params, SingularPointError, _grid_fill, _grid_rho, _grid_theta, _poch1,
+                      _poch1_rows, _powers, guarded, rho_norm, singular, theta)
 from .shiftcalc import DynMatrix, _leg_shifts, _sampled, _stack, guarded_div
 
 __all__ = [
@@ -106,6 +109,20 @@ def _z_factors(z: complex, params: Params) -> tuple:
         return k, 0.0, exc.with_traceback(None)
 
 
+@lru_cache(maxsize=1 << 12)
+def _grid_z_factors(z: complex, params: Params) -> tuple:
+    """_z_factors(z, params) to the last bit, from one fill of the grid
+    cache."""
+    q2 = params.q * params.q
+    _grid_fill(params, thetas=(z, q2 * z, q2), rhos=(z,))
+    k = (z, params.p, params.q, q2, _grid_theta(z, params), _grid_theta(q2 * z, params),
+         _grid_theta(q2, params))
+    try:
+        return k, _grid_rho(z, params), None
+    except SingularPointError as exc:
+        return k, 0.0, exc.with_traceback(None)
+
+
 def _entries(w, k, th, poch, guard, twisted: bool) -> tuple:
     """b, bbar, c, cbar (module docstring) at w = q^{2s} from the factors k
     of _z_factors, with th, poch the theta and (.; p) of arguments with w;
@@ -162,12 +179,12 @@ def _grid_tables(params: tuple) -> tuple:
 
 
 def _r_stack(zs: list, params: tuple, twisted: bool, s, pts, log: list) -> dict:
-    """The evaluation of a grid read of R (shiftcalc), s[i] at point pts[i]:
-    the factors of z alone come once per point from the cached scalar
-    kernels (_z_factors), gathered by pts once per read, every factor with w
-    in one broadcast over the read, taken past the trips that the guards
-    then pick out and log."""
-    ks, rho, rho_trips = zip(*[_z_factors(z, x) for z, x in zip(zs, params)])
+    """The evaluation of R at samples s[i] at point pts[i] of a grid read:
+    the factors of z alone come once per point from the grid cache of rho
+    and Theta (_grid_z_factors), gathered by pts once per read, every factor
+    with w in one broadcast over the samples, taken past the trips that the
+    guards then pick out and log."""
+    ks, rho, rho_trips = zip(*[_grid_z_factors(z, x) for z, x in zip(zs, params)])
     k = [np.array(col)[pts] for col in zip(*ks)]
     table, pp, logq = (col[pts] for col in _grid_tables(params))
     # per sample, the first guard it trips: made[k](i) is guard k's trip at sample i
@@ -193,11 +210,44 @@ def _r_stack(zs: list, params: tuple, twisted: bool, s, pts, log: list) -> dict:
     return {0: r}
 
 
+# The R samples of grid reads: by (z, Params, twisted, s), R with zeros where
+# it tripped and the message of its trip or None.  run_suite empties it
+# before and after a run, and a read that would take it past _R_SAMPLES_SIZE
+# keys empties it first.
+_R_SAMPLES: dict = {}
+_R_SAMPLES_SIZE = 1 << 15
+
+
+def _r_read(zs: list, params: tuple, twisted: bool, s, pts, log: list) -> dict:
+    """A grid read of R through the sample memo: the distinct samples it has
+    not seen go through _r_stack once each, and every sample logs its trip,
+    a kept one included, in sample order."""
+    keys = [(zs[p], params[p], twisted, x) for p, x in zip(pts.tolist(), s.tolist())]
+    held = [_R_SAMPLES.get(k) for k in keys]
+    new = {}
+    for i, (k, h) in enumerate(zip(keys, held)):
+        if h is None and k not in new:
+            new[k] = i
+    if new:
+        at, logged = list(new.values()), []
+        r = _r_stack(zs, params, twisted, s[at], pts[at], logged)[0]
+        trips = dict(logged)
+        fresh = {k: (r[j], trips[j].args if j in trips else None) for j, k in enumerate(new)}
+        if len(_R_SAMPLES) + len(fresh) > _R_SAMPLES_SIZE:
+            _R_SAMPLES.clear()
+        _R_SAMPLES.update(fresh)
+        held = [h or fresh[k] for k, h in zip(keys, held)]
+    for i, (_, trip) in enumerate(held):
+        if trip:
+            log.append((i, SingularPointError(*trip)))
+    return {0: np.array([r for r, _ in held]).reshape(len(keys), 4, 4)}
+
+
 def _r_dyn(z, params, twisted: bool) -> DynMatrix:
     """One matrix-valued leaf: a sample that trips a guard holds zeros.  At
     one Params every sample reads the cached _r_array; per-point sequences of
     z and params make a grid leaf that reads a sample at point p at z[p]
-    with params[p], each read stacked by _r_stack."""
+    with params[p], each read through the sample memo (_r_read)."""
     if isinstance(params, Params):
         def ev(s, pts, need, log):
             args = [(complex(z), x, params, twisted) for x in s.tolist()]
@@ -205,7 +255,7 @@ def _r_dyn(z, params, twisted: bool) -> DynMatrix:
 
         return DynMatrix(2, {0: _R_PATTERN}, ev)
     zs, ps = [complex(x) for x in z], tuple(params)
-    return DynMatrix(2, {0: _R_PATTERN}, lambda s, pts, need, log: _r_stack(
+    return DynMatrix(2, {0: _R_PATTERN}, lambda s, pts, need, log: _r_read(
         zs, ps, twisted, s, pts, log), len(ps))
 
 

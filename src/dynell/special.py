@@ -16,6 +16,16 @@ rows.  Every product runs left to right in the same order as a loop over n1
 of np.prod over n2 would, so the result is the same to the last bit.  The
 cached power and factor tables are read-only.
 
+There is one kernel per workload shape.  theta, rho_norm, unitarity_scalar
+and qpochhammer evaluate one argument through the scalar kernels (_poch1,
+_poch2) and their lru caches.  Grid callers (rmatrix's grid reads of R and
+the checks) read theta, rho and n(z) = rho(z) rho(1/z) from the grid cache
+instead (_grid_fill, _grid_theta, _grid_rho, _grid_n), keyed by (z,
+Params): one fill forms all of a point's missing arguments at once, the
+two-base factors in row kernels (_poch2_rows: one row per argument, the
+steps of _poch2 row by row) and the one-base ones in _poch1_rows.  Values
+and guard trips equal the one-argument functions' to the last bit.
+
 Evaluations that land within ``singular_guard`` of a vanishing denominator
 raise SingularPointError instead of returning huge values; the R-matrix has
 genuine pole lattices and silent infinities would corrupt residuals.
@@ -194,8 +204,14 @@ def _poch1_rows(x: np.ndarray, table: np.ndarray) -> np.ndarray:
     """(x[i]; b_i) for every sample i in one broadcast, x 1-D and aligned
     with the rows of table: table[i] is _powers(b_i, order_i) padded with
     zeros to the widest order, and a padded factor 1 - x * 0 is exactly 1, so
-    each product is _poch1's to the last bit."""
+    each product is _poch1's to the last bit.  A 1-D table is one base's
+    powers, shared by every sample."""
     return np.multiply.reduce(1.0 - x[:, None] * table, -1)
+
+
+# the factors in one _poch2_rows broadcast (16 bytes each): the rows of 34
+# arguments at order 61, of 3 at order 200
+_ROW_FACTORS = 1 << 16
 
 
 @lru_cache(maxsize=1 << 16)
@@ -220,6 +236,26 @@ def _poch2(z: complex, b1: complex, b2: complex, order: int) -> complex:
     # multiplied into 1, not started from the first row: 1 * row can differ
     # from row in the sign of a zero part
     return complex(np.prod(rows, initial=1.0 + 0.0j))
+
+
+def _poch2_rows(xs: np.ndarray, b1: complex, b2: complex, order: int) -> np.ndarray:
+    """(x; b1, b2) for every x of the 1-D xs in one broadcast, one row of
+    factors per argument: each row takes _poch2's steps in _poch2's order,
+    so each product is _poch2's to the last bit.  Rows beyond a buffer of
+    _ROW_FACTORS factors go to further broadcasts."""
+    table, lengths, offsets = _poch2_table(b2, order)
+    out = np.empty(len(xs), dtype=complex)
+    fit = max(1, _ROW_FACTORS // len(table))
+    for i in range(0, len(xs), fit):
+        steps = np.empty((len(xs[i:i + fit]), order + 1), dtype=complex)
+        steps[:, 0] = xs[i:i + fit]
+        steps[:, 1:] = b1
+        f = np.repeat(np.cumprod(steps, axis=1)[:, :order], lengths, axis=1)
+        f *= table
+        np.subtract(1.0, f, out=f)
+        rows = np.multiply.reduceat(f, offsets, axis=1)
+        np.multiply.reduce(rows, axis=1, initial=1.0 + 0.0j, out=out[i:i + fit])
+    return out
 
 
 def qpochhammer(z: complex, bases, order: int) -> complex:
@@ -290,3 +326,82 @@ def unitarity_scalar(z: complex, params: Params) -> complex:
     """rho(z) * rho(1/z); symmetric in z <-> 1/z and q^4-periodic."""
     z = complex(z)
     return rho_norm(z, params) * rho_norm(1.0 / z, params)
+
+
+# The grid cache: by (z, Params), [Theta(z), rho(z) or the SingularPointError
+# of its guards], None where not formed yet.  A fill that would take it past
+# _GRID_SIZE keys empties it first.
+_GRID: dict = {}
+_GRID_SIZE = 1 << 14
+_UNFORMED = (None, None)
+_RHO_DENOMINATORS = ("(p q^2/z; p, q^4)", "(z; p, q^4)", "(q^4 z; p, q^4)")
+
+
+def _grid_fill(params: Params, thetas=(), rhos=(), ns=()) -> None:
+    """Form what the grid cache lacks of Theta at each z of thetas, and of
+    rho at each z of rhos and at z and 1/z for each z of ns (what n(z)
+    reads), all at one Params: the one-base factors in one _poch1_rows
+    broadcast, the two-base ones in one _poch2_rows call, combined and
+    guarded in Python complex arithmetic as theta and rho_norm do, so each
+    value is theirs to the last bit.  A zero z is left to the readers, which
+    raise for it."""
+    rhos = [*map(complex, rhos), *(x for z in map(complex, ns) if z for x in (z, 1.0 / z))]
+    th = [z for z in dict.fromkeys(map(complex, thetas))
+          if z and _GRID.get((z, params), _UNFORMED)[0] is None]
+    rh = [z for z in dict.fromkeys(rhos) if z and _GRID.get((z, params), _UNFORMED)[1] is None]
+    if not (th or rh):
+        return
+    if len(_GRID) + len(th) + len(rh) > _GRID_SIZE:
+        _GRID.clear()
+    p, q, n = params.p, params.q, params.truncation_order
+    if th:
+        f = _poch1_rows(np.array(th + [p / z for z in th] + [p]), _powers(p, n)).tolist()
+        for z, a, b in zip(th, f, f[len(th):]):
+            _GRID.setdefault((z, params), [None, None])[0] = a * b * f[-1]
+    if rh:
+        q2, q4 = q * q, q * q * q * q
+        # rho_norm's six factors of each z: its denominator's, then its numerator's
+        args = [(p * q2 / z, z, q4 * z, q2 * z, p / z, p * q4 / z) for z in rh]
+        f = _poch2_rows(np.array(args).reshape(-1), p, q4, n).tolist()
+        for i, z in enumerate(rh):
+            d1, d2, d3, n1, n2, n3 = f[6 * i:6 * i + 6]
+            trip = next((singular(v, label, " at z = {}", z) for label, v in zip(
+                _RHO_DENOMINATORS, (d1, d2, d3)) if abs(v) < params.singular_guard), None)
+            value = trip or n1**2 * n2 * n3 / (d1**2 * d2 * d3) / params.q_half
+            _GRID.setdefault((z, params), [None, None])[1] = value
+
+
+def _grid_theta(z: complex, params: Params) -> complex:
+    """theta(z, params) to the last bit, read from the grid cache."""
+    z = complex(z)
+    if z == 0:
+        raise ValueError("theta undefined at z = 0")
+    value = _GRID.get((z, params), _UNFORMED)[0]
+    if value is None:
+        _grid_fill(params, thetas=(z,))
+        value = _GRID[z, params][0]
+    return value
+
+
+def _grid_rho(z: complex, params: Params) -> complex:
+    """rho_norm(z, params) to the last bit, read from the grid cache; raises
+    the same SingularPointError."""
+    z = complex(z)
+    if z == 0:
+        raise ValueError("rho_norm undefined at z = 0")
+    value = _GRID.get((z, params), _UNFORMED)[1]
+    if value is None:
+        _grid_fill(params, rhos=(z,))
+        value = _GRID[z, params][1]
+    if isinstance(value, SingularPointError):
+        raise SingularPointError(*value.args)
+    return value
+
+
+def _grid_n(z: complex, params: Params) -> complex:
+    """unitarity_scalar(z, params) to the last bit, read from the grid cache
+    (rho at z and 1/z formed in one fill)."""
+    z = complex(z)
+    if z and _GRID.get((z, params), _UNFORMED)[1] is None:
+        _grid_fill(params, ns=(z,))
+    return _grid_rho(z, params) * _grid_rho(1.0 / z, params)

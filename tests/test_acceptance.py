@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dynell import Params, RPoint, build_r_twisted, shiftcalc, twist_of_r
+from dynell import Params, RPoint, build_r_twisted, rmatrix, shiftcalc, special, twist_of_r
 from dynell.checks import (
     CONTROL_THRESHOLD,
     GridSpec,
@@ -53,8 +53,11 @@ TOL = GRID.tolerance
 
 
 def _clear_caches():
-    for fn in (_powers, _poch1, _poch2_table, _poch2, _theta, _r_array):
+    for fn in (_powers, _poch1, _poch2_table, _poch2, _theta, _r_array,
+               rmatrix._grid_z_factors):
         fn.cache_clear()
+    special._GRID.clear()
+    rmatrix._R_SAMPLES.clear()
     # the interned patterns and what is derived from them, so each criterion
     # still times a cold start
     shiftcalc._PATTERNS.clear()

@@ -508,11 +508,43 @@ class TestRepeatedWork:
         assert info.misses == info.currsize == 1246  # distinct (Params, s) at seed 0
         assert summarize(reports) == {"pass": 971, "fail": 0, "skipped": 29}
 
+    def test_each_distinct_r_sample_and_grid_rho_is_formed_once(self, monkeypatch):
+        read, evaluated, rows = [], [], []
+        r_read, r_stack, poch2_rows = rmatrix._r_read, rmatrix._r_stack, special._poch2_rows
+
+        def samples(zs, params, twisted, s, pts):
+            return [(zs[p], params[p], twisted, x) for p, x in zip(pts.tolist(), s.tolist())]
+
+        def reading(zs, params, twisted, s, pts, log):
+            read.extend(samples(zs, params, twisted, s, pts))
+            return r_read(zs, params, twisted, s, pts, log)
+
+        def stacking(zs, params, twisted, s, pts, log):
+            evaluated.extend(samples(zs, params, twisted, s, pts))
+            return r_stack(zs, params, twisted, s, pts, log)
+
+        monkeypatch.setattr(rmatrix, "_r_read", reading)
+        monkeypatch.setattr(rmatrix, "_r_stack", stacking)
+        monkeypatch.setattr(special, "_poch2_rows", lambda xs, *a: rows.append(len(xs)) or
+                            poch2_rows(xs, *a))
+        special._GRID.clear()
+        rmatrix._grid_z_factors.cache_clear()
+        reports = run_suite(GRID)
+        # 4,127 R samples in 148 grid reads, 2,001 of them distinct
+        assert len(read) == 4127
+        assert len(evaluated) == len(set(evaluated)) == len(set(read)) == 2001
+        # rho's six two-base rows once per distinct grid (z, Params): 832 at seed 0
+        rhos = [key for key, (_, rho) in special._GRID.items() if rho is not None]
+        assert sum(rows) == 6 * len(rhos) == 6 * 832
+        assert summarize(reports) == {"pass": 971, "fail": 0, "skipped": 29}
+
     def test_a_cold_pass_builds_each_kernel_table_once(self):
         tables = (special._powers, special._poch2_table)
         for f in tables + (special._poch1, special._poch2, special._theta,
-                           rmatrix._z_factors, rmatrix._grid_tables):
+                           rmatrix._z_factors, rmatrix._grid_z_factors, rmatrix._grid_tables):
             f.cache_clear()
+        special._GRID.clear()
+        rmatrix._R_SAMPLES.clear()
         run_suite(GRID)
         for f in tables:
             info = f.cache_info()

@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from dynell import RPoint, build_r
 from dynell.checks import GridSpec, format_complex, run_suite
 from dynell.cli import main, parse_complex
-from dynell.rmatrix import _g22, _grid_tables, _z_factors
-from dynell.special import _poch2_table, _powers
+from dynell.rmatrix import _g22, _grid_tables, _grid_z_factors, _z_factors
+from dynell.special import _GRID, _poch2_table, _powers
 
 
 class TestComplexLiterals:
@@ -206,9 +207,14 @@ class TestCheckCommand:
         cold = subprocess.run([sys.executable, "-m", "dynell"] + args, env=env,
                               cwd=tmp_path, capture_output=True, timeout=300)
         run_suite(GridSpec(seed=1, n_points=3))
+        # a grid pass reads R's z factors through the grid cache, so a
+        # one-point read of R fills _z_factors
+        pt = GridSpec(seed=1, n_points=1).sample_points()[0]
+        build_r(RPoint(pt.zs[0], pt.s, pt.params)).at(pt.s)
         # the kernel, R-factor and gauge caches are among those filled
-        for cache in (_powers, _poch2_table, _z_factors, _grid_tables, _g22):
+        for cache in (_powers, _poch2_table, _z_factors, _grid_z_factors, _grid_tables, _g22):
             assert cache.cache_info().currsize, cache
+        assert _GRID
         monkeypatch.delenv("DYNELL_CONFIG", raising=False)
         warm = tmp_path / "warm.json"
         assert main(args + ["--output", str(warm)]) == cold.returncode

@@ -25,6 +25,7 @@ from dynell import (
     upsilon_ratio,
     zero_weight_check,
 )
+from dynell import rmatrix
 from dynell.checks import GridSpec
 from dynell.rmatrix import _R_PATTERN, _g22, _qpow, _r_array, _r_dyn, dyn_w, ups_ratio
 from dynell.shiftcalc import PAULI_Y, guarded_div, shift_scalar, weight
@@ -328,3 +329,27 @@ class TestStackedR:
         tripped = [t is not None for t in trips]
         assert not vals[0][tripped].any()
         assert vals[0][[0, 2]].all(axis=0)[_R_PATTERN].all()
+
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_a_kept_sample_is_not_evaluated_again_and_logs_its_trip(self, twisted, monkeypatch):
+        # the points of the test above; a second read holds the first's
+        # samples in another order, one of them twice
+        zs = [Z0, 1 / PARAMS.q**2, 1.0 + 0j]
+        s = np.array([S0, 0.0, S0 + 1] * 3)
+        pts = np.repeat(np.arange(3), 3)
+        stacked, stack = [], rmatrix._r_stack
+        monkeypatch.setattr(rmatrix, "_r_stack", lambda *a: stacked.append(len(a[3])) or stack(*a))
+        monkeypatch.setattr(rmatrix, "_R_SAMPLES", {})
+        leaf = _r_dyn(zs, [PARAMS] * 3, twisted)
+        first, second = [], []
+        vals = leaf.ev(s, pts, leaf.masks, first)[0]
+        order = [8, 7, 6, 5, 4, 3, 2, 1, 0, 4]
+        again = leaf.ev(s[order], pts[order], leaf.masks, second)[0]
+        assert stacked == [9]
+        assert again.tobytes() == vals[order].tobytes()
+        trips = {i: str(exc) for i, exc in first}
+        assert len(trips) == 7
+        assert [(i, str(exc)) for i, exc in second] == [
+            (i, trips[k]) for i, k in enumerate(order) if k in trips]
+        # every logged trip is an error of its own
+        assert len({id(exc) for _, exc in first + second}) == len(first) + len(second)

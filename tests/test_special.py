@@ -12,8 +12,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dynell import Params, SingularPointError, qpochhammer, rho_norm, theta, unitarity_scalar
+from dynell import special
 from dynell.rmatrix import _r_array
-from dynell.special import _poch1, _poch1_rows, _poch2, _poch2_table, _powers
+from dynell.special import (_GRID, _grid_fill, _grid_n, _grid_rho, _grid_theta, _poch1,
+                            _poch1_rows, _poch2, _poch2_rows, _poch2_table, _powers)
 
 from helpers import make_params
 
@@ -125,6 +127,22 @@ class TestKernels:
         assert got.view(float).tobytes() == want.view(float).tobytes()
         assert (got[:, 0] == 1.0).all() and (got[:, 1] == 0.0).all()
 
+    @pytest.mark.parametrize("rows", (1, 6, 96))
+    def test_rows_equal_the_two_base_product_bit_for_bit(self, rows):
+        # one call per order, orders 1-200 with |p| up to 0.85, a zero
+        # argument in every call of more than one row
+        rng = np.random.default_rng(rows)
+        orders = range(1, 201) if rows < 96 else (1, 2, 3, 15, 61, 120)
+        for order in orders:
+            p = complex(rng.uniform(0.0, 0.85))
+            q4 = complex(rng.uniform(0.4, 0.8) ** 8)
+            x = rng.normal(size=rows) + 1j * rng.normal(size=rows)
+            x *= rng.uniform(0.1, 3.0, size=rows)
+            x[1:2] = 0.0
+            got = _poch2_rows(x, p, q4, order)
+            want = np.array([_poch2.__wrapped__(v, p, q4, order) for v in x.tolist()])
+            assert got.view(float).tobytes() == want.view(float).tobytes(), order
+
     def test_cached_arrays_are_read_only(self):
         params = make_params()
         arrays = (
@@ -224,6 +242,69 @@ class TestUnitarityScalar:
         params = make_params()
         lhs = rho_norm(Z0, params) * rho_norm(1 / Z0, params)
         assert lhs == unitarity_scalar(Z0, params)
+
+
+def _outcome(f, *args):
+    """The bytes of f's value, or the message of its SingularPointError."""
+    try:
+        value = f(*args)
+    except SingularPointError as exc:
+        return str(exc)
+    return np.array([value]).view(float).tobytes()
+
+
+class TestGridCache:
+    """The grid readers give the one-point functions' values and trips to
+    the last bit, from one fill per Params or from a fill of their own."""
+
+    def setup_method(self):
+        _GRID.clear()
+
+    def test_values_equal_the_one_point_functions_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for q_half, p in ((0.6855654600401044, 0.31), (0.45, 0.05), (0.75, 0.6), (0.55, 0.85)):
+            params = Params.make(q_half, p)
+            r = np.exp(rng.uniform(np.log(0.55), np.log(1.9), 8))
+            zs = (r * np.exp(2j * np.pi * rng.uniform(size=8))).tolist()
+            zs += [1.0 + 0j, 1 / params.q**4, params.q**-2]  # on rho's and Theta's zeros
+            for fill in (True, False):
+                _GRID.clear()
+                if fill:
+                    _grid_fill(params, thetas=zs, rhos=zs, ns=zs)
+                for z in zs:
+                    assert _outcome(_grid_theta, z, params) == _outcome(theta, z, params)
+                    assert _outcome(_grid_rho, z, params) == _outcome(rho_norm, z, params)
+                    assert _outcome(_grid_n, z, params) == _outcome(unitarity_scalar, z, params)
+
+    def test_a_guarded_argument_gives_the_same_trip(self):
+        params = make_params()
+        for z in (1.0, 1.0 / params.q**4):
+            for one_point, grid in ((rho_norm, _grid_rho), (unitarity_scalar, _grid_n)):
+                with pytest.raises(SingularPointError) as want:
+                    one_point(z, params)
+                for _ in range(2):  # formed once, raised afresh at every read
+                    with pytest.raises(SingularPointError) as got:
+                        grid(z, params)
+                    assert str(got.value) == str(want.value)
+                    assert "below guard at z = " in str(got.value)
+
+    def test_zero_raises_value_error(self):
+        params = make_params()
+        _grid_fill(params, thetas=[0j], rhos=[0j], ns=[0j])  # left to the readers
+        assert (0j, params) not in _GRID
+        for grid, name in ((_grid_theta, "theta"), (_grid_rho, "rho_norm"), (_grid_n, "rho_norm")):
+            with pytest.raises(ValueError, match=f"^{name} undefined at z = 0$"):
+                grid(0.0, params)
+
+    def test_the_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(special, "_GRID_SIZE", 4)
+        params = make_params()
+        zs = [0.6 + 0.1j * k for k in range(6)]
+        for z in zs:
+            _grid_fill(params, thetas=[z], rhos=[z])
+            assert len(_GRID) <= 4
+        _grid_fill(params, rhos=zs)  # more than fit: each is still formed
+        assert [_grid_rho(z, params) for z in zs] == [rho_norm(z, params) for z in zs]
 
 
 class TestParams:

@@ -37,6 +37,7 @@ CHECK_SETTINGS = (
     "--checks cor22chain --seed 9",
     "--p 0.8 --points 5 --seed 17",
     "--p 0.85 --points 4 --seed 12 --truncation-order 200",
+    "--p 0.85 --points 4 --seed 13 --truncation-order 200",
 )
 
 COMMANDS = (
