@@ -17,9 +17,9 @@ point's result is that trip, a SingularPointError.  Called at one point, a
 check raises it.  A scalar factor such as 1/n(z) is a lazy scale factor,
 read per sample with the side it scales and logging its trips as a leaf
 does; traceint alone calls n(z) as it builds, noting a trip before any read.
-Every theta, rho and n(z) a check reads, in these factors and in the scalar
-rows, comes from the grid cache of special, the one-argument functions'
-values and trips to the last bit.
+A check reads every theta, rho and n(z), in these factors and in the scalar
+rows, through theta, rho_norm and unitarity_scalar after a fill of the
+value cache of special (_grid_fill), so each comes from the row kernels.
 
 The suite runner alone turns residuals into CheckReports: it names each
 report after its row of the _SUITE table, takes the point from the row's
@@ -43,9 +43,9 @@ from .special import (
     Params,
     SingularPointError,
     _grid_fill,
-    _grid_n,
-    _grid_rho,
-    _grid_theta,
+    rho_norm,
+    theta,
+    unitarity_scalar,
 )
 from .shiftcalc import (
     PAULI_Y,
@@ -178,8 +178,14 @@ def _scalar(f, zs, params) -> list:
     return [lambda s, z=z, p=p: f(z, p) for z, p in zip(zs, params)]
 
 
+def _n(z, params) -> complex:
+    """n(z), its rho at z and 1/z formed in one fill."""
+    _grid_fill(params, ns=(z,))
+    return unitarity_scalar(z, params)
+
+
 def _inv_n(z, params) -> complex:
-    return 1.0 / _grid_n(z, params)
+    return 1.0 / _n(z, params)
 
 
 def _laurent(cs, w):
@@ -252,15 +258,15 @@ def _over_points(check):
 # special-function layer checks
 
 # Each of these checks forms its point's special-function values in one fill
-# of the grid cache per Params, then reads them in the order of its formula,
+# of the value cache per Params, then reads them in the order of its formula,
 # so a trip is the first its formula meets.
 
 def check_theta_quasiperiodicity(params: Params, zs) -> float:
     _grid_fill(params, thetas=[*zs, *(params.p * z for z in zs)])
     worst = 0.0
     for z in zs:
-        t = _grid_theta(z, params)
-        worst = np.maximum(worst, abs(_grid_theta(params.p * z, params) + t / z) / abs(t))
+        t = theta(z, params)
+        worst = np.maximum(worst, abs(theta(params.p * z, params) + t / z) / abs(t))
     return float(worst)
 
 
@@ -268,8 +274,8 @@ def check_theta_inversion(params: Params, zs) -> float:
     _grid_fill(params, thetas=[*zs, *(1.0 / z for z in zs if z)])  # z = 0 raises below
     worst = 0.0
     for z in zs:
-        t = _grid_theta(z, params)
-        worst = np.maximum(worst, abs(_grid_theta(1.0 / z, params) + t / z) / abs(t))
+        t = theta(z, params)
+        worst = np.maximum(worst, abs(theta(1.0 / z, params) + t / z) / abs(t))
     return float(worst)
 
 
@@ -280,9 +286,9 @@ def check_theta_truncation(params: Params, zs) -> float:
         _grid_fill(prm, thetas=zs, rhos=zs)
     worst = 0.0
     for z in zs:
-        t0, t1 = _grid_theta(z, params), _grid_theta(z, fine)
+        t0, t1 = theta(z, params), theta(z, fine)
         worst = np.maximum(worst, abs(t0 - t1) / max(1.0, abs(t0)))
-        r0, r1 = _grid_rho(z, params), _grid_rho(z, fine)
+        r0, r1 = rho_norm(z, params), rho_norm(z, fine)
         worst = np.maximum(worst, abs(r0 - r1) / max(1.0, abs(r0)))
     return float(worst)
 
@@ -292,8 +298,8 @@ def check_n_periodicity(params: Params, zs) -> float:
     _grid_fill(params, ns=[*zs, *(q4 * z for z in zs)])
     worst = 0.0
     for z in zs:
-        n0 = _grid_n(z, params)
-        n1 = _grid_n(q4 * z, params)
+        n0 = unitarity_scalar(z, params)
+        n1 = unitarity_scalar(q4 * z, params)
         worst = np.maximum(worst, abs(n1 - n0) / abs(n0))
     return float(worst)
 
@@ -320,7 +326,7 @@ def check_unitarity(tr, params, s, z, twisted=False, corruption=None) -> list:
     if corruption == "rescale":
         a = a.scale(2.0)
     b = _r_dyn([1.0 / x for x in z], params, twisted).swap_legs(1, 2)
-    rhs = DynMatrix.identity(2).scale(_scalar(_grid_n, z, params))
+    rhs = DynMatrix.identity(2).scale(_scalar(_n, z, params))
     return _skew_resids(a @ b, rhs, s, tr)
 
 
@@ -411,8 +417,8 @@ def check_a_equals_n(params: Params, z1, z2) -> float:
     worst = 0.0
     for _label, c, alpha_exp, norm_exp in _A_EQ_N_ROWS:
         alpha = q ** alpha_exp(c)
-        a = _grid_n(alpha * z2 / z1, params)
-        norm = _grid_n(q ** norm_exp(c) * z2 / z1, params)
+        a = unitarity_scalar(alpha * z2 / z1, params)
+        norm = unitarity_scalar(q ** norm_exp(c) * z2 / z1, params)
         worst = np.maximum(worst, abs(a - norm) / max(1.0, abs(a)))
     return float(worst)
 
@@ -588,7 +594,7 @@ def integration_trace_check(tr, params, s, z1, z2, u, corruption=None) -> list[f
     r12d = r(z1, z2).embed(3, (1, 2)).shift_row({1: -1, 2: -1})
     trace = (n1_shifted @ r21d @ conj_q @ r12d).partial_trace(1)
     args = [b / a for a, b in zip(z1, z2)]
-    rhs = (r_loc @ d_loc @ trace).scale([1.0 / u for u in tr.each(_grid_n, args, params)])
+    rhs = (r_loc @ d_loc @ trace).scale([1.0 / u for u in tr.each(_n, args, params)])
     return _skew_resids(lhs, rhs, s, tr)
 
 

@@ -27,8 +27,10 @@ The diagonal leaves, gamma_twist and _r_dyn also take per-point Params (and
 z): a grid matrix (shiftcalc) that reads each sample with its point's data.
 A one-point leaf reads _r_array.  A grid read of R goes through a memo of
 the samples evaluated in the run (_r_read), and evaluates the samples it
-has not seen in one stack (_r_stack), whose factors of z alone come from
-the grid cache of special.
+has not seen in one stack (_r_stack).  Both read rho(z), Theta(z),
+Theta(q^2 z) and Theta(q^2) through theta and rho_norm; the stack fills the
+value cache of special with them first (_grid_z_factors), and forms its
+Theta of arguments with w in its own broadcast.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .special import (Params, SingularPointError, _grid_fill, _grid_rho, _grid_theta, _poch1,
-                      _poch1_rows, _powers, guarded, rho_norm, singular, theta)
+from .special import (Params, SingularPointError, _grid_fill, _poch1, _poch1_rows, _powers,
+                      guarded, rho_norm, singular, theta)
 from .shiftcalc import DynMatrix, _leg_shifts, _sampled, _stack, guarded_div
 
 __all__ = [
@@ -111,16 +113,11 @@ def _z_factors(z: complex, params: Params) -> tuple:
 
 @lru_cache(maxsize=1 << 12)
 def _grid_z_factors(z: complex, params: Params) -> tuple:
-    """_z_factors(z, params) to the last bit, from one fill of the grid
-    cache."""
+    """_z_factors(z, params), its Theta and rho formed in one fill of the
+    value cache of special."""
     q2 = params.q * params.q
     _grid_fill(params, thetas=(z, q2 * z, q2), rhos=(z,))
-    k = (z, params.p, params.q, q2, _grid_theta(z, params), _grid_theta(q2 * z, params),
-         _grid_theta(q2, params))
-    try:
-        return k, _grid_rho(z, params), None
-    except SingularPointError as exc:
-        return k, 0.0, exc.with_traceback(None)
+    return _z_factors(z, params)
 
 
 def _entries(w, k, th, poch, guard, twisted: bool) -> tuple:
@@ -180,7 +177,7 @@ def _grid_tables(params: tuple) -> tuple:
 
 def _r_stack(zs: list, params: tuple, twisted: bool, s, pts, log: list) -> dict:
     """The evaluation of R at samples s[i] at point pts[i] of a grid read:
-    the factors of z alone come once per point from the grid cache of rho
+    the factors of z alone come once per point from the value cache of rho
     and Theta (_grid_z_factors), gathered by pts once per read, every factor
     with w in one broadcast over the samples, taken past the trips that the
     guards then pick out and log."""

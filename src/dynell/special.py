@@ -16,15 +16,17 @@ rows.  Every product runs left to right in the same order as a loop over n1
 of np.prod over n2 would, so the result is the same to the last bit.  The
 cached power and factor tables are read-only.
 
-There is one kernel per workload shape.  theta, rho_norm, unitarity_scalar
-and qpochhammer evaluate one argument through the scalar kernels (_poch1,
-_poch2) and their lru caches.  Grid callers (rmatrix's grid reads of R and
-the checks) read theta, rho and n(z) = rho(z) rho(1/z) from the grid cache
-instead (_grid_fill, _grid_theta, _grid_rho, _grid_n), keyed by (z,
-Params): one fill forms all of a point's missing arguments at once, the
-two-base factors in row kernels (_poch2_rows: one row per argument, the
-steps of _poch2 row by row) and the one-base ones in _poch1_rows.  Values
-and guard trips equal the one-argument functions' to the last bit.
+theta, rho_norm and unitarity_scalar are the only readers of Theta, rho and
+n(z) = rho(z) rho(1/z), through one bounded value cache keyed by (z, Params)
+that holds Theta(z) and rho(z) or the SingularPointError of rho's guards.
+One rule picks the kernel that forms a value.  A fill (_grid_fill), which
+grid callers run before they read, forms many arguments of one Params in
+row kernels (_poch2_rows, _poch1_rows).  A read miss forms its one value
+with the scalar kernels (_poch1, _poch2).  A miss formed as a fill of one
+would be faster, but it lowers the point-eval benchmark's traced layer
+share towards the bound its test asserts, so it waits on ROADMAP item 1.
+Both ways combine and guard rho in one step (_rho), and each row equals its
+scalar product to the last bit, so no value depends on which way formed it.
 
 Evaluations that land within ``singular_guard`` of a vanishing denominator
 raise SingularPointError instead of returning huge values; the R-matrix has
@@ -118,6 +120,12 @@ class Params:
                 "truncation_order too small: max(|p|, |q|^4)^order must not "
                 "exceed tolerance * 1e-3"
             )
+        # every value-cache read hashes its Params: hash the fields once
+        object.__setattr__(self, "_hash", hash((self.q_half, self.p, self.truncation_order,
+                                                self.tolerance, self.singular_guard)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def q(self) -> complex:
@@ -279,9 +287,21 @@ def qpochhammer(z: complex, bases, order: int) -> complex:
     return _poch2(z, bs[0], bs[1], order)
 
 
-@lru_cache(maxsize=1 << 16)
-def _theta(z: complex, p: complex, order: int) -> complex:
-    return _poch1(z, p, order) * _poch1(p / z, p, order) * _poch1(p, p, order)
+# The value cache: by (z, Params), [Theta(z), rho(z) or the SingularPointError
+# of its guards], None where not formed yet.  A fill that would take it past
+# _GRID_SIZE keys empties it first, and so does a read miss at _GRID_SIZE keys.
+_GRID: dict = {}
+_GRID_SIZE = 1 << 14
+_UNFORMED = (None, None)
+_RHO_DENOMINATORS = ("(p q^2/z; p, q^4)", "(z; p, q^4)", "(q^4 z; p, q^4)")
+
+
+def _slot(z: complex, params: Params) -> list:
+    """A new, unformed value-cache entry of (z, params)."""
+    if len(_GRID) >= _GRID_SIZE:
+        _GRID.clear()
+    slot = _GRID[z, params] = [None, None]
+    return slot
 
 
 def theta(z: complex, params: Params) -> complex:
@@ -289,7 +309,32 @@ def theta(z: complex, params: Params) -> complex:
     z = complex(z)
     if z == 0:
         raise ValueError("theta undefined at z = 0")
-    return _theta(z, params.p, params.truncation_order)
+    slot = _GRID.get((z, params)) or _slot(z, params)
+    if slot[0] is None:
+        p, n = params.p, params.truncation_order
+        slot[0] = _poch1(z, p, n) * _poch1(p / z, p, n) * _poch1(p, p, n)
+    return slot[0]
+
+
+def _rho_args(z: complex, params: Params) -> tuple:
+    """The arguments of rho_norm's six factors (x; p, q^4) at z, its
+    denominator's (in the order of _RHO_DENOMINATORS) then its numerator's,
+    and p, q^4 and the truncation order."""
+    p, q = params.p, params.q
+    q2, q4 = q * q, q * q * q * q  # not q**4, which rounds differently
+    return (p * q2 / z, z, q4 * z, q2 * z, p / z, p * q4 / z), p, q4, params.truncation_order
+
+
+def _rho(z: complex, params: Params, d, num):
+    """rho_norm at z from d, its denominator's three factors (in the order of
+    _RHO_DENOMINATORS), and num(), its numerator's: its value, or the
+    SingularPointError of the first factor of d below singular_guard, num
+    then not called."""
+    for label, value in zip(_RHO_DENOMINATORS, d):
+        if abs(value) < params.singular_guard:
+            return singular(value, label, " at z = {}", z)
+    n1, n2, n3 = num()
+    return n1**2 * n2 * n3 / (d[0] ** 2 * d[1] * d[2]) / params.q_half
 
 
 def rho_norm(z: complex, params: Params) -> complex:
@@ -304,22 +349,14 @@ def rho_norm(z: complex, params: Params) -> complex:
     z = complex(z)
     if z == 0:
         raise ValueError("rho_norm undefined at z = 0")
-    p, q, n = params.p, params.q, params.truncation_order
-    q2, q4 = q * q, q * q * q * q
-    den_factors = (
-        ("(p q^2/z; p, q^4)", _poch2(p * q2 / z, p, q4, n)),
-        ("(z; p, q^4)", _poch2(z, p, q4, n)),
-        ("(q^4 z; p, q^4)", _poch2(q4 * z, p, q4, n)),
-    )
-    for label, val in den_factors:
-        guarded(val, label, params.singular_guard, " at z = {}", z)
-    num = (
-        _poch2(q2 * z, p, q4, n) ** 2
-        * _poch2(p / z, p, q4, n)
-        * _poch2(p * q4 / z, p, q4, n)
-    )
-    d = den_factors[0][1] ** 2 * den_factors[1][1] * den_factors[2][1]
-    return num / d / params.q_half
+    slot = _GRID.get((z, params)) or _slot(z, params)
+    if slot[1] is None:
+        args, p, q4, n = _rho_args(z, params)
+        slot[1] = _rho(z, params, [_poch2(x, p, q4, n) for x in args[:3]],
+                       lambda: [_poch2(x, p, q4, n) for x in args[3:]])
+    if isinstance(slot[1], SingularPointError):
+        raise SingularPointError(*slot[1].args)
+    return slot[1]
 
 
 def unitarity_scalar(z: complex, params: Params) -> complex:
@@ -328,80 +365,30 @@ def unitarity_scalar(z: complex, params: Params) -> complex:
     return rho_norm(z, params) * rho_norm(1.0 / z, params)
 
 
-# The grid cache: by (z, Params), [Theta(z), rho(z) or the SingularPointError
-# of its guards], None where not formed yet.  A fill that would take it past
-# _GRID_SIZE keys empties it first.
-_GRID: dict = {}
-_GRID_SIZE = 1 << 14
-_UNFORMED = (None, None)
-_RHO_DENOMINATORS = ("(p q^2/z; p, q^4)", "(z; p, q^4)", "(q^4 z; p, q^4)")
-
-
 def _grid_fill(params: Params, thetas=(), rhos=(), ns=()) -> None:
-    """Form what the grid cache lacks of Theta at each z of thetas, and of
+    """Form what the value cache lacks of Theta at each z of thetas, and of
     rho at each z of rhos and at z and 1/z for each z of ns (what n(z)
     reads), all at one Params: the one-base factors in one _poch1_rows
     broadcast, the two-base ones in one _poch2_rows call, combined and
-    guarded in Python complex arithmetic as theta and rho_norm do, so each
-    value is theirs to the last bit.  A zero z is left to the readers, which
-    raise for it."""
+    guarded as theta and rho_norm combine and guard a miss.  A zero z is
+    left to the readers, which raise for it."""
     rhos = [*map(complex, rhos), *(x for z in map(complex, ns) if z for x in (z, 1.0 / z))]
-    th = [z for z in dict.fromkeys(map(complex, thetas))
-          if z and _GRID.get((z, params), _UNFORMED)[0] is None]
-    rh = [z for z in dict.fromkeys(rhos) if z and _GRID.get((z, params), _UNFORMED)[1] is None]
+    want = [[z for z in dict.fromkeys(zs) if z] for zs in (map(complex, thetas), rhos)]
+    th, rh = ([z for z in zs if _GRID.get((z, params), _UNFORMED)[k] is None]
+              for k, zs in enumerate(want))
     if not (th or rh):
         return
     if len(_GRID) + len(th) + len(rh) > _GRID_SIZE:
-        _GRID.clear()
-    p, q, n = params.p, params.q, params.truncation_order
+        _GRID.clear()  # and form again what it held of this fill
+        th, rh = want
     if th:
+        p, n = params.p, params.truncation_order
         f = _poch1_rows(np.array(th + [p / z for z in th] + [p]), _powers(p, n)).tolist()
         for z, a, b in zip(th, f, f[len(th):]):
             _GRID.setdefault((z, params), [None, None])[0] = a * b * f[-1]
     if rh:
-        q2, q4 = q * q, q * q * q * q
-        # rho_norm's six factors of each z: its denominator's, then its numerator's
-        args = [(p * q2 / z, z, q4 * z, q2 * z, p / z, p * q4 / z) for z in rh]
-        f = _poch2_rows(np.array(args).reshape(-1), p, q4, n).tolist()
-        for i, z in enumerate(rh):
-            d1, d2, d3, n1, n2, n3 = f[6 * i:6 * i + 6]
-            trip = next((singular(v, label, " at z = {}", z) for label, v in zip(
-                _RHO_DENOMINATORS, (d1, d2, d3)) if abs(v) < params.singular_guard), None)
-            value = trip or n1**2 * n2 * n3 / (d1**2 * d2 * d3) / params.q_half
-            _GRID.setdefault((z, params), [None, None])[1] = value
-
-
-def _grid_theta(z: complex, params: Params) -> complex:
-    """theta(z, params) to the last bit, read from the grid cache."""
-    z = complex(z)
-    if z == 0:
-        raise ValueError("theta undefined at z = 0")
-    value = _GRID.get((z, params), _UNFORMED)[0]
-    if value is None:
-        _grid_fill(params, thetas=(z,))
-        value = _GRID[z, params][0]
-    return value
-
-
-def _grid_rho(z: complex, params: Params) -> complex:
-    """rho_norm(z, params) to the last bit, read from the grid cache; raises
-    the same SingularPointError."""
-    z = complex(z)
-    if z == 0:
-        raise ValueError("rho_norm undefined at z = 0")
-    value = _GRID.get((z, params), _UNFORMED)[1]
-    if value is None:
-        _grid_fill(params, rhos=(z,))
-        value = _GRID[z, params][1]
-    if isinstance(value, SingularPointError):
-        raise SingularPointError(*value.args)
-    return value
-
-
-def _grid_n(z: complex, params: Params) -> complex:
-    """unitarity_scalar(z, params) to the last bit, read from the grid cache
-    (rho at z and 1/z formed in one fill)."""
-    z = complex(z)
-    if z and _GRID.get((z, params), _UNFORMED)[1] is None:
-        _grid_fill(params, ns=(z,))
-    return _grid_rho(z, params) * _grid_rho(1.0 / z, params)
+        rows = [_rho_args(z, params) for z in rh]
+        f = _poch2_rows(np.array([args for args, *_ in rows]).reshape(-1), *rows[0][1:]).tolist()
+        for i, z in zip(range(0, len(f), 6), rh):
+            _GRID.setdefault((z, params), [None, None])[1] = _rho(
+                z, params, f[i:i + 3], lambda: f[i + 3:i + 6])

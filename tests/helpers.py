@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from dynell import DynMatrix, Params
+from dynell import DynMatrix, Params, SingularPointError
 from dynell.checks import _skew_resids
 
 # Reference parameter context: q = q_half^2 = 0.47, p = 0.31.
@@ -12,6 +12,15 @@ P_NOME = 0.31
 
 def make_params(**kwargs):
     return Params.make(Q_HALF, P_NOME, **kwargs)
+
+
+def outcome(f, *args):
+    """The bytes of f's value, or the message of its SingularPointError."""
+    try:
+        value = f(*args)
+    except SingularPointError as exc:
+        return str(exc)
+    return np.array([value]).view(float).tobytes()
 
 
 def resid(lhs, rhs):

@@ -40,7 +40,6 @@ from dynell.special import (
     _poch2,
     _poch2_table,
     _powers,
-    _theta,
     theta,
 )
 from dynell.rmatrix import _r_array
@@ -53,8 +52,7 @@ TOL = GRID.tolerance
 
 
 def _clear_caches():
-    for fn in (_powers, _poch1, _poch2_table, _poch2, _theta, _r_array,
-               rmatrix._grid_z_factors):
+    for fn in (_powers, _poch1, _poch2_table, _poch2, _r_array, rmatrix._grid_z_factors):
         fn.cache_clear()
     special._GRID.clear()
     rmatrix._R_SAMPLES.clear()

@@ -540,8 +540,8 @@ class TestRepeatedWork:
 
     def test_a_cold_pass_builds_each_kernel_table_once(self):
         tables = (special._powers, special._poch2_table)
-        for f in tables + (special._poch1, special._poch2, special._theta,
-                           rmatrix._z_factors, rmatrix._grid_z_factors, rmatrix._grid_tables):
+        for f in tables + (special._poch1, special._poch2, rmatrix._z_factors,
+                           rmatrix._grid_z_factors, rmatrix._grid_tables):
             f.cache_clear()
         special._GRID.clear()
         rmatrix._R_SAMPLES.clear()

@@ -9,11 +9,32 @@ from pathlib import Path
 
 import pytest
 
-from dynell import RPoint, build_r
+from dynell import RPoint, SingularPointError, build_r, rho_norm, theta, unitarity_scalar
 from dynell.checks import GridSpec, format_complex, run_suite
 from dynell.cli import main, parse_complex
-from dynell.rmatrix import _g22, _grid_tables, _grid_z_factors, _z_factors
-from dynell.special import _GRID, _poch2_table, _powers
+from dynell.rmatrix import _g22, _grid_tables, _grid_z_factors, _r_array, _z_factors
+from dynell.special import _GRID, _poch1, _poch2, _poch2_table, _powers
+
+from helpers import outcome
+
+READERS = (theta, rho_norm, unitarity_scalar)
+
+
+def _cold_run(args, cwd):
+    """`python -m dynell` with args in a fresh interpreter on these sources."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env.pop("DYNELL_CONFIG", None)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "dynell"] + args, env=env, cwd=cwd,
+                          capture_output=True, timeout=300)
+
+
+def _clear_value_caches():
+    """Empty the value cache and every cache of what is formed from it."""
+    for cache in (_poch1, _poch2, _z_factors, _grid_z_factors, _r_array):
+        cache.cache_clear()
+    _GRID.clear()
 
 
 class TestComplexLiterals:
@@ -178,37 +199,21 @@ class TestCheckCommand:
         assert "timestamp" not in json.loads(out.read_text())
 
     def test_module_entry_point_is_byte_stable(self, tmp_path):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env.pop("DYNELL_CONFIG", None)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        cmd = [sys.executable, "-m", "dynell", "check", "--points", "1",
-               "--checks", "theta", "--format", "json", "--no-timestamp"]
-        runs = [
-            subprocess.run(cmd, env=env, cwd=tmp_path, capture_output=True,
-                           timeout=120, check=True).stdout
-            for _ in range(2)
-        ]
+        args = ["check", "--points", "1", "--checks", "theta", "--format", "json",
+                "--no-timestamp"]
+        runs = [_cold_run(args, tmp_path) for _ in range(2)]
+        assert [run.returncode for run in runs] == [0, 0]
+        runs = [run.stdout for run in runs]
         assert json.loads(runs[0])["summary"]["fail"] == 0
         assert runs[0] == runs[1]
 
     def test_results_do_not_depend_on_cache_state(self, tmp_path, monkeypatch):
         # a fresh interpreter against one whose pattern tables and kernel
         # caches another grid has already filled
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env.pop("DYNELL_CONFIG", None)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
         args = ["check", "--points", "3", "--format", "json", "--no-timestamp"]
-        cold = subprocess.run([sys.executable, "-m", "dynell"] + args, env=env,
-                              cwd=tmp_path, capture_output=True, timeout=300)
+        cold = _cold_run(args, tmp_path)
         run_suite(GridSpec(seed=1, n_points=3))
-        # a grid pass reads R's z factors through the grid cache, so a
-        # one-point read of R fills _z_factors
+        # and a one-point read of R at another point
         pt = GridSpec(seed=1, n_points=1).sample_points()[0]
         build_r(RPoint(pt.zs[0], pt.s, pt.params)).at(pt.s)
         # the kernel, R-factor and gauge caches are among those filled
@@ -220,6 +225,49 @@ class TestCheckCommand:
         assert main(args + ["--output", str(warm)]) == cold.returncode
         assert json.loads(cold.stdout)["summary"]["pass"] > 0
         assert warm.read_bytes() == cold.stdout
+
+
+class TestSharedValueCache:
+    """One-point reads and grid passes read one value cache: what either
+    forms there leaves the other's results as a cold process gives them."""
+
+    ARGS = ["check", "--points", "3", "--format", "json", "--no-timestamp"]
+
+    @staticmethod
+    def _grid_arguments():
+        """The (z, Params) keys a cold pass of the ARGS grid forms, with
+        what it forms at each: [Theta, rho]."""
+        _clear_value_caches()
+        run_suite(GridSpec(n_points=3))
+        return {key: [value is not None for value in slot] for key, slot in _GRID.items()}
+
+    def test_one_point_reads_at_the_grid_arguments_leave_its_bytes(self, tmp_path, monkeypatch):
+        cold = _cold_run(self.ARGS, tmp_path)
+        formed = self._grid_arguments()
+        s_of = {pt.params: pt.s for pt in GridSpec(n_points=3).sample_points()}
+        _clear_value_caches()
+        # R's factors of z first, by one-point misses, then the rest
+        for (z, params), (_, rho) in formed.items():
+            if rho and params in s_of:
+                try:
+                    build_r(RPoint(z, s_of[params], params)).at(s_of[params])
+                except SingularPointError:
+                    pass
+        for (z, params), (th, rho) in formed.items():
+            for f, read in zip(READERS, (th, rho, rho)):
+                if read:
+                    outcome(f, z, params)
+        assert _z_factors.cache_info().currsize and not _grid_z_factors.cache_info().currsize
+        monkeypatch.delenv("DYNELL_CONFIG", raising=False)
+        warm = tmp_path / "warm.json"
+        assert main(self.ARGS + ["--output", str(warm)]) == cold.returncode
+        assert warm.read_bytes() == cold.stdout
+
+    def test_a_grid_pass_leaves_the_one_point_values(self):
+        keys = list(self._grid_arguments())
+        after_grid = [[outcome(f, z, params) for z, params in keys] for f in READERS]
+        _clear_value_caches()
+        assert [[outcome(f, z, params) for z, params in keys] for f in READERS] == after_grid
 
 
 class TestConfigFile:

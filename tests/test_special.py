@@ -6,6 +6,8 @@ per-factor truncation through mp.qp, an independent code path) before the
 package implementation existed.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -14,10 +16,10 @@ from hypothesis import strategies as st
 from dynell import Params, SingularPointError, qpochhammer, rho_norm, theta, unitarity_scalar
 from dynell import special
 from dynell.rmatrix import _r_array
-from dynell.special import (_GRID, _grid_fill, _grid_n, _grid_rho, _grid_theta, _poch1,
-                            _poch1_rows, _poch2, _poch2_rows, _poch2_table, _powers)
+from dynell.special import (_GRID, _grid_fill, _poch1, _poch1_rows, _poch2, _poch2_rows,
+                            _poch2_table, _powers)
 
-from helpers import make_params
+from helpers import make_params, outcome
 
 Z0 = 0.6 + 0.2j
 
@@ -244,67 +246,87 @@ class TestUnitarityScalar:
         assert lhs == unitarity_scalar(Z0, params)
 
 
-def _outcome(f, *args):
-    """The bytes of f's value, or the message of its SingularPointError."""
-    try:
-        value = f(*args)
-    except SingularPointError as exc:
-        return str(exc)
-    return np.array([value]).view(float).tobytes()
+def _cold(f, z, params):
+    """_outcome of f formed by a read miss: the value cache emptied first."""
+    _GRID.clear()
+    return outcome(f, z, params)
+
+
+def _no_scalar_kernels(monkeypatch):
+    """Make a read miss raise, so that a read that passes was a cache hit."""
+    def miss(*args):
+        raise AssertionError("a read missed the value cache")
+
+    monkeypatch.setattr(special, "_poch1", miss)
+    monkeypatch.setattr(special, "_poch2", miss)
 
 
 class TestGridCache:
-    """The grid readers give the one-point functions' values and trips to
-    the last bit, from one fill per Params or from a fill of their own."""
+    """A value of the value cache (_GRID) formed by a fill (the row kernels)
+    equals the value a cold read forms (the scalar kernels) to the last bit,
+    trips included; a trip is formed once and raised afresh at every read,
+    and the cache stays bounded however it is filled."""
 
     def setup_method(self):
         _GRID.clear()
 
-    def test_values_equal_the_one_point_functions_bit_for_bit(self):
+    def test_values_equal_the_one_point_functions_bit_for_bit(self, monkeypatch):
         rng = np.random.default_rng(5)
+        readers = (theta, rho_norm, unitarity_scalar)
         for q_half, p in ((0.6855654600401044, 0.31), (0.45, 0.05), (0.75, 0.6), (0.55, 0.85)):
             params = Params.make(q_half, p)
             r = np.exp(rng.uniform(np.log(0.55), np.log(1.9), 8))
             zs = (r * np.exp(2j * np.pi * rng.uniform(size=8))).tolist()
             zs += [1.0 + 0j, 1 / params.q**4, params.q**-2]  # on rho's and Theta's zeros
-            for fill in (True, False):
-                _GRID.clear()
-                if fill:
-                    _grid_fill(params, thetas=zs, rhos=zs, ns=zs)
-                for z in zs:
-                    assert _outcome(_grid_theta, z, params) == _outcome(theta, z, params)
-                    assert _outcome(_grid_rho, z, params) == _outcome(rho_norm, z, params)
-                    assert _outcome(_grid_n, z, params) == _outcome(unitarity_scalar, z, params)
+            cold = [[_cold(f, z, params) for z in zs] for f in readers]
+            _GRID.clear()
+            _grid_fill(params, thetas=zs, rhos=zs, ns=zs)
+            with monkeypatch.context() as m:
+                _no_scalar_kernels(m)
+                assert [[outcome(f, z, params) for z in zs] for f in readers] == cold
 
     def test_a_guarded_argument_gives_the_same_trip(self):
         params = make_params()
         for z in (1.0, 1.0 / params.q**4):
-            for one_point, grid in ((rho_norm, _grid_rho), (unitarity_scalar, _grid_n)):
-                with pytest.raises(SingularPointError) as want:
-                    one_point(z, params)
-                for _ in range(2):  # formed once, raised afresh at every read
-                    with pytest.raises(SingularPointError) as got:
-                        grid(z, params)
-                    assert str(got.value) == str(want.value)
-                    assert "below guard at z = " in str(got.value)
+            for fill in (True, False):
+                _GRID.clear()
+                if fill:
+                    _grid_fill(params, ns=[z])
+                raised = []
+                for _ in range(2):
+                    for f in (rho_norm, unitarity_scalar):
+                        with pytest.raises(SingularPointError) as got:
+                            f(z, params)
+                        raised.append(got.value)
+                assert len({str(exc) for exc in raised}) == 1
+                assert "below guard at z = " in str(raised[0])
+                assert len({id(exc) for exc in raised}) == len(raised)
 
     def test_zero_raises_value_error(self):
         params = make_params()
         _grid_fill(params, thetas=[0j], rhos=[0j], ns=[0j])  # left to the readers
-        assert (0j, params) not in _GRID
-        for grid, name in ((_grid_theta, "theta"), (_grid_rho, "rho_norm"), (_grid_n, "rho_norm")):
+        for f, name in ((theta, "theta"), (rho_norm, "rho_norm"), (unitarity_scalar, "rho_norm")):
             with pytest.raises(ValueError, match=f"^{name} undefined at z = 0$"):
-                grid(0.0, params)
+                f(0.0, params)
+        assert (0j, params) not in _GRID
 
     def test_the_cache_is_bounded(self, monkeypatch):
         monkeypatch.setattr(special, "_GRID_SIZE", 4)
         params = make_params()
         zs = [0.6 + 0.1j * k for k in range(6)]
+        cold = [_cold(rho_norm, z, params) for z in zs]
+        _GRID.clear()
         for z in zs:
             _grid_fill(params, thetas=[z], rhos=[z])
             assert len(_GRID) <= 4
         _grid_fill(params, rhos=zs)  # more than fit: each is still formed
-        assert [_grid_rho(z, params) for z in zs] == [rho_norm(z, params) for z in zs]
+        with monkeypatch.context() as m:
+            _no_scalar_kernels(m)
+            assert [outcome(rho_norm, z, params) for z in zs] == cold
+        _GRID.clear()
+        for z in zs:  # a session of one-point reads alone
+            theta(z, params), rho_norm(z, params), unitarity_scalar(z, params)
+            assert len(_GRID) <= 4
 
 
 class TestParams:
@@ -336,6 +358,13 @@ class TestParams:
         # a nan tolerance would silently skip the series-tail invariant
         with pytest.raises(ValueError, match=f"^{key} must be finite and > 0, got {value!r}$"):
             make_params(**{key: value})
+
+    def test_hash_is_the_hash_of_the_fields(self):
+        params = make_params()
+        fields = (params.q_half, params.p, params.truncation_order, params.tolerance,
+                  params.singular_guard)
+        assert hash(params) == hash(fields) == hash(replace(params))
+        assert replace(params, truncation_order=99) != params
 
     def test_grid_rejects_non_finite_settings(self):
         from dynell.checks import GridSpec

@@ -5,9 +5,10 @@ Usage: python3 tools/same_reports.py REF
 
 Exports REF with `git archive` into a temporary directory, then runs
 `python3 -m dynell check --format json --no-timestamp` there and in the
-working tree at a fixed list of settings, and `python3 -m dynell eval` of
-each object at the default point and at s = -30, where the gauges and R
-overflow.  Prints SAME or DIFF per command, comparing stdout, stderr and the
+working tree at a fixed list of settings, `python3 -m dynell eval` of each
+object at the default point and at s = -30, where the gauges and R
+overflow, and five one-point evaluations that end in a guard trip or in the
+error of z = 0.  Prints SAME or DIFF per command, comparing stdout, stderr and the
 exit code, and exits 1 on any DIFF.  It is the gate for a refactor that must
 leave every report and every printed value as it was; it needs no network
 access and is not part of the test suite.
@@ -40,10 +41,22 @@ CHECK_SETTINGS = (
     "--p 0.85 --points 4 --seed 13 --truncation-order 200",
 )
 
+# one-point reads that end in a trip of rho's guards (at z = 1 its value is
+# 0; at p = 0.85 a non-zero value below the guard, whose digits are printed)
+# or in the error of z = 0
+EVAL_EDGES = (
+    "rho --z 1",
+    "rho --z 1.5 --p 0.85",
+    "R --z 1",
+    "rho --z 0",
+    "theta --z 0",
+)
+
 COMMANDS = (
     [f"check --format json --no-timestamp {setting}" for setting in CHECK_SETTINGS]
     + [f"eval {obj}{at}" for obj in ("R", "Rtilde", "theta", "rho", "N", "G", "Gamma")
        for at in ("", " --s -30")]
+    + [f"eval {edge}" for edge in EVAL_EDGES]
 )
 
 
