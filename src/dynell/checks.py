@@ -61,13 +61,13 @@ from .shiftcalc import (
 )
 from .rmatrix import (
     _R_SAMPLES,
+    _dyn_w_rows,
     _g22,
     _diag,
     _guard,
     _r_dyn,
     _ups_diag,
     cross_gauge,
-    dyn_w,
     gamma_twist,
     mu_scalar,
     trace_weight,
@@ -106,6 +106,11 @@ SCHEMA_VERSION = "1"
 def format_complex(x: complex) -> str:
     """Full round-trip a+bi literal (shortest repr that parses back exactly)."""
     x = complex(x)
+    return _format_complex(x, math.copysign(1.0, x.real))  # 0.0 and -0.0 are equal keys
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _format_complex(x: complex, real_sign: float) -> str:
     sign = "+" if x.imag >= 0 else "-"
     return f"{x.real!r}{sign}{abs(x.imag)!r}i"
 
@@ -198,9 +203,9 @@ def _rand_matrix(nlegs, rng, params, pattern=None, degrees=lambda r: (0,)) -> Dy
     draws its E-degrees as degrees(rng), then the real and the imaginary
     parts of five coefficients per entry, degree by degree in the drawn
     order, entries in row-major order.  The leaf holds the sorted union of
-    the points' degrees, exact zeros where a point drew none; w is computed
-    once per sample, and every value is the elementwise _laurent of its
-    sample's w."""
+    the points' degrees, exact zeros where a point drew none; a read forms
+    w of all its samples in one array pass (_dyn_w_rows), and every value is
+    the elementwise _laurent of its sample's w."""
     d = 1 << nlegs
     if pattern is None:
         pattern = np.ones((d, d), dtype=bool)
@@ -216,7 +221,7 @@ def _rand_matrix(nlegs, rng, params, pattern=None, degrees=lambda r: (0,)) -> Dy
             coeffs[p, degs.index(k)][:, pattern.reshape(-1)] = cs.T
 
     def ev(s, pts, need, log):
-        w = np.array([dyn_w(x, params[p]) for x, p in zip(s.tolist(), pts.tolist())], complex)
+        w = _dyn_w_rows(s, params, pts)
         cs = coeffs[pts].transpose(1, 2, 0, 3)  # one take: [degree][c] is (n, d * d)
         return {k: _laurent(cs[degs.index(k)], w[:, None]).reshape(len(s), d, d) for k in need}
 

@@ -5,6 +5,10 @@ Complex numbers on the command line use the a+bi literal form (e.g.
 ``0.6+0.2i``).  A flat ``key = value`` config file can supply defaults for
 any flag of the ``check`` command; its path comes from --config or the
 DYNELL_CONFIG environment variable, and explicit flags win.
+
+A JSON report holds the bytes of ``json.dumps(doc, sort_keys=True,
+indent=2, allow_nan=False)``, written by ``_dumps``, which encodes each
+distinct point of the reports once.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import os
 import re
 import sys
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -240,6 +245,39 @@ def _render_text(reports, counts, passed) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _encode(obj, pad: str, memo: dict) -> str:
+    """obj as json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    writes it at the indentation pad (a newline and spaces); a dict that
+    holds no dict is encoded once per distinct repr and pad, since equal
+    reprs of these types are equal documents (1, 1.0 and True differ)."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        key = None if dict in map(type, obj.values()) else (pad, repr(obj))
+        if key in memo:
+            return memo[key]
+        inner = pad + "  "
+        text = "{" + ",".join([f"{inner}{encode_basestring_ascii(k)}: {_encode(v, inner, memo)}"
+                               for k, v in sorted(obj.items())]) + pad + "}"
+        if key is not None:
+            memo[key] = text
+        return text
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        return "[" + ",".join([inner + _encode(v, inner, memo) for v in obj]) + pad + "]"
+    return json.dumps(obj, allow_nan=False)  # a NaN or inf raises ValueError
+
+
+def _dumps(doc: dict) -> str:
+    """json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) of a
+    document of dicts with str keys, lists, str, int, float, bool and None."""
+    return _encode(doc, "\n", {})
+
+
 def _config_echo(args, grid: GridSpec) -> dict:
     return {
         "q_half": args.q_half,
@@ -271,7 +309,7 @@ def _cmd_check(args) -> int:
         }
         if not args.no_timestamp:
             doc["timestamp"] = datetime.now(timezone.utc).isoformat()
-        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        text = _dumps(doc) + "\n"
     else:
         text = _render_text(reports, counts, passed)
     if args.output:

@@ -73,6 +73,18 @@ def dyn_w(s: complex, params: Params) -> complex:
     return cmath.exp(2.0 * s * _logq(params.q))
 
 
+def _dyn_w_rows(s: np.ndarray, params: tuple, pts: np.ndarray) -> np.ndarray:
+    """dyn_w(s[i], params[pts[i]]) for every sample i in one array pass, to
+    the last bit: 2.0 * s * log q is formed on split real and imaginary
+    parts in CPython's order, since numpy's complex * may fuse a product."""
+    logq = np.array([_logq(x.q) for x in params])[pts]
+    sr, si, br, bi = s.real, s.imag, logq.real, logq.imag
+    ar, ai = 2.0 * sr - 0.0 * si, 2.0 * si + 0.0 * sr
+    x = np.empty(len(s), complex)
+    x.real, x.imag = ar * br - ai * bi, ar * bi + ai * br
+    return np.exp(x)
+
+
 def _qpow(s: complex, params: Params) -> complex:
     """q^s = exp(s log q), the single-valued half power of w."""
     return cmath.exp(s * _logq(params.q))
@@ -293,7 +305,9 @@ def _g22(params: Params, s: complex) -> complex:
     p, n = params.p, params.truncation_order
     q2 = params.q * params.q
     w = dyn_w(s, params)
-    return _qpow(-s, params) * _poch1(w, p, n) * _poch1(p * q2 / w, p, n)
+    # both products in one np.prod, each row _poch1's to the last bit
+    pw, pq = np.prod(1.0 - np.array([w, p * q2 / w])[:, None] * _powers(p, n), axis=-1).tolist()
+    return _qpow(-s, params) * pw * pq
 
 
 def gauge_g(params: Params) -> DynMatrix:

@@ -192,8 +192,20 @@ def laurent_entry(rng):
     """One random Laurent entry drawn and evaluated per entry, in numpy scalar
     arithmetic: s -> checks._laurent of five drawn coefficients at w."""
     cs = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    dyn_w = checks.dyn_w  # before a test counts the leaf's calls to it
-    return lambda s: checks._laurent(cs, dyn_w(s, PARAMS))
+    return lambda s: checks._laurent(cs, rmatrix.dyn_w(s, PARAMS))
+
+
+def count_w_reads(monkeypatch) -> list:
+    """The (samples, points) of each call the leaves make to the array form
+    of dyn_w from here on."""
+    calls, rows = [], checks._dyn_w_rows
+
+    def counted(s, params, pts):
+        calls.append((s.tolist(), pts.tolist()))
+        return rows(s, params, pts)
+
+    monkeypatch.setattr(checks, "_dyn_w_rows", counted)
+    return calls
 
 
 def skew_degrees(rng):
@@ -222,11 +234,9 @@ class TestRandomLaurentLeaf:
         expect = np.array(
             [[[0.0 if e is None else e(s) for e in row] for row in entries] for s in samples]
         )
-        calls = []
-        dyn_w = checks.dyn_w
-        monkeypatch.setattr(checks, "dyn_w", lambda s, p: calls.append(s) or dyn_w(s, p))
+        calls = count_w_reads(monkeypatch)
         got = leaf.at(samples)
-        assert calls == samples  # w once per sample, one sample at a time
+        assert calls == [(samples, [0] * 3)]  # w of the read's samples in one pass
         assert np.array_equal(got[:, ~mask], expect[:, ~mask])
         assert abs(got - expect).max() <= self.EPS * abs(expect).max()
         assert leaf.masks[0].tolist() == mask.tolist()
@@ -243,11 +253,9 @@ class TestRandomLaurentLeaf:
             rng = np.random.default_rng(x)
             polys.append({int(k): laurent_entry(rng) for k in skew_degrees(rng)})
         assert list(polys[0]) == [1, 0, -2] and list(polys[1]) == [-1, 2, 0]
-        calls = []
-        dyn_w = checks.dyn_w
-        monkeypatch.setattr(checks, "dyn_w", lambda s, p: calls.append(s) or dyn_w(s, p))
+        calls = count_w_reads(monkeypatch)
         got = leaf.coeffs_at(samples * 2)
-        assert calls == samples * 2  # w once per sample for all the degrees
+        assert calls == [(samples * 2, [0] * 3 + [1] * 3)]  # one pass for all the degrees
         assert list(leaf.masks) == [-2, -1, 0, 1, 2]  # the sorted union
         for k, vals in got.items():
             for block, drawn in zip(vals[:, 0, 0].reshape(2, -1), polys):

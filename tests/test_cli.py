@@ -1,6 +1,7 @@
 """Command-line interface: argument handling, exit codes, report formats."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,10 +9,13 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dynell import cli
 from dynell import RPoint, SingularPointError, build_r, rho_norm, theta, unitarity_scalar
 from dynell.checks import GridSpec, format_complex, run_suite
-from dynell.cli import main, parse_complex
+from dynell.cli import _dumps, main, parse_complex
 from dynell.rmatrix import _g22, _grid_tables, _grid_z_factors, _r_array, _z_factors
 from dynell.special import _GRID, _poch1, _poch2, _poch2_table, _powers
 
@@ -61,6 +65,12 @@ class TestComplexLiterals:
     def test_format_round_trips(self):
         for z in (0.6 + 0.2j, -1.1515845624170522 - 1.0239607264887145j, 3.0 + 0j):
             assert parse_complex(format_complex(z)) == z
+
+    def test_format_keeps_the_sign_of_a_zero_real_part(self):
+        # format_complex's memo tells 0.0 from -0.0, which compare equal
+        zs = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), 0j)
+        assert [format_complex(z) for z in zs] == [
+            "0.0+0.0i", "-0.0+0.0i", "0.0+0.0i", "0.0+0.0i"]
 
 
 class TestCheckCommand:
@@ -225,6 +235,71 @@ class TestCheckCommand:
         assert main(args + ["--output", str(warm)]) == cold.returncode
         assert json.loads(cold.stdout)["summary"]["pass"] > 0
         assert warm.read_bytes() == cold.stdout
+
+
+def _stdlib(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+
+
+_SCALARS = (
+    st.text()
+    | st.sampled_from(['"', "\\", "\x00\x1f\n\t", "\u00e9\u2028\U0001f600", ""])
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 0.0, 1e-300, 1e300, 5e-324])
+    | st.booleans()
+    | st.none()
+)
+_DOCS = st.dictionaries(st.text(), st.recursive(
+    _SCALARS, lambda tree: st.lists(tree) | st.dictionaries(st.text(), tree), max_leaves=30))
+
+
+class TestJsonWriter:
+    """The report writer gives json.dumps(doc, sort_keys=True, indent=2,
+    allow_nan=False) byte for byte."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_DOCS)
+    @example({})
+    @example({"a": {}, "b": [], "c": [[], {}]})
+    # one leaf dict at two indentations
+    @example({"a": {"x": 1}, "b": [{"x": 1}, {"x": 1}], "c": [[{"x": 1}]]})
+    def test_equals_json_dumps(self, doc):
+        assert _dumps(doc) == _stdlib(doc)
+
+    def test_equal_looking_values_are_told_apart(self):
+        values = [1, 1.0, True, 1, "1", 0.0, -0.0, 0, False, None, [1], [1.0], [True]]
+        doc = {"reports": [{"point": {"v": v}} for v in values] + [{"v": v} for v in values]}
+        assert _dumps(doc) == _stdlib(doc)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_float_raises(self, value):
+        for doc in ({"residual": value}, {"reports": [{"point": {"x": [1.0, value]}}]}):
+            with pytest.raises(ValueError):
+                _dumps(doc)
+
+    def test_timestamp_sorts_after_summary(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("DYNELL_CONFIG", raising=False)
+        out = tmp_path / "r.json"
+        main(["check", "--points", "2", "--checks", "theta.inversion,unitarity.r",
+              "--format", "json", "--output", str(out)])
+        text = out.read_text()
+        doc = json.loads(text)
+        assert text == _stdlib(doc) + "\n"
+        assert 0 < text.index('"summary"') < text.index('"timestamp"')
+
+    def test_a_report_with_skips_is_the_stdlib_encoding(self, tmp_path, monkeypatch):
+        # p = 0.8 skips 34 reports, each with a detail
+        monkeypatch.delenv("DYNELL_CONFIG", raising=False)
+        docs, dumps = [], cli._dumps
+        monkeypatch.setattr(cli, "_dumps", lambda doc: docs.append(doc) or dumps(doc))
+        out = tmp_path / "r.json"
+        main(["check", "--p", "0.8", "--points", "3", "--format", "json", "--no-timestamp",
+              "--output", str(out)])
+        [doc] = docs
+        assert doc["summary"]["skipped"] == 34
+        assert any(r["detail"] for r in doc["reports"])
+        assert out.read_text() == _stdlib(doc) + "\n"
 
 
 class TestSharedValueCache:

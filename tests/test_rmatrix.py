@@ -27,7 +27,9 @@ from dynell import (
 )
 from dynell import rmatrix
 from dynell.checks import GridSpec
-from dynell.rmatrix import _R_PATTERN, _g22, _qpow, _r_array, _r_dyn, dyn_w, ups_ratio
+from dynell.rmatrix import (_R_PATTERN, _dyn_w_rows, _g22, _qpow, _r_array, _r_dyn, dyn_w,
+                            ups_ratio)
+from dynell.special import _poch1
 from dynell.shiftcalc import PAULI_Y, guarded_div, shift_scalar, weight
 
 from helpers import make_params, resid
@@ -177,6 +179,56 @@ class TestTwistGauge:
         r = _r_array(Z0, s, PARAMS, True)
         assert r[1, 1] == (rho_norm(Z0, PARAMS) * np.array([b]))[0]
         assert r[2, 2] == (rho_norm(Z0, PARAMS) * np.array([bb]))[0]
+
+
+def _bits(x) -> bytes:
+    return np.array([x], complex).tobytes()
+
+
+class TestArrayForms:
+    """The array forms of the grid path equal their per-sample forms bit for
+    bit: dyn_w over a read's samples, and the gauge entry's two products."""
+
+    def test_w_rows_equal_dyn_w(self):
+        rng = np.random.default_rng(11)
+        n = 1200
+        q_half = rng.uniform(0.4, 0.8, n) * np.exp(1j * rng.uniform(-0.3, 0.3, n))
+        params = tuple(Params.make(q, 0.31) for q in q_half.tolist())
+        s = rng.uniform(-3, 3, n) + 1j * rng.uniform(-1, 1, n)
+        s[:100] = s[:100].real  # real s
+        s.imag[100:200] = -0.0
+        s.real[200:300] = -0.0
+        s[300] = -30
+        assert np.signbit(s.imag[100:200]).all() and np.signbit(s.real[200:300]).all()
+        pts = np.arange(n)
+        got = _dyn_w_rows(s, params, pts)
+        assert [_bits(w) for w in got] == [
+            _bits(dyn_w(x, p)) for x, p in zip(s.tolist(), params)
+        ]
+        real = [dyn_w(x.real, p) for x, p in zip(s[:100].tolist(), params)]
+        assert [_bits(w) for w in got[:100]] == [_bits(w) for w in real]
+        # per-point Params gathered by pts
+        pts = rng.integers(0, 25, n)
+        got = _dyn_w_rows(s, params[:25], pts)
+        assert [_bits(w) for w in got] == [
+            _bits(dyn_w(x, params[p])) for x, p in zip(s.tolist(), pts.tolist())
+        ]
+
+    def test_g22_equals_the_two_single_base_products(self):
+        rng = np.random.default_rng(12)
+        samples = (rng.uniform(-2, 2, 40) + 1j * rng.uniform(-0.5, 0.5, 40)).tolist() + [-30]
+        nonfinite = 0
+        for pt in GridSpec().sample_points():
+            prm = pt.params
+            p, n, q2 = prm.p, prm.truncation_order, prm.q * prm.q
+            for s in samples + [pt.s]:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = _g22.__wrapped__(prm, s)
+                    w = dyn_w(s, prm)
+                    want = _qpow(-s, prm) * _poch1(w, p, n) * _poch1(p * q2 / w, p, n)
+                assert _bits(got) == _bits(want)
+                nonfinite += not np.isfinite(got)
+        assert nonfinite  # s = -30 overflows at some points
 
 
 class TestUpsilon:

@@ -1,12 +1,20 @@
 """Compare report statuses and residuals over 100 fixed grids between a git
-revision and the working tree.
+revision and the working tree, or between this host and an emulated older
+one.
 
 Usage: python3 tools/same_sweep.py REF
+       python3 tools/same_sweep.py --host-variant
 
 Exports REF with `git archive` into a temporary directory, then runs
 `run_suite` over the same 100 grids on the sources of REF and of the working
 tree, each side in a subprocess of its own, and compares the reports (in
-`to_dict()` form) grid by grid.  The grids are
+`to_dict()` form) grid by grid.  With --host-variant both sides run the
+working tree, and the second sets NPY_DISABLE_CPU_FEATURES and
+OPENBLAS_CORETYPE (HOST_VARIANT) in its own environment: numpy's SIMD
+dispatch falls back to its X86_V2 baseline and OpenBLAS uses its Nehalem
+kernels, as on an older x86-64 host; its output calls the first side REF.
+Report bytes depend on the host CPU, so this mode shows how far they move
+and that no status does.  The grids are
 
 - the default grid at seeds 0-29;
 - p 0.8, 5 points, seeds 0-29;
@@ -56,6 +64,12 @@ GRIDS = (
        for k in range(10)]
 )
 
+# numpy's SIMD dispatch limited to X86_V2, and OpenBLAS's Nehalem kernels
+HOST_VARIANT = {
+    "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+    "OPENBLAS_CORETYPE": "Nehalem",
+}
+
 # Runs in the subprocess: reads the grids' keyword arguments as JSON on stdin
 # and writes, per grid, the list of its reports' to_dict() as JSON on stdout.
 WORKER = """
@@ -66,9 +80,11 @@ json.dump([[r.to_dict() for r in run_suite(GridSpec(**kw))] for kw in grids], sy
 """
 
 
-def start(tree: Path) -> subprocess.Popen:
-    """The sweep over GRIDS on the sources of tree, started in a subprocess."""
+def start(tree: Path, variant: dict | None = None) -> subprocess.Popen:
+    """The sweep over GRIDS on the sources of tree, started in a subprocess
+    whose environment also holds variant."""
     env = {k: v for k, v in os.environ.items() if k != "DYNELL_CONFIG"}
+    env.update(variant or {})
     env["PYTHONPATH"] = str(tree / "src")
     # numpy's overflow warnings (the stderr same_reports.py compares) stay quiet
     cmd = [sys.executable, "-W", "ignore::RuntimeWarning", "-c", WORKER]
@@ -135,12 +151,14 @@ def compare(label: str, old: list, new: list) -> tuple:
 
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
-        print(__doc__.strip().splitlines()[3], file=sys.stderr)
+        print("\n".join(__doc__.strip().splitlines()[4:6]), file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory(prefix="same_sweep_") as tmp:
-        ref = Path(tmp)
-        export(argv[0], ref)
-        procs = start(ref), start(ROOT)
+        if argv[0] == "--host-variant":
+            procs = start(ROOT), start(ROOT, HOST_VARIANT)
+        else:
+            export(argv[0], Path(tmp))
+            procs = start(Path(tmp)), start(ROOT)
         old, new = (finish(p) for p in procs)
     counts = [compare(label, a, b) for (label, _), a, b in zip(GRIDS, old, new)]
     flips, resid, detail = map(sum, zip(*counts))
