@@ -305,7 +305,8 @@ def _g22(params: Params, s: complex) -> complex:
     p, n = params.p, params.truncation_order
     q2 = params.q * params.q
     w = dyn_w(s, params)
-    # both products in one np.prod, each row _poch1's to the last bit
+    # both products in one np.prod, not _poch1_rows, so that numpy's overflow warning
+    # at large p names numpy's file on stderr, not a dynell line (until ROADMAP item 16)
     pw, pq = np.prod(1.0 - np.array([w, p * q2 / w])[:, None] * _powers(p, n), axis=-1).tolist()
     return _qpow(-s, params) * pw * pq
 

@@ -7,26 +7,30 @@ n_1 + ... + n_m < order.  With every base of modulus < 1 the neglected
 factors differ from 1 by O(max|base|^order), so the truncation error is
 controlled by the Params invariant max(|p|, |q|^4)^order <= tolerance*1e-3.
 
-The two-base product (z; b1, b2) is multiplied in one vectorised pass over
-a factor table cached per (b2, order): b2^{n2} for every n1 + n2 < order,
-laid out in rows of fixed n1.  One call forms z b1^{n1} by a cumulative
-product, expands it over the rows, forms every factor 1 - z b1^{n1} b2^{n2}
-in one broadcast, multiplies each row (np.multiply.reduceat) and then the
-rows.  Every product runs left to right in the same order as a loop over n1
-of np.prod over n2 would, so the result is the same to the last bit.  The
-cached power and factor tables are read-only.
+Each product has one kernel, which forms the products of many arguments in
+one broadcast, one row of factors per argument: _poch1_rows the one-base
+product (x; b), over the powers of b, and _poch2_rows the two-base product
+(x; b1, b2), over a factor table cached per (b2, order): b2^{n2} for every
+n1 + n2 < order, laid out in rows of fixed n1.  _poch2_rows forms x b1^{n1}
+by a cumulative product, expands it over the rows, forms every factor
+1 - x b1^{n1} b2^{n2}, multiplies each row (np.multiply.reduceat) and then
+the rows.  Every product runs left to right in the same order as a loop
+over n1 of np.prod over n2 would, so the result is that loop's to the last
+bit.  The cached power and factor tables are read-only.
 
 theta, rho_norm and unitarity_scalar are the only readers of Theta, rho and
 n(z) = rho(z) rho(1/z), through one bounded value cache keyed by (z, Params)
 that holds Theta(z) and rho(z) or the SingularPointError of rho's guards.
-One rule picks the kernel that forms a value.  A fill (_grid_fill), which
-grid callers run before they read, forms many arguments of one Params in
-row kernels (_poch2_rows, _poch1_rows).  A read miss forms its one value
-with the scalar kernels (_poch1, _poch2).  A miss formed as a fill of one
-would be faster, but it lowers the point-eval benchmark's traced layer
-share towards the bound its test asserts, so it waits on ROADMAP item 1.
-Both ways combine and guard rho in one step (_rho), and each row equals its
-scalar product to the last bit, so no value depends on which way formed it.
+The two ways a value gets there differ only in how many rows one kernel call
+forms.  A read miss forms its one value product by product, one row a call,
+through the lru-cached _poch1 and _poch2.  A fill (_grid_fill), which grid
+callers run before they read, forms many arguments of one Params at once:
+the one-base factors in one _poch1_rows broadcast, the two-base ones in
+_poch2_rows broadcasts of up to _ROW_FACTORS factors (or one row).  A
+miss formed as a fill of one would be faster, but it lowers the point-eval
+benchmark's traced layer share towards the bound its test asserts, so it
+waits on ROADMAP item 1.  Both ways combine and guard rho in one step
+(_rho).
 
 Evaluations that land within ``singular_guard`` of a vanishing denominator
 raise SingularPointError instead of returning huge values; the R-matrix has
@@ -205,65 +209,44 @@ def _poch2_table(b2: complex, order: int) -> tuple[np.ndarray, np.ndarray, np.nd
 def _poch1(z: complex, base: complex, order: int) -> complex:
     if order <= 0:
         return 1.0 + 0.0j
-    return complex(np.prod(1.0 - z * _powers(base, order)))
+    return complex(_poch1_rows(np.array([z]), _powers(base, order))[0])
 
 
 def _poch1_rows(x: np.ndarray, table: np.ndarray) -> np.ndarray:
     """(x[i]; b_i) for every sample i in one broadcast, x 1-D and aligned
-    with the rows of table: table[i] is _powers(b_i, order_i) padded with
-    zeros to the widest order, and a padded factor 1 - x * 0 is exactly 1, so
-    each product is _poch1's to the last bit.  A 1-D table is one base's
-    powers, shared by every sample."""
+    with the rows of table: table[i] is _powers(b_i, order_i), padded with
+    zeros to the widest order, where a padded factor 1 - x * 0 is exactly 1.
+    A 1-D table is one base's powers, shared by every sample."""
     return np.multiply.reduce(1.0 - x[:, None] * table, -1)
-
-
-# the factors in one _poch2_rows broadcast (16 bytes each): the rows of 34
-# arguments at order 61, of 3 at order 200
-_ROW_FACTORS = 1 << 16
 
 
 @lru_cache(maxsize=1 << 16)
 def _poch2(z: complex, b1: complex, b2: complex, order: int) -> complex:
     if order <= 0:
         return 1.0 + 0.0j
+    return complex(_poch2_rows((z,), b1, b2, order)[0])
+
+
+def _poch2_rows(xs, b1: complex, b2: complex, order: int) -> np.ndarray:
+    """(x; b1, b2) for every x of the sequence xs in one broadcast, one row
+    of order (order + 1) / 2 factors per argument."""
     table, lengths, offsets = _poch2_table(b2, order)
-    # zn[n1] = z b1^n1, rounded as the repeated zn *= b1 of Python complex
-    # arithmetic: numpy accumulates two or more steps in its scalar loop,
-    # which rounds as Python does, but a single step in its vector loop,
-    # which does not; so take all `order` steps, the last one unused.
-    steps = np.full(order + 1, b1, dtype=complex)
-    steps[0] = z
-    zn = np.cumprod(steps)[:order]
-    # the factors 1 - zn[n1] b2^n2, formed in one buffer: a fresh array per
-    # step costs more than the arithmetic at high orders
-    f = np.repeat(zn, lengths)
+    # xn[i, n1] = xs[i] b1^n1, rounded as the repeated x *= b1 of Python
+    # complex arithmetic: numpy accumulates two or more steps in its scalar
+    # loop, which rounds as Python does, but a single step in its vector
+    # loop, which does not; so take all `order` steps, the last one unused.
+    steps = np.full((len(xs), order + 1), b1, dtype=complex)
+    steps[:, 0] = xs
+    # the factors 1 - xn[i, n1] b2^n2, formed in one buffer: a fresh array
+    # per step costs more than the arithmetic at high orders
+    f = np.repeat(np.cumprod(steps, axis=1)[:, :order], lengths, axis=1)
     f *= table
     np.subtract(1.0, f, out=f)
-    # each row multiplied left to right, as np.prod of that row alone would
-    rows = np.multiply.reduceat(f, offsets)
-    # multiplied into 1, not started from the first row: 1 * row can differ
-    # from row in the sign of a zero part
-    return complex(np.prod(rows, initial=1.0 + 0.0j))
-
-
-def _poch2_rows(xs: np.ndarray, b1: complex, b2: complex, order: int) -> np.ndarray:
-    """(x; b1, b2) for every x of the 1-D xs in one broadcast, one row of
-    factors per argument: each row takes _poch2's steps in _poch2's order,
-    so each product is _poch2's to the last bit.  Rows beyond a buffer of
-    _ROW_FACTORS factors go to further broadcasts."""
-    table, lengths, offsets = _poch2_table(b2, order)
-    out = np.empty(len(xs), dtype=complex)
-    fit = max(1, _ROW_FACTORS // len(table))
-    for i in range(0, len(xs), fit):
-        steps = np.empty((len(xs[i:i + fit]), order + 1), dtype=complex)
-        steps[:, 0] = xs[i:i + fit]
-        steps[:, 1:] = b1
-        f = np.repeat(np.cumprod(steps, axis=1)[:, :order], lengths, axis=1)
-        f *= table
-        np.subtract(1.0, f, out=f)
-        rows = np.multiply.reduceat(f, offsets, axis=1)
-        np.multiply.reduce(rows, axis=1, initial=1.0 + 0.0j, out=out[i:i + fit])
-    return out
+    # each row of fixed n1 multiplied left to right, then the rows multiplied
+    # into 1, not started from the first row: 1 * row can differ from row in
+    # the sign of a zero part
+    rows = np.multiply.reduceat(f, offsets, axis=1)
+    return np.multiply.reduce(rows, axis=1, initial=1.0 + 0.0j)
 
 
 def qpochhammer(z: complex, bases, order: int) -> complex:
@@ -292,6 +275,9 @@ def qpochhammer(z: complex, bases, order: int) -> complex:
 # _GRID_SIZE keys empties it first, and so does a read miss at _GRID_SIZE keys.
 _GRID: dict = {}
 _GRID_SIZE = 1 << 14
+# the factors in one _poch2_rows broadcast of a fill (16 bytes each): the
+# rows of 34 arguments at order 61, of 3 at order 200
+_ROW_FACTORS = 1 << 16
 _UNFORMED = (None, None)
 _RHO_DENOMINATORS = ("(p q^2/z; p, q^4)", "(z; p, q^4)", "(q^4 z; p, q^4)")
 
@@ -388,7 +374,10 @@ def _grid_fill(params: Params, thetas=(), rhos=(), ns=()) -> None:
             _GRID.setdefault((z, params), [None, None])[0] = a * b * f[-1]
     if rh:
         rows = [_rho_args(z, params) for z in rh]
-        f = _poch2_rows(np.array([args for args, *_ in rows]).reshape(-1), *rows[0][1:]).tolist()
+        xs, (p, q4, n) = np.array([args for args, *_ in rows]).reshape(-1), rows[0][1:]
+        fit = max(1, _ROW_FACTORS // (n * (n + 1) // 2))
+        f = np.concatenate([_poch2_rows(xs[i:i + fit], p, q4, n)
+                            for i in range(0, len(xs), fit)]).tolist()
         for i, z in zip(range(0, len(f), 6), rh):
             _GRID.setdefault((z, params), [None, None])[1] = _rho(
                 z, params, f[i:i + 3], lambda: f[i + 3:i + 6])

@@ -124,17 +124,20 @@ class TestKernels:
         x[:, 1] = 1.0
         # one row per sample, aligned with its point's row of the table
         got = _poch1_rows(x.reshape(-1), table.repeat(x.shape[1], axis=0)).reshape(x.shape)
-        want = np.array([[_poch1(complex(v), b, n) for v in row]
-                         for row, b, n in zip(x, bases, orders)])
-        assert got.view(float).tobytes() == want.view(float).tobytes()
+        # each row equals the same argument's batch of one, and the reference loop
+        for kernel in (_poch1, _loop_poch1):
+            want = np.array([[kernel(complex(v), b, n) for v in row]
+                             for row, b, n in zip(x, bases, orders)])
+            assert got.view(float).tobytes() == want.view(float).tobytes(), kernel
         assert (got[:, 0] == 1.0).all() and (got[:, 1] == 0.0).all()
 
-    @pytest.mark.parametrize("rows", (1, 6, 96))
+    @pytest.mark.parametrize("rows", (1, 6, 34, 35, 96))
     def test_rows_equal_the_two_base_product_bit_for_bit(self, rows):
         # one call per order, orders 1-200 with |p| up to 0.85, a zero
-        # argument in every call of more than one row
+        # argument in every call of more than one row; 34 rows at order 61
+        # are what one broadcast of a fill holds (_ROW_FACTORS), 35 one more
         rng = np.random.default_rng(rows)
-        orders = range(1, 201) if rows < 96 else (1, 2, 3, 15, 61, 120)
+        orders = {34: (61,), 35: (61,), 96: (1, 2, 3, 15, 61, 120)}.get(rows, range(1, 201))
         for order in orders:
             p = complex(rng.uniform(0.0, 0.85))
             q4 = complex(rng.uniform(0.4, 0.8) ** 8)
@@ -142,8 +145,14 @@ class TestKernels:
             x *= rng.uniform(0.1, 3.0, size=rows)
             x[1:2] = 0.0
             got = _poch2_rows(x, p, q4, order)
-            want = np.array([_poch2.__wrapped__(v, p, q4, order) for v in x.tolist()])
-            assert got.view(float).tobytes() == want.view(float).tobytes(), order
+            # each row equals the same argument's batch of one, and the
+            # reference loop, which is slow at high orders, at one order in 8
+            kernels = [_poch2.__wrapped__]
+            if rows > 6 or order % 8 == 1:
+                kernels.append(_loop_poch2)
+            for kernel in kernels:
+                want = np.array([kernel(v, p, q4, order) for v in x.tolist()])
+                assert got.view(float).tobytes() == want.view(float).tobytes(), (order, kernel)
 
     def test_cached_arrays_are_read_only(self):
         params = make_params()
@@ -252,7 +261,7 @@ def _cold(f, z, params):
     return outcome(f, z, params)
 
 
-def _no_scalar_kernels(monkeypatch):
+def _misses_raise(monkeypatch):
     """Make a read miss raise, so that a read that passes was a cache hit."""
     def miss(*args):
         raise AssertionError("a read missed the value cache")
@@ -262,8 +271,8 @@ def _no_scalar_kernels(monkeypatch):
 
 
 class TestGridCache:
-    """A value of the value cache (_GRID) formed by a fill (the row kernels)
-    equals the value a cold read forms (the scalar kernels) to the last bit,
+    """A value of the value cache (_GRID) formed by a fill (many rows per
+    kernel call) equals the value a cold read forms (one row) to the last bit,
     trips included; a trip is formed once and raised afresh at every read,
     and the cache stays bounded however it is filled."""
 
@@ -282,7 +291,7 @@ class TestGridCache:
             _GRID.clear()
             _grid_fill(params, thetas=zs, rhos=zs, ns=zs)
             with monkeypatch.context() as m:
-                _no_scalar_kernels(m)
+                _misses_raise(m)
                 assert [[outcome(f, z, params) for z in zs] for f in readers] == cold
 
     def test_a_guarded_argument_gives_the_same_trip(self):
@@ -321,7 +330,7 @@ class TestGridCache:
             assert len(_GRID) <= 4
         _grid_fill(params, rhos=zs)  # more than fit: each is still formed
         with monkeypatch.context() as m:
-            _no_scalar_kernels(m)
+            _misses_raise(m)
             assert [outcome(rho_norm, z, params) for z in zs] == cold
         _GRID.clear()
         for z in zs:  # a session of one-point reads alone

@@ -45,7 +45,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from same_reports import ROOT, export
+from same_reports import HOST_VARIANT, ROOT, export
 
 CONTROL_THRESHOLD = 1e-3
 
@@ -63,12 +63,6 @@ GRIDS = (
         {"seed": k, "alpha_beta_offset": 0.05, "n_z": 5, "n_points": 5})
        for k in range(10)]
 )
-
-# numpy's SIMD dispatch limited to X86_V2, and OpenBLAS's Nehalem kernels
-HOST_VARIANT = {
-    "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
-    "OPENBLAS_CORETYPE": "Nehalem",
-}
 
 # Runs in the subprocess: reads the grids' keyword arguments as JSON on stdin
 # and writes, per grid, the list of its reports' to_dict() as JSON on stdout.
