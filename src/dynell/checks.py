@@ -200,25 +200,27 @@ def _laurent(cs, w):
 def _rand_matrix(nlegs, rng, params, pattern=None, degrees=lambda r: (0,)) -> DynMatrix:
     """A grid leaf of random Laurent polynomials of degree <= 2 in w = q^{2s}
     on the pattern (default: all); rng and params are per point.  Each point
-    draws its E-degrees as degrees(rng), then the real and the imaginary
-    parts of five coefficients per entry, degree by degree in the drawn
-    order, entries in row-major order.  The leaf holds the sorted union of
-    the points' degrees, exact zeros where a point drew none; a read forms
-    w of all its samples in one array pass (_dyn_w_rows), and every value is
-    the elementwise _laurent of its sample's w."""
+    draws its E-degrees as degrees(rng), then in one call the real and the
+    imaginary parts of five coefficients per entry, degree by degree in the
+    drawn order, entries in row-major order.  The leaf holds the sorted union
+    of the points' degrees, exact zeros where a point drew none; all points'
+    coefficients are formed in one array pass and placed in one assignment.
+    A read forms w of all its samples in one array pass (_dyn_w_rows), and
+    every value is the elementwise _laurent of its sample's w."""
     d = 1 << nlegs
     if pattern is None:
         pattern = np.ones((d, d), dtype=bool)
-    drawn = []
+    drawn, raw = [], []
     for r in rng:
-        degs = [int(k) for k in degrees(r)]
-        raw = r.standard_normal((len(degs), int(pattern.sum()), 2, 5))
-        drawn.append(dict(zip(degs, raw[..., 0, :] + 1j * raw[..., 1, :])))
+        drawn.append([int(k) for k in degrees(r)])
+        raw.append(r.standard_normal((len(drawn[-1]), int(pattern.sum()), 2, 5)))
     degs = sorted(set().union(*drawn))
+    raw = np.concatenate(raw)  # a row per drawn (point, degree), in draw order
+    at = np.array([(p, degs.index(k)) for p, ks in enumerate(drawn) for k in ks])
     coeffs = np.zeros((len(rng), len(degs), 5, d * d), complex)  # point-major
-    for p, table in enumerate(drawn):
-        for k, cs in table.items():
-            coeffs[p, degs.index(k)][:, pattern.reshape(-1)] = cs.T
+    # one assignment puts each row at its (point, degree), on the pattern's entries
+    entries = (at[:, :1], at[:, 1:], np.flatnonzero(pattern))
+    coeffs.transpose(0, 1, 3, 2)[entries] = raw[..., 0, :] + 1j * raw[..., 1, :]
 
     def ev(s, pts, need, log):
         w = _dyn_w_rows(s, params, pts)
@@ -229,12 +231,14 @@ def _rand_matrix(nlegs, rng, params, pattern=None, degrees=lambda r: (0,)) -> Dy
 
 
 def _rand_samples(rngs, n):
-    """n samples of s per grid point, each from its point's rng, point-major."""
-    return [
-        complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.5, 0.5))
-        for rng in rngs
-        for _ in range(n)
-    ]
+    """n samples of s per grid point, each from its point's rng, point-major.
+    A point's samples are one draw of n (re, im) pairs in [0, 1), formed as
+    Generator.uniform(-1, 1) and uniform(-0.5, 0.5) form them, low + range *
+    u; every step is exact, so each sample equals its scalar uniform pair."""
+    u = np.array([rng.random((n, 2)) for rng in rngs])
+    u *= (2.0, 1.0)
+    u += (-1.0, -0.5)
+    return u.view(complex).ravel().tolist()
 
 
 def _over_points(check):

@@ -73,11 +73,20 @@ def dyn_w(s: complex, params: Params) -> complex:
     return cmath.exp(2.0 * s * _logq(params.q))
 
 
+@lru_cache(maxsize=64)
+def _logq_rows(params: tuple) -> np.ndarray:
+    """log q of each point of a grid, formed once per grid."""
+    rows = np.array([_logq(x.q) for x in params])
+    rows.flags.writeable = False
+    return rows
+
+
 def _dyn_w_rows(s: np.ndarray, params: tuple, pts: np.ndarray) -> np.ndarray:
     """dyn_w(s[i], params[pts[i]]) for every sample i in one array pass, to
     the last bit: 2.0 * s * log q is formed on split real and imaginary
-    parts in CPython's order, since numpy's complex * may fuse a product."""
-    logq = np.array([_logq(x.q) for x in params])[pts]
+    parts in CPython's order, since numpy's complex * may fuse a product.
+    The points' log q come from one table per grid (_logq_rows)."""
+    logq = _logq_rows(tuple(params))[pts]
     sr, si, br, bi = s.real, s.imag, logq.real, logq.imag
     ar, ai = 2.0 * sr - 0.0 * si, 2.0 * si + 0.0 * sr
     x = np.empty(len(s), complex)

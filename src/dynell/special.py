@@ -242,11 +242,9 @@ def _poch2_rows(xs, b1: complex, b2: complex, order: int) -> np.ndarray:
     f = np.repeat(np.cumprod(steps, axis=1)[:, :order], lengths, axis=1)
     f *= table
     np.subtract(1.0, f, out=f)
-    # each row of fixed n1 multiplied left to right, then the rows multiplied
-    # into 1, not started from the first row: 1 * row can differ from row in
-    # the sign of a zero part
+    # each row of fixed n1 multiplied left to right, then the rows
     rows = np.multiply.reduceat(f, offsets, axis=1)
-    return np.multiply.reduce(rows, axis=1, initial=1.0 + 0.0j)
+    return np.multiply.reduce(rows, axis=1)
 
 
 def qpochhammer(z: complex, bases, order: int) -> complex:

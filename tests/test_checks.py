@@ -195,6 +195,10 @@ def laurent_entry(rng):
     return lambda s: checks._laurent(cs, rmatrix.dyn_w(s, PARAMS))
 
 
+def hex_parts(x) -> tuple:
+    return x.real.hex(), x.imag.hex()
+
+
 def count_w_reads(monkeypatch) -> list:
     """The (samples, points) of each call the leaves make to the array form
     of dyn_w from here on."""
@@ -273,6 +277,49 @@ class TestRandomLaurentLeaf:
             leaf = checks._rand_matrix(nlegs, [rng], [PARAMS], degrees=degrees)
             one, two = leaf.coeffs_at([s0]), leaf.coeffs_at([s0, s1])
             assert all(np.array_equal(one[k][0], two[k][0]) for k in leaf.masks)
+
+    @pytest.mark.parametrize("n", (1, 3, 4, 8))
+    def test_samples_are_the_scalar_uniform_draws(self, n):
+        # one array draw per point gives each sample's two uniform draws to
+        # the last bit and leaves every generator where the scalar draws do
+        got = [np.random.default_rng(x) for x in range(1000)]
+        want = [np.random.default_rng(x) for x in range(1000)]
+        samples = checks._rand_samples(got, n)
+        expect = [
+            complex(r.uniform(-1.0, 1.0), r.uniform(-0.5, 0.5)) for r in want for _ in range(n)
+        ]
+        assert [hex_parts(x) for x in samples] == [hex_parts(x) for x in expect]
+        assert [r.bit_generator.state for r in got] == [r.bit_generator.state for r in want]
+
+    def test_leaf_equals_the_point_by_point_placement(self):
+        # six points with their own Params, per-point degrees and a non-full
+        # pattern, against coefficients drawn and placed point by point and
+        # degree by degree, read through the same w and _laurent
+        pattern = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
+        params = [Params.make(0.45 + 0.03 * i, 0.31) for i in range(6)]
+        rngs = [np.random.default_rng(40 + i) for i in range(6)]
+        leaf = checks._rand_matrix(2, rngs, params, pattern, degrees=skew_degrees)
+        ref = [np.random.default_rng(40 + i) for i in range(6)]
+        drawn = []
+        for r in ref:
+            degs = [int(k) for k in skew_degrees(r)]
+            raw = r.standard_normal((len(degs), int(pattern.sum()), 2, 5))
+            drawn.append(dict(zip(degs, raw[..., 0, :] + 1j * raw[..., 1, :])))
+        degs = sorted(set().union(*drawn))
+        coeffs = np.zeros((6, len(degs), 5, 16), complex)
+        for p, table in enumerate(drawn):
+            for k, cs in table.items():
+                coeffs[p, degs.index(k)][:, pattern.reshape(-1)] = cs.T
+        assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in ref]
+        s = np.array(self.SAMPLES * 6)
+        pts = np.repeat(np.arange(6), len(self.SAMPLES))
+        w = checks._dyn_w_rows(s, params, pts)[:, None]
+        cs = coeffs[pts].transpose(1, 2, 0, 3)
+        got = leaf.coeffs_at(s.tolist())
+        assert list(got) == degs
+        for k, vals in got.items():
+            want = checks._laurent(cs[degs.index(k)], w).reshape(-1, 4, 4)
+            assert vals.tobytes() == want.tobytes(), k
 
 
 # the rows that run once over all grid points
