@@ -13,7 +13,7 @@ rows) run once over all grid points; each builds both sides of its identity
 as DynMatrix expressions and reads them through _skew_resids.  A singular
 guard does not stop such a batch: its reads note each point's first trip in
 a Trips record, in the order a single point's run would meet them, and the
-point's result is that trip, a SingularPointError.  Called at one point, a
+point's result is a SingularPointError of that trip.  Called at one point, a
 check raises it.  A scalar factor such as 1/n(z) is a lazy scale factor,
 read per sample with the side it scales and logging its trips as a leaf
 does; traceint alone calls n(z) as it builds, noting a trip before any read.
@@ -245,9 +245,9 @@ def _over_points(check):
     """Batch check over grid points: check takes a Trips record and each
     per-point input as a sequence over the points (params first), notes the
     points' guard trips in the record, and returns one result per point.
-    The batched check gives a tripped point its first trip as its result; it
-    also takes one point's inputs and returns that point's result, as a
-    batch of one, raising its trip."""
+    The batched check gives a tripped point a SingularPointError of its first
+    trip as its result; it also takes one point's inputs and returns that
+    point's result, as a batch of one, raising its trip."""
 
     @functools.wraps(check)
     def run(params, *args, **options):

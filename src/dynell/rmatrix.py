@@ -123,13 +123,13 @@ _R_TRIPPED.flags.writeable = False
 @lru_cache(maxsize=1 << 12)
 def _z_factors(z: complex, params: Params) -> tuple:
     """What R reads of z and Params alone: (z, p, q, q^2, Theta(z),
-    Theta(q^2 z), Theta(q^2)), rho(z) and the trip of rho's guards (rho 0)."""
+    Theta(q^2 z), Theta(q^2)), rho(z) and the message of rho's trip (rho 0)."""
     q2 = params.q * params.q
     k = z, params.p, params.q, q2, theta(z, params), theta(q2 * z, params), theta(q2, params)
     try:
         return k, rho_norm(z, params), None
     except SingularPointError as exc:
-        return k, 0.0, exc.with_traceback(None)
+        return k, 0.0, str(exc)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -178,7 +178,7 @@ def _r_array(z: complex, s: complex, params: Params, twisted: bool) -> np.ndarra
     b_c = _entries(dyn_w(s, params), k, lambda x: theta(x, params), lambda x: _poch1(x, p, n),
                    lambda v, label, where: guarded(v, label, g, where, z, s), twisted)
     if trip is not None:
-        raise SingularPointError(*trip.args)
+        raise SingularPointError(trip)
     r = _assemble(rho, *b_c)
     # the lru_cache hands this same array to every caller
     r.flags.writeable = False
@@ -188,12 +188,11 @@ def _r_array(z: complex, s: complex, params: Params, twisted: bool) -> np.ndarra
 @lru_cache(maxsize=64)
 def _grid_tables(params: tuple) -> tuple:
     """Per point: the powers of p padded with zeros to the widest order
-    (_poch1_rows), (p; p) and log q."""
+    (_poch1_rows), and (p; p)."""
     table = np.zeros((len(params), max(x.truncation_order for x in params)), complex)
     for row, x in zip(table, params):
         row[:x.truncation_order] = _powers(x.p, x.truncation_order)
-    cols = [(_poch1(x.p, x.p, x.truncation_order), _logq(x.q)) for x in params]
-    return (table, *np.array(cols).T)
+    return table, np.array([_poch1(x.p, x.p, x.truncation_order) for x in params])
 
 
 def _r_stack(zs: list, params: tuple, twisted: bool, s, pts, log: list) -> dict:
@@ -204,7 +203,8 @@ def _r_stack(zs: list, params: tuple, twisted: bool, s, pts, log: list) -> dict:
     guards then pick out and log."""
     ks, rho, rho_trips = zip(*[_grid_z_factors(z, x) for z, x in zip(zs, params)])
     k = [np.array(col)[pts] for col in zip(*ks)]
-    table, pp, logq = (col[pts] for col in _grid_tables(params))
+    table, pp = (col[pts] for col in _grid_tables(params))
+    logq = _logq_rows(params)[pts]
     # per sample, the first guard it trips: made[k](i) is guard k's trip at sample i
     g, first, made, point = _guard(params), np.full(len(s), -1), [], pts.tolist()
 
@@ -220,7 +220,7 @@ def _r_stack(zs: list, params: tuple, twisted: bool, s, pts, log: list) -> dict:
                        poch, guard, twisted)
         r = _assemble(np.array(rho)[pts, None, None], *b_c)
     first[np.array([t is not None for t in rho_trips])[pts] & (first < 0)] = len(made)
-    made.append(lambda i: SingularPointError(*rho_trips[point[i]].args))
+    made.append(lambda i: rho_trips[point[i]])
     at = np.flatnonzero(first >= 0).tolist()
     for i in at:  # made and logged in sample order
         log.append((i, made[first[i]](i)))
@@ -250,14 +250,14 @@ def _r_read(zs: list, params: tuple, twisted: bool, s, pts, log: list) -> dict:
         at, logged = list(new.values()), []
         r = _r_stack(zs, params, twisted, s[at], pts[at], logged)[0]
         trips = dict(logged)
-        fresh = {k: (r[j], trips[j].args if j in trips else None) for j, k in enumerate(new)}
+        fresh = {k: (r[j], trips.get(j)) for j, k in enumerate(new)}
         if len(_R_SAMPLES) + len(fresh) > _R_SAMPLES_SIZE:
             _R_SAMPLES.clear()
         _R_SAMPLES.update(fresh)
         held = [h or fresh[k] for k, h in zip(keys, held)]
     for i, (_, trip) in enumerate(held):
         if trip:
-            log.append((i, SingularPointError(*trip)))
+            log.append((i, trip))
     return {0: np.array([r for r, _ in held]).reshape(len(keys), 4, 4)}
 
 

@@ -27,10 +27,10 @@ n samples s, their grid points pts, a demand {degree: boolean d x d mask}
 inside the pattern and a read's trip log, and returns {degree: complex
 (n, d, d) array}, slice i at s[i], exact on the demanded entries, zero off
 the pattern and finite elsewhere.  A leaf, a ``scale`` factor or an inverse
-that trips a guard at sample i appends (i, the SingularPointError, its
-traceback dropped) to the log and holds zeros, 1.0 or the identity there;
-every operation hands pts and the log down as they are, as a shift keeps
-positions.  So a read's log lists its trips in the order evaluation met
+that trips a guard at sample i appends (i, the trip's message, as
+special.singular forms it) to the log and holds zeros, 1.0 or the identity
+there; every operation hands pts and the log down as they are, as a shift
+keeps positions.  So a read's log lists its trips in the order evaluation met
 them.  Every operation works out from the patterns alone which entries of
 its operands the demanded entries read, and at which shifts of s, and
 evaluates only those, for the whole batch at once: a guarded entry or an
@@ -38,10 +38,10 @@ inverse is evaluated only where a result reads it.  Scalar entry functions
 (``from_entries``, ``scale``) see one sample at a time; a leaf may evaluate
 its whole batch as one stack.  ``at``/``coeffs_at`` take a scalar s (a
 batch of one, read out as d x d arrays) or a sequence of samples, and note
-the log in a ``Trips`` record or, without one, raise its first trip.  Slice
-i depends on s[i] alone, bit for bit.  Arrays an evaluator keeps (constant
-leaves, cached inverses) are read-only, and so is what a scalar read
-returns.
+the log in a ``Trips`` record or, without one, raise a new
+SingularPointError of its first trip.  Slice i depends on s[i] alone, bit
+for bit.  Arrays an evaluator keeps (constant leaves, cached inverses) are
+read-only, and so is what a scalar read returns.
 
 The batch may run over the points of a grid: a grid leaf evaluates sample
 i with the data of point pts[i], and any other leaf ignores pts.  ``points``
@@ -238,14 +238,14 @@ def _sampled(f, items, neutral, log) -> list:
         try:
             out.append(f(*item))
         except SingularPointError as exc:
-            log.append((i, exc.with_traceback(None)))
+            log.append((i, str(exc)))
             out.append(neutral)
     return out
 
 
 class Trips(list):
-    """Per grid point, the first guard trip its reads logged, in read order,
-    or None: grid reads note their trips here instead of raising them."""
+    """Per grid point, the message of the first guard trip its reads logged,
+    in read order, or None: grid reads note trips here, not raising them."""
 
     def __init__(self, points: int):
         super().__init__([None] * points)
@@ -265,15 +265,15 @@ class Trips(list):
         return vals
 
     def outcomes(self, results) -> list:
-        """Each point's result, or its first trip."""
-        return [t or r for r, t in zip(results, self)]
+        """Each point's result, or a new SingularPointError of its first trip."""
+        return [SingularPointError(t) if t else r for r, t in zip(results, self)]
 
 
 def _settle(log, n: int, record):
     """Note a read's log (n samples) in record, or raise its first trip."""
     if log:
         if record is None:
-            raise log[0][1]
+            raise SingularPointError(log[0][1])
         record.note(log, n)
 
 
@@ -457,7 +457,7 @@ class DynMatrix:
                             row[ij] = f[p](x)
                     except SingularPointError as exc:
                         row[:] = consts[k].reshape(-1)
-                        log.append((i, exc.with_traceback(None)))
+                        log.append((i, str(exc)))
             return out
 
         return cls(nlegs, masks, ev, points)

@@ -20,7 +20,7 @@ bit.  The cached power and factor tables are read-only.
 
 theta, rho_norm and unitarity_scalar are the only readers of Theta, rho and
 n(z) = rho(z) rho(1/z), through one bounded value cache keyed by (z, Params)
-that holds Theta(z) and rho(z) or the SingularPointError of rho's guards.
+that holds Theta(z) and rho(z) or the trip of rho's guards, its message.
 The two ways a value gets there differ only in how many rows one kernel call
 forms.  A read miss forms its one value product by product, one row a call,
 through the lru-cached _poch1 and _poch2.  A fill (_grid_fill), which grid
@@ -34,7 +34,8 @@ waits on ROADMAP item 1.  Both ways combine and guard rho in one step
 
 Evaluations that land within ``singular_guard`` of a vanishing denominator
 raise SingularPointError instead of returning huge values; the R-matrix has
-genuine pole lattices and silent infinities would corrupt residuals.
+genuine pole lattices and silent infinities would corrupt residuals.  Caches
+and logs keep a trip as its message (singular), not as an error.
 """
 
 from __future__ import annotations
@@ -79,15 +80,13 @@ def guarded(value, label: str, guard: float, where: str = "", *args):
     guarded quantity; where locates it and is formatted with args only when
     the guard trips, e.g. guarded(d, "denominator", g, " at s = {}", s)."""
     if abs(value) < guard:
-        raise singular(value, label, where, *args)
+        raise SingularPointError(singular(value, label, where, *args))
     return value
 
 
-def singular(value, label: str, where: str = "", *args) -> SingularPointError:
-    """The error guarded raises for value (a stacked guard's trip)."""
-    return SingularPointError(
-        f"singular point: |{label}| = {abs(value):.3e} below guard" + where.format(*args)
-    )
+def singular(value, label: str, where: str = "", *args) -> str:
+    """The message of guarded's error for value: a trip, as every log keeps it."""
+    return f"singular point: |{label}| = {abs(value):.3e} below guard" + where.format(*args)
 
 
 @dataclass(frozen=True)
@@ -268,8 +267,8 @@ def qpochhammer(z: complex, bases, order: int) -> complex:
     return _poch2(z, bs[0], bs[1], order)
 
 
-# The value cache: by (z, Params), [Theta(z), rho(z) or the SingularPointError
-# of its guards], None where not formed yet.  A fill that would take it past
+# The value cache: by (z, Params), [Theta(z), rho(z) or the trip (message) of
+# its guards], None where not formed yet.  A fill that would take it past
 # _GRID_SIZE keys empties it first, and so does a read miss at _GRID_SIZE keys.
 _GRID: dict = {}
 _GRID_SIZE = 1 << 14
@@ -311,9 +310,9 @@ def _rho_args(z: complex, params: Params) -> tuple:
 
 def _rho(z: complex, params: Params, d, num):
     """rho_norm at z from d, its denominator's three factors (in the order of
-    _RHO_DENOMINATORS), and num(), its numerator's: its value, or the
-    SingularPointError of the first factor of d below singular_guard, num
-    then not called."""
+    _RHO_DENOMINATORS), and num(), its numerator's: its value, or the trip
+    (message) of the first factor of d below singular_guard, num then not
+    called."""
     for label, value in zip(_RHO_DENOMINATORS, d):
         if abs(value) < params.singular_guard:
             return singular(value, label, " at z = {}", z)
@@ -338,8 +337,8 @@ def rho_norm(z: complex, params: Params) -> complex:
         args, p, q4, n = _rho_args(z, params)
         slot[1] = _rho(z, params, [_poch2(x, p, q4, n) for x in args[:3]],
                        lambda: [_poch2(x, p, q4, n) for x in args[3:]])
-    if isinstance(slot[1], SingularPointError):
-        raise SingularPointError(*slot[1].args)
+    if isinstance(slot[1], str):
+        raise SingularPointError(slot[1])
     return slot[1]
 
 

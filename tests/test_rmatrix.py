@@ -1,5 +1,7 @@
 """R-matrix construction, twist gauge, and diagonal dressing factors."""
 
+import traceback
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,7 @@ from dynell.checks import GridSpec
 from dynell.rmatrix import (_R_PATTERN, _dyn_w_rows, _g22, _qpow, _r_array, _r_dyn, dyn_w,
                             ups_ratio)
 from dynell.special import _poch1
-from dynell.shiftcalc import PAULI_Y, guarded_div, shift_scalar, weight
+from dynell.shiftcalc import PAULI_Y, Trips, guarded_div, shift_scalar, weight
 
 from helpers import make_params, resid
 
@@ -403,5 +405,48 @@ class TestStackedR:
         assert len(trips) == 7
         assert [(i, str(exc)) for i, exc in second] == [
             (i, trips[k]) for i, k in enumerate(order) if k in trips]
-        # every logged trip is an error of its own
-        assert len({id(exc) for _, exc in first + second}) == len(first) + len(second)
+        # every kept or logged trip is its message, and each raising read
+        # builds an error of its own
+        assert all(type(t) is str for _, t in first + second)
+        assert all(t is None or type(t) is str for _, t in rmatrix._R_SAMPLES.values())
+        raised = []
+        for _ in range(2):
+            with pytest.raises(SingularPointError) as info:
+                leaf.at(s)
+            raised.append(info.value)
+        assert raised[0] is not raised[1] and str(raised[0]) == str(raised[1])
+
+
+def _gamma_read():
+    gamma = gamma_twist(PARAMS)  # its inverse keeps the trip at s = 0
+    return lambda: gamma.at(0.0)
+
+
+def _outcome_read():
+    tr = Trips(1)
+    gamma_twist(PARAMS).at([0.0], tr)
+
+    def read():
+        raise tr.outcomes([0.0])[0]
+
+    return read
+
+
+class TestTripErrors:
+    """A trip is kept as its message; each raise builds a new error."""
+
+    @pytest.mark.parametrize("make_read", [
+        _gamma_read,
+        lambda: lambda: rho_norm(1.0, PARAMS),  # kept in the value cache
+        lambda: lambda: build_r(point(z=1.0)).at(S0),
+        _outcome_read,
+    ], ids=["gamma", "rho", "R", "outcomes"])
+    def test_each_raise_is_a_new_error_with_one_traceback_length(self, make_read):
+        read, raised = make_read(), []
+        for _ in range(3):
+            with pytest.raises(SingularPointError) as info:
+                read()
+            raised.append(info.value)
+        assert len({id(e) for e in raised}) == 3
+        assert len({str(e) for e in raised}) == 1
+        assert len({len(traceback.extract_tb(e.__traceback__)) for e in raised}) == 1

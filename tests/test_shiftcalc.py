@@ -685,7 +685,7 @@ class TestTripRecords:
         later = Trips(1)
         later.note([(1, tr[0])], 2)
         assert later[0] is tr[0]
-        later.note([(0, SingularPointError("later read"))], 2)
+        later.note([(0, "singular point: a later read")], 2)
         assert later[0] is tr[0]  # the first read's trip stays
 
     def test_a_tripped_scale_factor_is_noted_at_its_sample_alone(self):

@@ -9,7 +9,7 @@ Exports REF with `git archive` into a temporary directory, then runs
 `python3 -m dynell check --format json --no-timestamp` there and in the
 working tree at a fixed list of settings, `python3 -m dynell eval` of each
 object at the default point and at s = -30, where the gauges and R
-overflow, and five one-point evaluations that end in a guard trip or in the
+overflow, and six one-point evaluations that end in a guard trip or in the
 error of z = 0.  With --host-variant both sides run the working tree, and
 the second sets NPY_DISABLE_CPU_FEATURES and OPENBLAS_CORETYPE
 (HOST_VARIANT) in its own environment: numpy's SIMD dispatch falls back to
@@ -53,15 +53,19 @@ CHECK_SETTINGS = (
     "--p 0.8 --points 5 --seed 17",
     "--p 0.85 --points 4 --seed 12 --truncation-order 200",
     "--p 0.85 --points 4 --seed 13 --truncation-order 200",
+    # complex parameters, in the documented a+bi form
+    "--q-half 0.55+0.2i --p 0.6 --points 8 --seed 1",
+    "--q-half 0.6+0.1i --p 0.2+0.05i --points 6",
 )
 
 # one-point reads that end in a trip of rho's guards (at z = 1 its value is
-# 0; at p = 0.85 a non-zero value below the guard, whose digits are printed)
-# or in the error of z = 0
+# 0; at p = 0.85 a non-zero value below the guard, whose digits are printed),
+# in the det guard of Gamma's kept inverse (s = 0), or in the error of z = 0
 EVAL_EDGES = (
     "rho --z 1",
     "rho --z 1.5 --p 0.85",
     "R --z 1",
+    "Gamma --s 0",
     "rho --z 0",
     "theta --z 0",
 )

@@ -1,4 +1,4 @@
-"""Compare report statuses and residuals over 100 fixed grids between a git
+"""Compare report statuses and residuals over 118 fixed grids between a git
 revision and the working tree, or between this host and an emulated older
 one.
 
@@ -6,7 +6,7 @@ Usage: python3 tools/same_sweep.py REF
        python3 tools/same_sweep.py --host-variant
 
 Exports REF with `git archive` into a temporary directory, then runs
-`run_suite` over the same 100 grids on the sources of REF and of the working
+`run_suite` over the same 118 grids on the sources of REF and of the working
 tree, each side in a subprocess of its own, and compares the reports (in
 `to_dict()` form) grid by grid.  With --host-variant both sides run the
 working tree, and the second sets NPY_DISABLE_CPU_FEATURES and
@@ -20,7 +20,10 @@ and that no status does.  The grids are
 - p 0.8, 5 points, seeds 0-29;
 - p 0.85, 4 points, truncation order 200, seeds 0-14;
 - q_half 0.8 with p 0.6, 5 points, seeds 0-14;
-- alpha*beta offset 0.05, 5 z samples, 5 points, seeds 0-9.
+- alpha*beta offset 0.05, 5 z samples, 5 points, seeds 0-9;
+- complex parameters, 8 points, seeds 0-5 each: q_half 0.6+0.1i with
+  p 0.2+0.05i, q_half 0.7-0.15i with p 0.35-0.1i, and q_half 0.55+0.2i
+  with p 0.6.
 
 Per grid it prints every status change with the point and both residuals,
 the largest |log10| ratio of a residual between the two sides among reports
@@ -62,14 +65,22 @@ GRIDS = (
     + [(f"offset 0.05 n_z 5 seed {k}",
         {"seed": k, "alpha_beta_offset": 0.05, "n_z": 5, "n_points": 5})
        for k in range(10)]
+    # JSON has no complex type: these go as strings, which WORKER makes complex
+    + [(f"q_half {q} p {p} seed {k}",
+        {"seed": k, "q_half_fixed": q, "p_fixed": p, "n_points": 8})
+       for q, p in (("0.6+0.1j", "0.2+0.05j"), ("0.7-0.15j", "0.35-0.1j"), ("0.55+0.2j", "0.6"))
+       for k in range(6)]
 )
 
-# Runs in the subprocess: reads the grids' keyword arguments as JSON on stdin
-# and writes, per grid, the list of its reports' to_dict() as JSON on stdout.
+# Runs in the subprocess: reads the grids' keyword arguments as JSON on stdin,
+# a string made complex, and writes, per grid, the list of its reports'
+# to_dict() as JSON on stdout.
 WORKER = """
 import json, sys
 from dynell.checks import GridSpec, run_suite
 grids = json.load(sys.stdin)
+for kw in grids:
+    kw.update({k: complex(v) for k, v in kw.items() if isinstance(v, str)})
 json.dump([[r.to_dict() for r in run_suite(GridSpec(**kw))] for kw in grids], sys.stdout)
 """
 
