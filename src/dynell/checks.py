@@ -206,7 +206,13 @@ def _rand_matrix(nlegs, rng, params, pattern=None, degrees=lambda r: (0,)) -> Dy
     of the points' degrees, exact zeros where a point drew none; all points'
     coefficients are formed in one array pass and placed in one assignment.
     A read forms w of all its samples in one array pass (_dyn_w_rows), and
-    every value is the elementwise _laurent of its sample's w."""
+    every value is the elementwise _laurent of its sample's w, on every
+    entry whatever the demand's masks.  The leaf holds each degree it read,
+    read-only, by the bytes of the read's samples and points, and a read
+    evaluates only the demanded degrees it does not hold: a value depends on
+    its sample, point and degree alone and the leaf logs no trip, so a held
+    degree is the one a new read would form, bit for bit.  What it holds
+    lives with the leaf."""
     d = 1 << nlegs
     if pattern is None:
         pattern = np.ones((d, d), dtype=bool)
@@ -221,11 +227,18 @@ def _rand_matrix(nlegs, rng, params, pattern=None, degrees=lambda r: (0,)) -> Dy
     # one assignment puts each row at its (point, degree), on the pattern's entries
     entries = (at[:, :1], at[:, 1:], np.flatnonzero(pattern))
     coeffs.transpose(0, 1, 3, 2)[entries] = raw[..., 0, :] + 1j * raw[..., 1, :]
+    held = {}  # (samples, points) -> {degree: read-only array}
 
     def ev(s, pts, need, log):
-        w = _dyn_w_rows(s, params, pts)
-        cs = coeffs[pts].transpose(1, 2, 0, 3)  # one take: [degree][c] is (n, d * d)
-        return {k: _laurent(cs[degs.index(k)], w[:, None]).reshape(len(s), d, d) for k in need}
+        vals = held.setdefault((s.tobytes(), pts.tobytes()), {})
+        todo = [k for k in need if k not in vals]
+        if todo:
+            w = _dyn_w_rows(s, params, pts)
+            cs = coeffs[pts].transpose(1, 2, 0, 3)  # one take: [degree][c] is (n, d * d)
+            for k in todo:
+                vals[k] = v = _laurent(cs[degs.index(k)], w[:, None]).reshape(len(s), d, d)
+                v.flags.writeable = False
+        return {k: vals[k] for k in need}  # a new dict: a product pops from it
 
     return DynMatrix(nlegs, {k: pattern for k in degs}, ev, len(params))
 
@@ -775,10 +788,22 @@ class GridSpec:
         return points
 
 
+def _words(n: int) -> list:
+    """The 32-bit words of a non-negative int, least significant first, 0
+    as one word: how SeedSequence splits a Python int."""
+    words = [n & 0xFFFFFFFF]
+    while n := n >> 32:
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
 def _rng_for(grid: GridSpec, pt: GridPoint, tag: str):
-    return np.random.default_rng(
-        np.random.SeedSequence([grid.seed, pt.index, zlib.crc32(tag.encode())])
-    )
+    """The generator of SeedSequence([seed, index, crc32(tag)]), built from
+    those ints' entropy words in one np.uint32 array, which SeedSequence
+    takes as it is: the same state for every non-negative seed, and cheaper
+    than its coercion of a list of Python ints."""
+    words = _words(grid.seed) + _words(pt.index) + _words(zlib.crc32(tag.encode()))
+    return np.random.default_rng(np.random.SeedSequence(np.array(words, np.uint32)))
 
 
 # Inputs of a check at a grid point: each returns the report's point keys

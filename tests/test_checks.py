@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -221,6 +222,13 @@ class TestRandomLaurentLeaf:
     # numpy's elementwise arithmetic rounds differently from the per-entry form
     EPS = 64 * np.finfo(float).eps
 
+    @staticmethod
+    def skew_leaf(seeds=(5, 6)):
+        return checks._rand_matrix(
+            0, [np.random.default_rng(x) for x in seeds], [PARAMS] * len(seeds),
+            degrees=skew_degrees,
+        )
+
     @pytest.mark.parametrize(
         "pattern", [None, np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]],
         ids=["full", "x"],
@@ -248,9 +256,7 @@ class TestRandomLaurentLeaf:
     def test_skew_element_leaf_equals_the_per_degree_polynomials(self, monkeypatch):
         samples = self.SAMPLES
         seeds = (5, 6)
-        leaf = checks._rand_matrix(
-            0, [np.random.default_rng(x) for x in seeds], [PARAMS] * 2, degrees=skew_degrees
-        )
+        leaf = self.skew_leaf(seeds)
         # each point's draws: its degrees, then degree by degree in drawn order
         polys = []
         for x in seeds:
@@ -320,6 +326,45 @@ class TestRandomLaurentLeaf:
         for k, vals in got.items():
             want = checks._laurent(cs[degs.index(k)], w).reshape(-1, 4, 4)
             assert vals.tobytes() == want.tobytes(), k
+
+    def test_a_repeat_read_is_held(self, monkeypatch):
+        leaf = self.skew_leaf()
+        samples = self.SAMPLES * 2
+        first = leaf.coeffs_at(samples)
+        calls = count_w_reads(monkeypatch)
+        again = leaf.coeffs_at(samples)
+        assert calls == []
+        assert list(again) == list(first) == list(leaf.masks)
+        assert all(again[k].tobytes() == first[k].tobytes() for k in first)
+        assert not any(v.flags.writeable for v in again.values())
+
+    def test_a_popped_read_leaves_the_next_whole(self):
+        leaf = self.skew_leaf()
+        got = leaf.coeffs_at(self.SAMPLES * 2)
+        for k in list(got):
+            got.pop(k)
+        assert list(leaf.coeffs_at(self.SAMPLES * 2)) == list(leaf.masks)
+
+    def test_a_read_evaluates_what_its_leaf_does_not_hold(self, monkeypatch):
+        # each read equals that of a leaf with nothing held, bit for bit
+        leaf = self.skew_leaf()
+        s, full = np.array([S0, S0]), leaf.masks
+        reads = [  # (samples, points, demand, whether the leaf evaluates)
+            (s, [0, 1], {0: full[0]}, True),
+            (s, [1, 0], {0: full[0]}, True),  # the same samples at other points
+            (s + 1, [1, 0], {0: full[0]}, True),
+            (s + 1, [1, 0], full, True),  # degrees it does not hold
+            (s + 1, [1, 0], {-1: full[-1], 2: full[2]}, False),  # held degrees
+        ]
+        calls = count_w_reads(monkeypatch)
+        for x, pts, need, evaluated in reads:
+            pts = np.array(pts)
+            want = self.skew_leaf().ev(x, pts, need, [])
+            before = len(calls)
+            got = leaf.ev(x, pts, need, [])
+            assert len(calls) - before == evaluated
+            assert list(got) == list(want) == list(need)
+            assert all(got[k].tobytes() == want[k].tobytes() for k in need)
 
 
 # the rows that run once over all grid points
@@ -748,6 +793,16 @@ class TestResidualTruncationScaling:
 
 
 class TestSuite:
+    @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32, 2**32 + 5, 2**70 + 3])
+    def test_grid_generators_are_those_of_the_seed_sequence_of_ints(self, seed):
+        # entropy words give the state SeedSequence forms from the Python ints
+        grid = GridSpec(seed=seed)
+        crc = zlib.crc32(b"skassoc")
+        for index in (0, 24):
+            got = checks._rng_for(grid, replace(POINT0, index=index), "skassoc")
+            want = np.random.default_rng(np.random.SeedSequence([seed, index, crc]))
+            assert got.bit_generator.state == want.bit_generator.state
+
     def test_registry_contains_negative_controls(self):
         names = all_check_names()
         assert "dybe.negctrl" in names

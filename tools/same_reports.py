@@ -49,6 +49,7 @@ CHECK_SETTINGS = (
     "--z-samples 5 --points 4 --seed 7",
     "--points 1",
     "--points 2 --seed 5",
+    "--seed 4294967301 --points 3",  # 2^32 + 5: a seed of two entropy words
     "--checks cor22chain --seed 9",
     "--p 0.8 --points 5 --seed 17",
     "--p 0.85 --points 4 --seed 12 --truncation-order 200",
