@@ -23,7 +23,7 @@ and, for the twist-gauged variant, the middle diagonal replaced by
       b' = q (p q^2/w; p)(p/(q^2 w); p)/(p/w; p)^2 * Th(z)/Th(q^2 z),
       bbar' = q (q^2 w; p)(w/q^2; p)/(w; p)^2 * Th(z)/Th(q^2 z).
 
-The diagonal leaves, gamma_twist and _r_dyn also take per-point Params (and
+The diagonal leaves (gamma_twist is one) and _r_dyn take per-point Params (and
 z): a grid matrix (shiftcalc) that reads each sample with its point's data.
 A one-point leaf reads _r_array.  A grid read of R goes through a memo of
 the samples evaluated in the run (_r_read), and evaluates the samples it
@@ -310,7 +310,8 @@ def build_r_twisted(point: RPoint) -> DynMatrix:
 @lru_cache(maxsize=1 << 15)
 def _g22(params: Params, s: complex) -> complex:
     """The gauge's second diagonal entry q^{-s} (w; p)(p q^2/w; p), which is
-    also det g (the first entry is 1); evaluated once per (params, s)."""
+    also det g (the first entry is 1) and Gamma's entry at s; evaluated once
+    per (params, s)."""
     p, n = params.p, params.truncation_order
     q2 = params.q * params.q
     w = dyn_w(s, params)
@@ -389,11 +390,19 @@ def trace_weight_direct(params: Params) -> DynMatrix:
 
 def gamma_twist(params: Params) -> DynMatrix:
     """Gamma = (det g) g^{-1} g^{-sc}, the diagonal factor relating the
-    crossing identity of the twist-gauged R-matrix to the plain one; a grid
-    matrix for per-point Params."""
-    g = gauge_g(params)
-    det_g = _each(lambda prm: partial(_g22, prm), params)
-    return (g.inv(_guard(params)) @ g.shift_col({1: -1})).scale(det_g)
+    crossing identity of the twist-gauged R-matrix to the plain one, in its
+    closed form diag(g22(s), g22(s + 1)); a grid matrix for per-point Params.
+    Either entry trips where g^{-1}'s det guard would: |g22(s)| below the
+    singular guard, with the message of that det."""
+    g = _guard(params)
+
+    def entry(prm, i):
+        def ev(s):
+            det = guarded(_g22(prm, s), "det", g, " at s = {}", s)
+            return det if i == 0 else _g22(prm, s + 1)
+        return ev
+
+    return _diag(params, 1, entry)
 
 
 def mu_scalar(params: Params):

@@ -436,6 +436,14 @@ class TestEvalCommand:
         assert rc == 1
         assert "singular point" in capsys.readouterr().err
 
+    def test_gamma_trip_exits_one_with_the_det_message(self, capsys):
+        # at s = 0, (1; p) = 0 makes det g vanish: Gamma's det guard trips
+        rc = main(["eval", "Gamma", "--s", "0"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "singular point: |det| = 0.000e+00 below guard at s = 0j\n"
+
     @pytest.mark.parametrize("obj", ["Rtilde", "N", "G", "Gamma"])
     def test_other_objects_print(self, obj, capsys):
         rc = main(["eval", obj, "--z", "0.8+0.1i", "--s", "0.4+0.2i"])

@@ -1,6 +1,7 @@
 """R-matrix construction, twist gauge, and diagonal dressing factors."""
 
 import traceback
+from functools import partial
 
 import numpy as np
 import pytest
@@ -29,8 +30,8 @@ from dynell import (
 )
 from dynell import rmatrix
 from dynell.checks import GridSpec
-from dynell.rmatrix import (_R_PATTERN, _dyn_w_rows, _g22, _qpow, _r_array, _r_dyn, dyn_w,
-                            ups_ratio)
+from dynell.rmatrix import (_R_PATTERN, _dyn_w_rows, _each, _g22, _qpow, _r_array, _r_dyn,
+                            dyn_w, ups_ratio)
 from dynell.special import _poch1
 from dynell.shiftcalc import PAULI_Y, Trips, guarded_div, shift_scalar, weight
 
@@ -295,8 +296,47 @@ class TestDressingFactors:
     def test_gamma_is_diagonal_of_gauge_entries(self):
         g = gauge_g(PARAMS)
         gam = gamma_twist(PARAMS).at(S0)
-        assert gam[0, 0] == pytest.approx(g.at(S0)[1, 1], rel=1e-12)
-        assert gam[1, 1] == pytest.approx(g.at(S0 + 1)[1, 1], rel=1e-12)
+        assert gam[0, 0] == g.at(S0)[1, 1]
+        assert gam[1, 1] == g.at(S0 + 1)[1, 1]
+        assert gam[0, 1] == gam[1, 0] == 0.0
+
+    @pytest.mark.parametrize("params", [
+        PARAMS, [pt.params for pt in GridSpec(n_points=5).sample_points()]
+    ], ids=["one-point", "grid"])
+    def test_gamma_is_its_definition(self, params):
+        # the definition built literally: det g scales g^{-1} g^{-sc}, and a
+        # sample trips on g^{-1}'s det guard; s = 0 puts (1; p) = 0 in det g,
+        # and s = 1e-8 puts det g just below the guard
+        per_point = [params] if isinstance(params, Params) else params
+        det_g = _each(lambda prm: partial(_g22, prm), params)
+        g = gauge_g(params)
+        literal = (g.inv(PARAMS.singular_guard) @ g.shift_col({1: -1})).scale(det_g)
+        gam = gamma_twist(params)
+        rng = np.random.default_rng(26)
+        n = 200 // len(per_point)
+        s = np.concatenate([
+            (rng.uniform(-2, 2, n) + 1j * rng.uniform(-0.5, 0.5, n)).tolist()
+            + [0.0, 1e-8, -1.0, 1.0] for _ in per_point
+        ])
+        pts = np.repeat(np.arange(len(per_point)), n + 4)
+        logs = [], []
+        want, got = (m.ev(s, pts, m.masks, log)[0]
+                     for m, log in zip((literal, gam), logs))
+        assert logs[0] == logs[1]
+        tripped = [i for i, _ in logs[1]]
+        assert [i % (n + 4) for i in tripped] == [n, n + 1] * len(per_point)
+        assert logs[1][0][1] == "singular point: |det| = 0.000e+00 below guard at s = 0j"
+        ok = np.ones(len(s), dtype=bool)
+        ok[tripped] = False
+        assert (abs(got[ok] - want[ok]) <= 1e-14 * abs(want[ok])).all()
+        for entry in np.eye(2, dtype=bool):  # either entry alone trips
+            log = []
+            gam.ev(s, pts, {0: np.diag(entry)}, log)
+            assert log == logs[0]
+        trips = Trips(len(per_point)), Trips(len(per_point))
+        literal.at(s, trips[0])
+        gam.at(s, trips[1])
+        assert trips[0] == trips[1]
 
     def test_gamma_mu_reduction(self):
         mu = mu_scalar(PARAMS)
@@ -418,7 +458,7 @@ class TestStackedR:
 
 
 def _gamma_read():
-    gamma = gamma_twist(PARAMS)  # its inverse keeps the trip at s = 0
+    gamma = gamma_twist(PARAMS)  # its det guard trips at s = 0, where (1; p) = 0
     return lambda: gamma.at(0.0)
 
 

@@ -61,7 +61,7 @@ CHECK_SETTINGS = (
 
 # one-point reads that end in a trip of rho's guards (at z = 1 its value is
 # 0; at p = 0.85 a non-zero value below the guard, whose digits are printed),
-# in the det guard of Gamma's kept inverse (s = 0), or in the error of z = 0
+# in Gamma's det guard (s = 0, where det g = 0), or in the error of z = 0
 EVAL_EDGES = (
     "rho --z 1",
     "rho --z 1.5 --p 0.85",
