@@ -52,9 +52,7 @@ from .shiftcalc import (
     DynMatrix,
     Trips,
     _leg_shifts,
-    guarded_div,
     index_bits,
-    shift_scalar,
     weight,
     weight_shift_matrix,
     zero_weight_check,
@@ -62,17 +60,17 @@ from .shiftcalc import (
 from .rmatrix import (
     _R_SAMPLES,
     _dyn_w_rows,
-    _g22,
-    _diag,
+    _gauge,
     _guard,
+    _mu_entries,
     _r_dyn,
+    _ratio,
     _ups_diag,
+    _ups_rows,
     cross_gauge,
     gamma_twist,
-    mu_scalar,
     trace_weight,
     trace_weight_direct,
-    upsilon,
 )
 
 __all__ = [
@@ -474,6 +472,31 @@ def check_lemma_p1(tr, params, seed, corruption=None) -> list[float]:
     return _skew_resids(lhs, rhs, _rand_samples(rng, 8), tr)
 
 
+def _mu_weight_diag(params, drop: bool) -> DynMatrix:
+    """The chain's diagonal mu(s) / upsilon(s + weight) (step 7), a gauge
+    leaf (rmatrix._gauge); with drop, mu without its det g^{-sc}."""
+    def entries(s, pts, prms, want):
+        (mu,), det = _mu_entries(s, pts, prms, drop=drop)
+        ups = [_ups_rows(s + weight(i), pts, prms) for i in want]
+        return [_ratio(mu, u) for u in ups], [c for u in ups for c in (("denominator", u, s), *det)]
+
+    return _gauge(params, 1, entries)
+
+
+def _mu_shift_diag(params) -> DynMatrix:
+    """The chain's diagonal mu(s + k) / mu(s), k the leg-2 shift -weight
+    (step 5), a gauge leaf (rmatrix._gauge)."""
+    k2 = _leg_shifts(2, {2: -1})
+
+    def entries(s, pts, prms, want):
+        (mu,), det = _mu_entries(s, pts, prms)
+        at = {k: _mu_entries(s + k, pts, prms) for k in dict.fromkeys(k2[i] for i in want)}
+        return ([_ratio(at[k2[i]][0][0], mu) for i in want],
+                [*det, ("denominator", mu, s), *(at[k2[i]][1][0] for i in want)])
+
+    return _gauge(params, 2, entries)
+
+
 def _chain_steps(params, s, z, samples, corruption=None) -> list:
     """The steps of the proof chain over a batch of points, each a function
     of a Trips record that returns one residual per point and notes the
@@ -491,15 +514,9 @@ def _chain_steps(params, s, z, samples, corruption=None) -> list:
     # step 7: the Gamma-mu reduction back to the gauge ratio; evaluated at
     # every sample so the control corruption cannot hide at an accidental
     # crossing of the dropped factor through 1
-    def mid(prm, i):
-        if corruption == "drop_detg_sc":
-            mu = guarded_div(upsilon(prm), functools.partial(_g22, prm), g)
-        else:
-            mu = mu_scalar(prm)
-        return guarded_div(mu, shift_scalar(upsilon(prm), weight(i)), g)
-
     def step7(tr):
-        lhs = gm @ _diag(params, 1, mid) @ gm.shift_col({1: +1})
+        mid = _mu_weight_diag(params, corruption == "drop_detg_sc")
+        lhs = gm @ mid @ gm.shift_col({1: +1})
         return _skew_resids(lhs, cross_gauge(params), flat, tr)
 
     if corruption:
@@ -546,12 +563,9 @@ def _chain_steps(params, s, z, samples, corruption=None) -> list:
     # step 5: the comparison identity after eliminating sigma_y
     def step5(tr):
         ups1 = _ups_diag(params, 2, {1: +1}, {1: +1, 2: -1})
-        k2 = _leg_shifts(2, {2: -1})  # mur: mu(s + k2) / mu(s) on the diagonal
-        mur = _diag(params, 2, lambda prm, i: guarded_div(
-            shift_scalar(mu_scalar(prm), k2[i]), mu_scalar(prm), g))
         x4 = rt(lambda x, q: 1.0 / (x * q**4)).shift_row({2: -1}).transpose_leg(1)
         lhs = g1.shift_col({1: +1}) @ x4.inv(g) @ g1m2.inv(g).shift_col({1: +1})
-        rhs = ups1 @ m12.transpose_leg(1).shift_col({2: -1}) @ mur
+        rhs = ups1 @ m12.transpose_leg(1).shift_col({2: -1}) @ _mu_shift_diag(params)
         return _skew_resids(lhs, rhs, s, tr)
 
     # step 6: unitarity in components

@@ -23,9 +23,15 @@ and, for the twist-gauged variant, the middle diagonal replaced by
       b' = q (p q^2/w; p)(p/(q^2 w); p)/(p/w; p)^2 * Th(z)/Th(q^2 z),
       bbar' = q (q^2 w; p)(w/q^2; p)/(w; p)^2 * Th(z)/Th(q^2 z).
 
-The diagonal leaves (gamma_twist is one) and _r_dyn take per-point Params (and
-z): a grid matrix (shiftcalc) that reads each sample with its point's data.
-A one-point leaf reads _r_array.  A grid read of R goes through a memo of
+The gauge diagonals (_gauge leaves: gauge_g, gamma_twist, the crossing-scalar
+ratios and the chain's mu ratios) and _r_dyn take per-point Params (and z):
+a grid matrix (shiftcalc) that reads each sample with its point's data.  A
+gauge read forms its demanded entries over all of its samples at once: g22
+through the memo _G22 by (Params, s), Theta(w q^{2k}) through the value
+cache of special, the misses of each in one broadcast, in Python's complex
+arithmetic where they combine, with one comparison for its guards.  The
+scalar forms (_g22, ups_ratio, mu_scalar) are one-sample reads of it.
+A one-point R leaf reads _r_array.  A grid read of R goes through a memo of
 the samples evaluated in the run (_r_read), and evaluates the samples it
 has not seen in one stack (_r_stack).  Both read rho(z), Theta(z),
 Theta(q^2 z) and Theta(q^2) through theta and rho_norm; the stack fills the
@@ -41,9 +47,10 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .special import (Params, SingularPointError, _grid_fill, _poch1, _poch1_rows, _powers,
-                      guarded, rho_norm, singular, theta)
-from .shiftcalc import DynMatrix, _leg_shifts, _sampled, _stack, guarded_div
+from . import special
+from .special import (_UNFORMED, Params, SingularPointError, _grid_fill, _poch1, _poch1_rows,
+                      _powers, guarded, rho_norm, singular, theta)
+from .shiftcalc import DynMatrix, _leg_shifts, _sampled, _stack
 
 __all__ = [
     "RPoint",
@@ -277,17 +284,6 @@ def _r_dyn(z, params, twisted: bool) -> DynMatrix:
         zs, ps, twisted, s, pts, log), len(ps))
 
 
-def _each(f, params):
-    """f(params) at one Params; the list of f(p) over per-point Params."""
-    return f(params) if isinstance(params, Params) else [f(p) for p in params]
-
-
-def _diag(params, nlegs: int, entry) -> DynMatrix:
-    """The diagonal leaf with entry(params, i) at flat index i; per-point
-    Params make it a grid leaf whose samples at point p read params[p]."""
-    return DynMatrix.diagonal(nlegs, lambda i: _each(lambda p: entry(p, i), params))
-
-
 def _guard(params) -> float:
     """The singular guard of one Params, or the one per-point Params share."""
     if isinstance(params, Params):
@@ -307,24 +303,134 @@ def build_r_twisted(point: RPoint) -> DynMatrix:
     return _r_dyn(point.z, point.params, twisted=True)
 
 
-@lru_cache(maxsize=1 << 15)
+# The gauge entries g22 by Params, then by s; a read that would take it
+# past _G22_SIZE values empties it first.
+_G22: dict = {}
+_G22_SIZE = 1 << 15
+_PT0 = np.zeros(1, np.intp)  # the point of a one-sample read
+
+
+def _misses(got: list, key) -> dict:
+    """The distinct keys key(i) of a read where its memo has no value
+    (got[i] is None), each with its first position."""
+    at = {}
+    for i, v in enumerate(got):
+        if v is None:
+            at.setdefault(key(i), i)
+    return at
+
+
+def _g22_form(s, pts, prms: tuple) -> list:
+    """g22 at samples s at points pts of prms, its two products in one
+    broadcast over the points' padded rows of powers (_grid_tables)."""
+    pl = pts.tolist()
+    x = [(w, prms[p].p * (prms[p].q * prms[p].q) / w)
+         for p, w in zip(pl, _dyn_w_rows(s, prms, pts).tolist())]
+    # one np.prod, so that numpy's overflow warning at large p names numpy's
+    # file on stderr, not a dynell line (until ROADMAP item 16)
+    pw = np.prod(1.0 - np.array(x)[:, :, None] * _grid_tables(prms)[0][pts, None], axis=-1)
+    return [_qpow(-x, prms[p]) * a * b for x, p, (a, b) in zip(s.tolist(), pl, pw.tolist())]
+
+
+def _g22_rows(s, pts, prms: tuple, n: int = 1) -> list:
+    """g22 at every sample s of a read and, for n = 2, at s + 1, through
+    _G22 and in the per-sample order g22(s[0]), g22(s[0] + 1), g22(s[1]),
+    ...: a list per shift."""
+    s, pts = np.stack([s, s + 1][:n], 1).ravel(), pts.repeat(n)
+    sl, pl, held = s.tolist(), pts.tolist(), [_G22.get(x, {}) for x in prms]
+    got = [held[p].get(x) for p, x in zip(pl, sl)]
+    at = _misses(got, lambda i: (pl[i], sl[i]))
+    if at:
+        if sum(map(len, _G22.values())) + len(at) > _G22_SIZE:
+            _G22.clear()
+        for (p, x), v in zip(at, _g22_form(s[list(at.values())], pts[list(at.values())], prms)):
+            _G22.setdefault(prms[p], {})[x] = v
+        got = [_G22[prms[p]][x] if v is None else v for p, x, v in zip(pl, sl, got)]
+    return [got[k::n] for k in range(n)]
+
+
+def _theta_form(x, pts, prms: tuple) -> list:
+    """theta(x[i], prms[pts[i]]) for every i as a fill forms it, over the
+    points' padded rows of powers (_grid_tables) in one broadcast."""
+    if not x.all():  # w underflows to 0 at large s
+        raise ValueError("theta undefined at z = 0")
+    table, pp = _grid_tables(prms)
+    f = _poch1_rows(np.concatenate([x, [prms[p].p / z for p, z in zip(pts.tolist(), x.tolist())]]),
+                    np.concatenate([table[pts]] * 2)).tolist()
+    pp = pp.tolist()  # (p; p) as Python complex: a numpy factor rounds otherwise
+    return [a * b * pp[p] for a, b, p in zip(f, f[len(x):], pts.tolist())]
+
+
+def _theta_rows(x: list, pts, prms: tuple) -> list:
+    """theta(x[i], prms[pts[i]]) for every i, through the value cache."""
+    cache, keys = special._GRID, list(zip(x, map(prms.__getitem__, pts.tolist())))
+    got = [(cache.get(k) or _UNFORMED)[0] for k in keys]
+    at = _misses(got, keys.__getitem__)
+    if at:
+        if len(cache) + len(at) > special._GRID_SIZE:
+            cache.clear()
+        for k, v in zip(at, _theta_form(np.array(x)[list(at.values())], pts[list(at.values())], prms)):
+            cache.setdefault(k, [None, None])[0] = v
+        got = [cache[k][0] if v is None else v for k, v in zip(keys, got)]
+    return got
+
+
+def _ups_rows(s, pts, prms: tuple) -> list:
+    """upsilon at every sample of a read."""
+    th = _theta_rows(_dyn_w_rows(s, prms, pts).tolist(), pts, prms)
+    return [_qpow(-x, prms[p]) * t for x, p, t in zip(s.tolist(), pts.tolist(), th)]
+
+
+def _ratio(num: list, den: list) -> list:
+    """num[i] / den[i], and 0 where den[i] is 0, which trips its guard."""
+    return [a / b if b else 0j for a, b in zip(num, den)]
+
+
+def _gauge(params, nlegs: int, entries) -> DynMatrix:
+    """A diagonal leaf whose read forms its demanded entries over all of its
+    samples: entries(s, pts, prms, want) gives the entries at flat indices
+    want, and the guard checks (label, values, the s each is at) in the
+    order their per-sample forms meet them.  A sample logs its first check
+    below the singular guard and holds zeros."""
+    one = isinstance(params, Params)
+    prms, g, d = (params,) if one else tuple(params), _guard(params), 1 << nlegs
+
+    def ev(s, pts, need, log):
+        want = np.flatnonzero(need[0].diagonal()).tolist()
+        vals, checks = entries(s, np.zeros_like(pts) if one else pts, prms, want)
+        out = np.zeros((len(s), d, d), complex)
+        out[:, want, want] = np.transpose(vals)
+        low = abs(np.array([v for _, v, _ in checks])) < g
+        for i in np.flatnonzero(low.any(0)).tolist():
+            label, v, at = checks[low[:, i].argmax()]
+            log.append((i, singular(v[i], label, " at s = {}", complex(at[i]))))
+            out[i] = 0.0
+        return {0: out}
+
+    return DynMatrix(nlegs, {0: np.eye(d, dtype=bool)}, ev, 0 if one else len(prms))
+
+
+def _one(entries, s, params: Params) -> complex:
+    """The one entry of entries (_gauge) at the one sample s, or a new
+    SingularPointError of its first trip."""
+    (value,), checks = entries(np.array([s], complex), _PT0, (params,), [0])
+    for label, v, _ in checks:
+        guarded(v[0], label, params.singular_guard, " at s = {}", s)
+    return value[0]
+
+
 def _g22(params: Params, s: complex) -> complex:
-    """The gauge's second diagonal entry q^{-s} (w; p)(p q^2/w; p), which is
-    also det g (the first entry is 1) and Gamma's entry at s; evaluated once
-    per (params, s)."""
-    p, n = params.p, params.truncation_order
-    q2 = params.q * params.q
-    w = dyn_w(s, params)
-    # both products in one np.prod, not _poch1_rows, so that numpy's overflow warning
-    # at large p names numpy's file on stderr, not a dynell line (until ROADMAP item 16)
-    pw, pq = np.prod(1.0 - np.array([w, p * q2 / w])[:, None] * _powers(p, n), axis=-1).tolist()
-    return _qpow(-s, params) * pw * pq
+    """The gauge's second diagonal entry q^{-s} (w; p)(p q^2/w; p), also det
+    g (the first entry is 1) and Gamma's entry at s: a read of _G22."""
+    value = _G22.get(params, {}).get(s)
+    return _g22_rows(np.array([s], complex), _PT0, (params,))[0][0] if value is None else value
 
 
 def gauge_g(params: Params) -> DynMatrix:
     """The spectral-parameter-independent diagonal twist gauge:
     diag(1, q^{-s} (w; p)(p q^2/w; p))."""
-    return _diag(params, 1, lambda prm, i: 1.0 if i == 0 else partial(_g22, prm))
+    return _gauge(params, 1, lambda s, pts, prms, want: (
+        [[1.0] * len(s) if i == 0 else _g22_rows(s, pts, prms)[0] for i in want], []))
 
 
 def twist_of_r(point: RPoint) -> DynMatrix:
@@ -344,21 +450,39 @@ def upsilon(params: Params):
     return lambda s: _qpow(-s, params) * theta(dyn_w(s, params), params)
 
 
+@lru_cache(maxsize=256)
+def _ups_tables(prms: tuple, kn: tuple, kd: tuple) -> tuple:
+    """Per point of prms: (q^2)^k for the distinct shifts k of the ratios
+    upsilon(s + kn[i]) / upsilon(s + kd[i]), in the order they meet them,
+    and each q^{-(kn[i] - kd[i])}; the k of each numerator and denominator."""
+    ks = list(dict.fromkeys(k for pair in zip(kd, kn) for k in pair))
+    return ([[(x.q * x.q) ** k for k in ks] for x in prms],
+            [[_qpow(-(a - b), x) for a, b in zip(kn, kd)] for x in prms],
+            [ks.index(k) for k in kn], [ks.index(k) for k in kd], len(ks))
+
+
+def _ups_entries(kn: list, kd: list):
+    """The entries (_gauge) upsilon(s + kn[i]) / upsilon(s + kd[i])
+    = q^{-(kn[i] - kd[i])} Theta(w q^{2 kn[i]}) / Theta(w q^{2 kd[i]}),
+    each guarded on its denominator."""
+    def entries(s, pts, prms, want):
+        q2k, pref, num, den, n = _ups_tables(prms, *(tuple(k[i] for i in want) for k in (kn, kd)))
+        pl = pts.tolist()
+        th = _theta_rows([w * c for w, p in zip(_dyn_w_rows(s, prms, pts).tolist(), pl)
+                          for c in q2k[p]], pts.repeat(n), prms)
+        return ([_ratio([pref[p][j] * a for p, a in zip(pl, th[num[j]::n])], th[den[j]::n])
+                 for j in range(len(want))],
+                [(f"Theta(w q^{{{2 * kd[i]}}})", th[j::n], s) for i, j in zip(want, den)])
+
+    return entries
+
+
 def ups_ratio(k_num: int, k_den: int, params: Params):
     """Branch-free ratio of the crossing scalar at integer-shifted arguments:
     s -> upsilon(s + k_num) / upsilon(s + k_den)
        = q^{-(k_num - k_den)} Theta(w q^{2 k_num}) / Theta(w q^{2 k_den})."""
-    g = params.singular_guard
-    pref = _qpow(-(k_num - k_den), params)
-    label = f"Theta(w q^{{{2 * k_den}}})"
-
-    def ev(s):
-        w = dyn_w(s, params)
-        q2 = params.q * params.q
-        den = guarded(theta(w * q2**k_den, params), label, g, " at s = {}", s)
-        return pref * theta(w * q2**k_num, params) / den
-
-    return ev
+    entries = _ups_entries([k_num], [k_den])
+    return lambda s: _one(entries, s, params)
 
 
 def upsilon_ratio(s: complex, k: int, params: Params) -> complex:
@@ -369,8 +493,7 @@ def upsilon_ratio(s: complex, k: int, params: Params) -> complex:
 def _ups_diag(params, nlegs, num: dict, den: dict) -> DynMatrix:
     """Diagonal matrix of crossing-scalar ratios; the shifts in numerator and
     denominator are signed leg weights of the diagonal index."""
-    kn, kd = _leg_shifts(nlegs, num), _leg_shifts(nlegs, den)
-    return _diag(params, nlegs, lambda prm, i: ups_ratio(kn[i], kd[i], prm))
+    return _gauge(params, nlegs, _ups_entries(_leg_shifts(nlegs, num), _leg_shifts(nlegs, den)))
 
 
 def cross_gauge(params: Params) -> DynMatrix:
@@ -391,23 +514,26 @@ def trace_weight_direct(params: Params) -> DynMatrix:
 def gamma_twist(params: Params) -> DynMatrix:
     """Gamma = (det g) g^{-1} g^{-sc}, the diagonal factor relating the
     crossing identity of the twist-gauged R-matrix to the plain one, in its
-    closed form diag(g22(s), g22(s + 1)); a grid matrix for per-point Params.
-    Either entry trips where g^{-1}'s det guard would: |g22(s)| below the
-    singular guard, with the message of that det."""
-    g = _guard(params)
+    closed form diag(g22(s), g22(s + 1)): a gauge leaf (_gauge) reading g22
+    through _G22, a grid matrix for per-point Params.  Either entry trips
+    where g^{-1}'s det guard would: |g22(s)| below the singular guard, with
+    the message of that det."""
+    def entries(s, pts, prms, want):
+        g22 = _g22_rows(s, pts, prms, 1 + want[-1])  # g22(s + 1) only where entry 1 is read
+        return [g22[i] for i in want], [("det", g22[0], s)]
 
-    def entry(prm, i):
-        def ev(s):
-            det = guarded(_g22(prm, s), "det", g, " at s = {}", s)
-            return det if i == 0 else _g22(prm, s + 1)
-        return ev
+    return _gauge(params, 1, entries)
 
-    return _diag(params, 1, entry)
+
+def _mu_entries(s, pts, prms: tuple, want=(0,), drop: bool = False) -> tuple:
+    """mu (mu_scalar) as the one entry of _gauge's entries, guarded on its
+    denominator (det g)(det g^{-sc}), or on det g alone with drop."""
+    g22 = _g22_rows(s, pts, prms, 1 if drop else 2)
+    det = g22[0] if drop else [a * b for a, b in zip(*g22)]
+    return [_ratio(_ups_rows(s, pts, prms), det)], [("denominator", det, s)]
 
 
 def mu_scalar(params: Params):
     """mu = upsilon / ((det g)(det g^{-sc})), the scalar appearing in the
     crossing-unitarity reduction; det g^{-sc}(s) = det g(s + 1)."""
-    return guarded_div(
-        upsilon(params), lambda s: _g22(params, s) * _g22(params, s + 1), params.singular_guard
-    )
+    return lambda s: _one(_mu_entries, s, params)

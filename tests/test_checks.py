@@ -600,13 +600,46 @@ class TestRepeatedWork:
 
     def test_grid_reads_stack_r_and_each_gauge_sample_is_evaluated_once(self, monkeypatch):
         assembled, r_array = [], rmatrix._r_array
+        formed = {"_g22_form": [], "_theta_form": []}  # (x, Params) of each value formed
+        for name, keys in formed.items():
+            monkeypatch.setattr(rmatrix, name, lambda s, pts, prms, form=getattr(rmatrix, name),
+                                keys=keys: keys.extend(zip(s.tolist(), map(
+                                    prms.__getitem__, pts.tolist()))) or form(s, pts, prms))
         monkeypatch.setattr(rmatrix, "_r_array", lambda *a: assembled.append(a) or r_array(*a))
-        rmatrix._g22.cache_clear()
+        rmatrix._G22.clear()
+        special._GRID.clear()
+        rmatrix._grid_z_factors.cache_clear()
         reports = run_suite(GRID)
         assert assembled == []
-        info = rmatrix._g22.cache_info()
-        assert info.misses == info.currsize == 1246  # distinct (Params, s) at seed 0
+        # each distinct (Params, s) of the gauge formed once: 1,246 at seed 0
+        g22 = formed["_g22_form"]
+        assert len(g22) == len(set(g22)) == sum(map(len, rmatrix._G22.values())) == 1246
+        # and each Theta the gauges read that no fill had formed, none twice
+        thetas = formed["_theta_form"]
+        assert len(thetas) == len(set(thetas)) > 0
+        assert all(special._GRID[k][0] is not None for k in thetas)
+        slots = special._GRID.values()
+        assert len(slots) == 1832
+        assert sum(t is not None for t, _ in slots) == 1496
         assert summarize(reports) == {"pass": 971, "fail": 0, "skipped": 29}
+
+    def test_memo_bounds_do_not_change_reports(self, monkeypatch):
+        # the gauge memo and the value cache held to a few dozen keys empty
+        # themselves mid-read many times over; the reports keep every byte
+        def reports():
+            rmatrix._G22.clear()
+            special._GRID.clear()
+            rmatrix._grid_z_factors.cache_clear()
+            return json.dumps([r.to_dict() for r in run_suite(GridSpec(n_points=3))])
+
+        unbounded = reports()
+        sizes = sum(map(len, rmatrix._G22.values())), len(special._GRID)
+        monkeypatch.setattr(rmatrix, "_G22_SIZE", 24)
+        monkeypatch.setattr(special, "_GRID_SIZE", 24)
+        assert reports() == unbounded
+        assert min(sizes) > 4 * 24
+        assert sum(map(len, rmatrix._G22.values())) < sizes[0]
+        assert len(special._GRID) < sizes[1]
 
     def test_each_distinct_r_sample_and_grid_rho_is_formed_once(self, monkeypatch):
         read, evaluated, rows = [], [], []
@@ -770,7 +803,7 @@ class TestNonFiniteResiduals:
                 assert math.isnan(check(PARAMS, [1.2, 1e300, 0.9])), check.__name__
             assert math.isnan(check_a_equals_n(PARAMS, 1e300, 1.0))
 
-    # the unguarded gauge entry rmatrix._g22 overflows here, and numpy warns
+    # the unguarded gauge entry g22 (rmatrix._g22_form) overflows here, and numpy warns
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_an_overflowed_chain_step_fails(self):
         grid = GridSpec(seed=17, p_fixed=0.8, n_points=5, checks=("cor22chain",))

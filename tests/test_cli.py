@@ -16,7 +16,8 @@ from dynell import cli
 from dynell import RPoint, SingularPointError, build_r, rho_norm, theta, unitarity_scalar
 from dynell.checks import GridSpec, format_complex, run_suite
 from dynell.cli import _dumps, main, parse_complex
-from dynell.rmatrix import _g22, _grid_tables, _grid_z_factors, _r_array, _z_factors
+from dynell import rmatrix
+from dynell.rmatrix import _grid_tables, _grid_z_factors, _r_array, _z_factors
 from dynell.special import _GRID, _poch1, _poch2, _poch2_table, _powers
 
 from helpers import outcome
@@ -171,7 +172,7 @@ class TestCheckCommand:
         assert captured.err == ""
         assert json.loads(captured.out)["summary"]["skipped"] > 0
 
-    # the unguarded gauge entry rmatrix._g22 overflows here, and numpy warns
+    # the unguarded gauge entry g22 (rmatrix._g22_form) overflows here, and numpy warns
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_non_finite_residual_is_written_as_strict_json(self, capsys):
         def reject(token):
@@ -227,13 +228,17 @@ class TestCheckCommand:
         pt = GridSpec(seed=1, n_points=1).sample_points()[0]
         build_r(RPoint(pt.zs[0], pt.s, pt.params)).at(pt.s)
         # the kernel, R-factor and gauge caches are among those filled
-        for cache in (_powers, _poch2_table, _z_factors, _grid_z_factors, _grid_tables, _g22):
+        for cache in (_powers, _poch2_table, _z_factors, _grid_z_factors, _grid_tables):
             assert cache.cache_info().currsize, cache
-        assert _GRID
+        assert _GRID and rmatrix._G22
         monkeypatch.delenv("DYNELL_CONFIG", raising=False)
         warm = tmp_path / "warm.json"
         assert main(args + ["--output", str(warm)]) == cold.returncode
         assert json.loads(cold.stdout)["summary"]["pass"] > 0
+        assert warm.read_bytes() == cold.stdout
+        # and with the gauge memo alone emptied
+        rmatrix._G22.clear()
+        assert main(args + ["--output", str(warm)]) == cold.returncode
         assert warm.read_bytes() == cold.stdout
 
 

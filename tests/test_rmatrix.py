@@ -28,14 +28,14 @@ from dynell import (
     upsilon_ratio,
     zero_weight_check,
 )
-from dynell import rmatrix
+from dynell import checks, rmatrix
 from dynell.checks import GridSpec
-from dynell.rmatrix import (_R_PATTERN, _dyn_w_rows, _each, _g22, _qpow, _r_array, _r_dyn,
+from dynell.rmatrix import (_R_PATTERN, _dyn_w_rows, _g22, _qpow, _r_array, _r_dyn,
                             dyn_w, ups_ratio)
-from dynell.special import _poch1
-from dynell.shiftcalc import PAULI_Y, Trips, guarded_div, shift_scalar, weight
+from dynell.special import _poch1, guarded
+from dynell.shiftcalc import PAULI_Y, Trips, _leg_shifts, guarded_div, shift_scalar, weight
 
-from helpers import make_params, resid
+from helpers import make_params, outcome, resid
 
 PARAMS = make_params()
 S0 = 0.37 + 0.11j
@@ -226,7 +226,8 @@ class TestArrayForms:
             p, n, q2 = prm.p, prm.truncation_order, prm.q * prm.q
             for s in samples + [pt.s]:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    got = _g22.__wrapped__(prm, s)
+                    rmatrix._G22.clear()  # formed, not read back
+                    got = _g22(prm, s)
                     w = dyn_w(s, prm)
                     want = _qpow(-s, prm) * _poch1(w, p, n) * _poch1(p * q2 / w, p, n)
                 assert _bits(got) == _bits(want)
@@ -308,7 +309,8 @@ class TestDressingFactors:
         # sample trips on g^{-1}'s det guard; s = 0 puts (1; p) = 0 in det g,
         # and s = 1e-8 puts det g just below the guard
         per_point = [params] if isinstance(params, Params) else params
-        det_g = _each(lambda prm: partial(_g22, prm), params)
+        det_g = partial(_g22, params) if isinstance(params, Params) else [
+            partial(_g22, prm) for prm in params]
         g = gauge_g(params)
         literal = (g.inv(PARAMS.singular_guard) @ g.shift_col({1: -1})).scale(det_g)
         gam = gamma_twist(params)
@@ -490,3 +492,136 @@ class TestTripErrors:
         assert len({id(e) for e in raised}) == 3
         assert len({str(e) for e in raised}) == 1
         assert len({len(traceback.extract_tb(e.__traceback__)) for e in raised}) == 1
+
+
+def _theta_def(z, prm):
+    """Theta(z) as a value-cache miss forms it."""
+    p, n = prm.p, prm.truncation_order
+    return _poch1(z, p, n) * _poch1(p / z, p, n) * _poch1(p, p, n)
+
+
+def _g22_def(prm, s):
+    """The gauge entry q^{-s} (w; p)(p q^2/w; p), product by product."""
+    p, n, q2 = prm.p, prm.truncation_order, prm.q * prm.q
+    w = dyn_w(s, prm)
+    return _qpow(-s, prm) * _poch1(w, p, n) * _poch1(p * q2 / w, p, n)
+
+
+def _ups_def(prm):
+    return lambda s: _qpow(-s, prm) * _theta_def(dyn_w(s, prm), prm)
+
+
+def _ratio_def(kn, kd, prm):
+    """upsilon(s + kn) / upsilon(s + kd), one sample at a time, guarded."""
+    def ev(s):
+        w, q2 = dyn_w(s, prm), prm.q * prm.q
+        den = guarded(_theta_def(w * q2**kd, prm), f"Theta(w q^{{{2 * kd}}})",
+                      prm.singular_guard, " at s = {}", s)
+        return _qpow(-(kn - kd), prm) * _theta_def(w * q2**kn, prm) / den
+    return ev
+
+
+def _mu_def(prm, drop=False):
+    det = (lambda s: _g22_def(prm, s)) if drop else (
+        lambda s: _g22_def(prm, s) * _g22_def(prm, s + 1))
+    return guarded_div(_ups_def(prm), det, prm.singular_guard)
+
+
+def _gamma_def(prm, i):
+    def ev(s):
+        det = guarded(_g22_def(prm, s), "det", prm.singular_guard, " at s = {}", s)
+        return det if i == 0 else _g22_def(prm, s + 1)
+    return ev
+
+
+class TestGaugeRows:
+    """Every gauge diagonal reads its demanded entry over all of a read's
+    samples at once, and equals its per-sample definition bit for bit: the
+    values, the sign of zero included, and the position and message of each
+    trip.  The samples hold complex s, real s (imaginary part -0.0), s = 0
+    (Theta(1) = det g = 0), s = 1e-8 (det g below the guard) and s = -30
+    (overflow)."""
+
+    GRID5 = [pt.params for pt in GridSpec(n_points=5).sample_points()]
+    K2 = [-1, 1, -1, 1]  # step 5's mu(s + k) / mu(s)
+
+    @staticmethod
+    def samples(points: int):
+        rng = np.random.default_rng(29)
+        block = ((rng.uniform(-2, 2, 6) + 1j * rng.uniform(-0.5, 0.5, 6)).tolist()
+                 + [complex(x, -0.0) for x in rng.uniform(-2, 2, 3)]
+                 + [0j, 1e-8 + 0j, -1 + 0j, 1 + 0j, -30 + 0j])
+        s = np.array(block * points)
+        assert np.signbit(s.imag[6:9]).all()
+        return s, np.repeat(np.arange(points), len(block))
+
+    def assert_rows(self, leaf, entry_def, params) -> set:
+        """Each entry alone read as a row equals entry_def(prm, i)(s) at each
+        sample, and a tripped sample logs its message and holds zeros; the
+        positions in a point's block of the samples that tripped."""
+        per_point = [params] if isinstance(params, Params) else params
+        s, pts = self.samples(len(per_point))
+        d, tripped = leaf.dim, set()
+        for i in range(d):
+            want, log, trips = np.zeros((len(s), d, d), complex), [], []
+            for j, (x, p) in enumerate(zip(s.tolist(), pts.tolist())):
+                try:
+                    want[j, i, i] = entry_def(per_point[p], i)(x)
+                except SingularPointError as exc:
+                    trips.append((j, str(exc)))
+            with np.errstate(all="ignore"):
+                got = leaf.ev(s, pts, {0: np.diag(np.arange(d) == i)}, log)[0]
+            assert log == trips
+            assert got.tobytes() == want.tobytes()
+            tripped |= {j % (len(s) // len(per_point)) for j, _ in trips}
+        return tripped
+
+    # a guard of 0.5 trips many samples on several of their guarded
+    # quantities at once, so the order of each entry's guards shows
+    @pytest.fixture(params=["one-point", "grid", "guard 0.5"])
+    def params(self, request):
+        return {"one-point": PARAMS, "grid": self.GRID5,
+                "guard 0.5": make_params(singular_guard=0.5)}[request.param]
+
+    def test_gamma(self, params):
+        with np.errstate(all="ignore"):
+            assert self.assert_rows(gamma_twist(params), _gamma_def, params) >= {9, 10}
+
+    # trips: Theta(w) = 0 at s = 0 and below the guard at 1e-8, Theta(w q^{-+2}) at s = +-1
+    @pytest.mark.parametrize("nlegs, num, den, tripped", [
+        (1, {}, {1: +1}, {11, 12}),  # G
+        (1, {1: -1}, {}, {9, 10}),  # N, direct form
+        (2, {2: +1}, {}, {9, 10}),  # crossing's U
+        (2, {}, {2: +1}, {11, 12}),  # the chain's U^{-1}
+        (2, {1: +1}, {1: +1, 2: -1}, {9, 10}),  # the chain's step 5
+    ])
+    def test_upsilon_ratios(self, params, nlegs, num, den, tripped):
+        kn, kd = _leg_shifts(nlegs, num), _leg_shifts(nlegs, den)
+        with np.errstate(all="ignore"):
+            assert self.assert_rows(rmatrix._ups_diag(params, nlegs, num, den),
+                                    lambda prm, i: _ratio_def(kn[i], kd[i], prm), params) >= tripped
+            for x in self.samples(1)[0].tolist():  # and the scalar form, at one point
+                prm = params if isinstance(params, Params) else params[0]
+                assert outcome(ups_ratio(kn[0], kd[0], prm), x) == outcome(
+                    _ratio_def(kn[0], kd[0], prm), x)
+
+    @pytest.mark.parametrize("drop", [False, True])
+    def test_mu_by_upsilon(self, params, drop):
+        def entry(prm, i):
+            return guarded_div(_mu_def(prm, drop), shift_scalar(_ups_def(prm), weight(i)),
+                               prm.singular_guard)
+
+        with np.errstate(all="ignore"):
+            tripped = self.assert_rows(checks._mu_weight_diag(params, drop), entry, params)
+            assert tripped >= {9, 10, 11, 12}
+            for x in self.samples(1)[0].tolist():
+                prm = params if isinstance(params, Params) else params[0]
+                assert outcome(mu_scalar(prm), x) == outcome(_mu_def(prm), x)
+
+    def test_mu_ratio(self, params):
+        def entry(prm, i):
+            return guarded_div(shift_scalar(_mu_def(prm), self.K2[i]), _mu_def(prm),
+                               prm.singular_guard)
+
+        with np.errstate(all="ignore"):
+            assert self.assert_rows(checks._mu_shift_diag(params), entry, params) >= {9, 10, 11, 12}

@@ -26,6 +26,7 @@ and that no status does.  The grids are
   with p 0.6.
 
 Per grid it prints every status change with the point and both residuals,
+every detail-only change with the grid, report, point and both details,
 the largest |log10| ratio of a residual between the two sides among reports
 that pass on both (a residual below double epsilon counts as epsilon), the
 smallest negative-control margin (residual over CONTROL_THRESHOLD) on each
@@ -143,7 +144,10 @@ def compare(label: str, old: list, new: list) -> tuple:
             flips += 1
             continue
         resid += a["residual"] != b["residual"]
-        detail += a["residual"] == b["residual"] and a["detail"] != b["detail"]
+        if a["residual"] == b["residual"] and a["detail"] != b["detail"]:
+            lines.append(f"  DETAIL {label} {key[0]} point {key[1]}: "
+                         f"{a['detail']!r} -> {b['detail']!r}")
+            detail += 1
         if a["status"] == "pass" and None not in (a["residual"], b["residual"]):
             worst = max(worst, _log_ratio(a["residual"], b["residual"]))
     print(f"{label:28s} flips {flips}  max|log10| {worst:.3g}  "
