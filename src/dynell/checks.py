@@ -19,7 +19,7 @@ read per sample with the side it scales and logging its trips as a leaf
 does; traceint alone calls n(z) as it builds, noting a trip before any read.
 A check reads every theta, rho and n(z), in these factors and in the scalar
 rows, through theta, rho_norm and unitarity_scalar after a fill of the
-value cache of special (_grid_fill), so each comes from the row kernels.
+value caches of special (_grid_fill), so each comes from the row kernels.
 
 The suite runner alone turns residuals into CheckReports: it names each
 report after its row of the _SUITE table, takes the point from the row's
@@ -278,7 +278,7 @@ def _over_points(check):
 # special-function layer checks
 
 # Each of these checks forms its point's special-function values in one fill
-# of the value cache per Params, then reads them in the order of its formula,
+# of the value caches per Params, then reads them in the order of its formula,
 # so a trip is the first its formula meets.
 
 def check_theta_quasiperiodicity(params: Params, zs) -> float:

@@ -27,16 +27,17 @@ The gauge diagonals (_gauge leaves: gauge_g, gamma_twist, the crossing-scalar
 ratios and the chain's mu ratios) and _r_dyn take per-point Params (and z):
 a grid matrix (shiftcalc) that reads each sample with its point's data.  A
 gauge read forms its demanded entries over all of its samples at once: g22
-through the memo _G22 by (Params, s), Theta(w q^{2k}) through the value
-cache of special, the misses of each in one broadcast, in Python's complex
-arithmetic where they combine, with one comparison for its guards.  The
-scalar forms (_g22, ups_ratio, mu_scalar) are one-sample reads of it.
-A one-point R leaf reads _r_array.  A grid read of R goes through a memo of
-the samples evaluated in the run (_r_read), and evaluates the samples it
-has not seen in one stack (_r_stack).  Both read rho(z), Theta(z),
-Theta(q^2 z) and Theta(q^2) through theta and rho_norm; the stack fills the
-value cache of special with them first (_grid_z_factors), and forms its
-Theta of arguments with w in its own broadcast.
+through the memo _G22 by (s, Params), Theta(w q^{2k}) through the Theta
+cache of special (_theta_rows), the misses of each in one broadcast, in
+Python's complex arithmetic where they combine, with one comparison for its
+guards.  The scalar forms (_g22, ups_ratio, mu_scalar) are one-sample reads
+of it.  A one-point R leaf reads _r_array.  A grid read of R goes through a
+memo of the samples evaluated in the run (_r_read), and evaluates the
+samples it has not seen in one stack (_r_stack).  Both read rho(z),
+Theta(z), Theta(q^2 z) and Theta(q^2) from the value caches of special, the
+stack once per read for all points (_theta_rows, _rho_rows), and the stack
+forms its Theta of arguments with w in its own broadcast.  Every memo is
+read through special._held.
 """
 
 from __future__ import annotations
@@ -47,9 +48,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from . import special
-from .special import (_UNFORMED, Params, SingularPointError, _grid_fill, _poch1, _poch1_rows,
-                      _powers, guarded, rho_norm, singular, theta)
+from .special import (Params, _grid_tables, _held, _poch1, _poch1_rows,
+                      _rho_rows, _theta_rows, guarded, rho_norm, singular, theta)
 from .shiftcalc import DynMatrix, _leg_shifts, _sampled, _stack
 
 __all__ = [
@@ -76,8 +76,12 @@ def _logq(q: complex) -> complex:
 
 
 def dyn_w(s: complex, params: Params) -> complex:
-    """The dynamical parameter w = q^{2s}."""
-    return cmath.exp(2.0 * s * _logq(params.q))
+    """The dynamical parameter w = q^{2s}; a ValueError where it underflows
+    to 0."""
+    w = cmath.exp(2.0 * s * _logq(params.q))
+    if w == 0:
+        raise ValueError(f"w = q^(2s) underflows to 0 at s = {s}")
+    return w
 
 
 @lru_cache(maxsize=64)
@@ -92,13 +96,17 @@ def _dyn_w_rows(s: np.ndarray, params: tuple, pts: np.ndarray) -> np.ndarray:
     """dyn_w(s[i], params[pts[i]]) for every sample i in one array pass, to
     the last bit: 2.0 * s * log q is formed on split real and imaginary
     parts in CPython's order, since numpy's complex * may fuse a product.
-    The points' log q come from one table per grid (_logq_rows)."""
+    The points' log q come from one table per grid (_logq_rows).  A
+    ValueError names the first sample where w underflows to 0."""
     logq = _logq_rows(tuple(params))[pts]
     sr, si, br, bi = s.real, s.imag, logq.real, logq.imag
     ar, ai = 2.0 * sr - 0.0 * si, 2.0 * si + 0.0 * sr
     x = np.empty(len(s), complex)
     x.real, x.imag = ar * br - ai * bi, ar * bi + ai * br
-    return np.exp(x)
+    w = np.exp(x)
+    if not w.all():
+        raise ValueError(f"w = q^(2s) underflows to 0 at s = {complex(s[w == 0][0])}")
+    return w
 
 
 def _qpow(s: complex, params: Params) -> complex:
@@ -127,30 +135,10 @@ _R_TRIPPED = np.zeros((4, 4), dtype=complex)  # what a tripped sample holds
 _R_TRIPPED.flags.writeable = False
 
 
-@lru_cache(maxsize=1 << 12)
-def _z_factors(z: complex, params: Params) -> tuple:
-    """What R reads of z and Params alone: (z, p, q, q^2, Theta(z),
-    Theta(q^2 z), Theta(q^2)), rho(z) and the message of rho's trip (rho 0)."""
-    q2 = params.q * params.q
-    k = z, params.p, params.q, q2, theta(z, params), theta(q2 * z, params), theta(q2, params)
-    try:
-        return k, rho_norm(z, params), None
-    except SingularPointError as exc:
-        return k, 0.0, str(exc)
-
-
-@lru_cache(maxsize=1 << 12)
-def _grid_z_factors(z: complex, params: Params) -> tuple:
-    """_z_factors(z, params), its Theta and rho formed in one fill of the
-    value cache of special."""
-    q2 = params.q * params.q
-    _grid_fill(params, thetas=(z, q2 * z, q2), rhos=(z,))
-    return _z_factors(z, params)
-
-
 def _entries(w, k, th, poch, guard, twisted: bool) -> tuple:
-    """b, bbar, c, cbar (module docstring) at w = q^{2s} from the factors k
-    of _z_factors, with th, poch the theta and (.; p) of arguments with w;
+    """b, bbar, c, cbar (module docstring) at w = q^{2s} from what R reads
+    of z and Params alone, k = (z, p, q, q^2, Theta(z), Theta(q^2 z),
+    Theta(q^2)), with th, poch the theta and (.; p) of arguments with w;
     guard(value, label, where) runs in this order.  Numbers give one sample,
     arrays a read."""
     z, p, q, q2, thz, thq2z, thq2 = k
@@ -180,36 +168,28 @@ def _assemble(rho, b, bb, c, cb) -> np.ndarray:
 
 @lru_cache(maxsize=1 << 15)
 def _r_array(z: complex, s: complex, params: Params, twisted: bool) -> np.ndarray:
-    p, n, g = params.p, params.truncation_order, params.singular_guard
-    k, rho, trip = _z_factors(z, params)
+    p, q, n, g = params.p, params.q, params.truncation_order, params.singular_guard
+    k = z, p, q, q * q, theta(z, params), theta(q * q * z, params), theta(q * q, params)
     b_c = _entries(dyn_w(s, params), k, lambda x: theta(x, params), lambda x: _poch1(x, p, n),
                    lambda v, label, where: guarded(v, label, g, where, z, s), twisted)
-    if trip is not None:
-        raise SingularPointError(trip)
-    r = _assemble(rho, *b_c)
+    r = _assemble(rho_norm(z, params), *b_c)  # rho's trip raised after the guards of b_c
     # the lru_cache hands this same array to every caller
     r.flags.writeable = False
     return r
 
 
-@lru_cache(maxsize=64)
-def _grid_tables(params: tuple) -> tuple:
-    """Per point: the powers of p padded with zeros to the widest order
-    (_poch1_rows), and (p; p)."""
-    table = np.zeros((len(params), max(x.truncation_order for x in params)), complex)
-    for row, x in zip(table, params):
-        row[:x.truncation_order] = _powers(x.p, x.truncation_order)
-    return table, np.array([_poch1(x.p, x.p, x.truncation_order) for x in params])
-
-
 def _r_stack(zs: list, params: tuple, twisted: bool, s, pts, log: list) -> dict:
     """The evaluation of R at samples s[i] at point pts[i] of a grid read:
-    the factors of z alone come once per point from the value cache of rho
-    and Theta (_grid_z_factors), gathered by pts once per read, every factor
-    with w in one broadcast over the samples, taken past the trips that the
-    guards then pick out and log."""
-    ks, rho, rho_trips = zip(*[_grid_z_factors(z, x) for z, x in zip(zs, params)])
-    k = [np.array(col)[pts] for col in zip(*ks)]
+    the factors of z alone (_entries' k) come once per point from the value
+    caches of Theta and rho, gathered by pts, every factor with w in one
+    broadcast over the samples, taken past the trips that the guards then
+    pick out and log."""
+    n, q2 = len(zs), [x.q * x.q for x in params]
+    th = _theta_rows(zs + [a * z for a, z in zip(q2, zs)] + q2, np.tile(np.arange(n), 3), params)
+    rho = _rho_rows(list(zip(zs, params)))  # a trip's message where rho tripped
+    tripped = [isinstance(v, str) for v in rho]
+    k = [np.array(col)[pts] for col in (zs, [x.p for x in params], [x.q for x in params], q2,
+                                        th[:n], th[n:2 * n], th[2 * n:])]
     table, pp = (col[pts] for col in _grid_tables(params))
     logq = _logq_rows(params)[pts]
     # per sample, the first guard it trips: made[k](i) is guard k's trip at sample i
@@ -225,9 +205,10 @@ def _r_stack(zs: list, params: tuple, twisted: bool, s, pts, log: list) -> dict:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         b_c = _entries(np.exp(2.0 * s * logq), k, lambda x: poch(x) * poch(k[1] / x) * pp,
                        poch, guard, twisted)
-        r = _assemble(np.array(rho)[pts, None, None], *b_c)
-    first[np.array([t is not None for t in rho_trips])[pts] & (first < 0)] = len(made)
-    made.append(lambda i: rho_trips[point[i]])
+        r = _assemble(np.array([0.0 if t else v for v, t in zip(rho, tripped)])[pts, None, None],
+                      *b_c)
+    first[np.array(tripped)[pts] & (first < 0)] = len(made)
+    made.append(lambda i: rho[point[i]])
     at = np.flatnonzero(first >= 0).tolist()
     for i in at:  # made and logged in sample order
         log.append((i, made[first[i]](i)))
@@ -236,9 +217,8 @@ def _r_stack(zs: list, params: tuple, twisted: bool, s, pts, log: list) -> dict:
 
 
 # The R samples of grid reads: by (z, Params, twisted, s), R with zeros where
-# it tripped and the message of its trip or None.  run_suite empties it
-# before and after a run, and a read that would take it past _R_SAMPLES_SIZE
-# keys empties it first.
+# it tripped and the message of its trip or None, read through _held.
+# run_suite empties it before and after a run.
 _R_SAMPLES: dict = {}
 _R_SAMPLES_SIZE = 1 << 15
 
@@ -247,21 +227,14 @@ def _r_read(zs: list, params: tuple, twisted: bool, s, pts, log: list) -> dict:
     """A grid read of R through the sample memo: the distinct samples it has
     not seen go through _r_stack once each, and every sample logs its trip,
     a kept one included, in sample order."""
-    keys = [(zs[p], params[p], twisted, x) for p, x in zip(pts.tolist(), s.tolist())]
-    held = [_R_SAMPLES.get(k) for k in keys]
-    new = {}
-    for i, (k, h) in enumerate(zip(keys, held)):
-        if h is None and k not in new:
-            new[k] = i
-    if new:
-        at, logged = list(new.values()), []
+    def form(at):
+        logged = []
         r = _r_stack(zs, params, twisted, s[at], pts[at], logged)[0]
         trips = dict(logged)
-        fresh = {k: (r[j], trips.get(j)) for j, k in enumerate(new)}
-        if len(_R_SAMPLES) + len(fresh) > _R_SAMPLES_SIZE:
-            _R_SAMPLES.clear()
-        _R_SAMPLES.update(fresh)
-        held = [h or fresh[k] for k, h in zip(keys, held)]
+        return [(r[j], trips.get(j)) for j in range(len(at))]
+
+    keys = [(zs[p], params[p], twisted, x) for p, x in zip(pts.tolist(), s.tolist())]
+    held = _held(_R_SAMPLES, _R_SAMPLES_SIZE, keys, form)
     for i, (_, trip) in enumerate(held):
         if trip:
             log.append((i, trip))
@@ -303,21 +276,10 @@ def build_r_twisted(point: RPoint) -> DynMatrix:
     return _r_dyn(point.z, point.params, twisted=True)
 
 
-# The gauge entries g22 by Params, then by s; a read that would take it
-# past _G22_SIZE values empties it first.
+# The gauge entries g22 by (s, Params), read through _held.
 _G22: dict = {}
 _G22_SIZE = 1 << 15
 _PT0 = np.zeros(1, np.intp)  # the point of a one-sample read
-
-
-def _misses(got: list, key) -> dict:
-    """The distinct keys key(i) of a read where its memo has no value
-    (got[i] is None), each with its first position."""
-    at = {}
-    for i, v in enumerate(got):
-        if v is None:
-            at.setdefault(key(i), i)
-    return at
 
 
 def _g22_form(s, pts, prms: tuple) -> list:
@@ -337,42 +299,9 @@ def _g22_rows(s, pts, prms: tuple, n: int = 1) -> list:
     _G22 and in the per-sample order g22(s[0]), g22(s[0] + 1), g22(s[1]),
     ...: a list per shift."""
     s, pts = np.stack([s, s + 1][:n], 1).ravel(), pts.repeat(n)
-    sl, pl, held = s.tolist(), pts.tolist(), [_G22.get(x, {}) for x in prms]
-    got = [held[p].get(x) for p, x in zip(pl, sl)]
-    at = _misses(got, lambda i: (pl[i], sl[i]))
-    if at:
-        if sum(map(len, _G22.values())) + len(at) > _G22_SIZE:
-            _G22.clear()
-        for (p, x), v in zip(at, _g22_form(s[list(at.values())], pts[list(at.values())], prms)):
-            _G22.setdefault(prms[p], {})[x] = v
-        got = [_G22[prms[p]][x] if v is None else v for p, x, v in zip(pl, sl, got)]
+    keys = list(zip(s.tolist(), map(prms.__getitem__, pts.tolist())))
+    got = _held(_G22, _G22_SIZE, keys, lambda at: _g22_form(s[at], pts[at], prms))
     return [got[k::n] for k in range(n)]
-
-
-def _theta_form(x, pts, prms: tuple) -> list:
-    """theta(x[i], prms[pts[i]]) for every i as a fill forms it, over the
-    points' padded rows of powers (_grid_tables) in one broadcast."""
-    if not x.all():  # w underflows to 0 at large s
-        raise ValueError("theta undefined at z = 0")
-    table, pp = _grid_tables(prms)
-    f = _poch1_rows(np.concatenate([x, [prms[p].p / z for p, z in zip(pts.tolist(), x.tolist())]]),
-                    np.concatenate([table[pts]] * 2)).tolist()
-    pp = pp.tolist()  # (p; p) as Python complex: a numpy factor rounds otherwise
-    return [a * b * pp[p] for a, b, p in zip(f, f[len(x):], pts.tolist())]
-
-
-def _theta_rows(x: list, pts, prms: tuple) -> list:
-    """theta(x[i], prms[pts[i]]) for every i, through the value cache."""
-    cache, keys = special._GRID, list(zip(x, map(prms.__getitem__, pts.tolist())))
-    got = [(cache.get(k) or _UNFORMED)[0] for k in keys]
-    at = _misses(got, keys.__getitem__)
-    if at:
-        if len(cache) + len(at) > special._GRID_SIZE:
-            cache.clear()
-        for k, v in zip(at, _theta_form(np.array(x)[list(at.values())], pts[list(at.values())], prms)):
-            cache.setdefault(k, [None, None])[0] = v
-        got = [cache[k][0] if v is None else v for k, v in zip(keys, got)]
-    return got
 
 
 def _ups_rows(s, pts, prms: tuple) -> list:
@@ -422,7 +351,7 @@ def _one(entries, s, params: Params) -> complex:
 def _g22(params: Params, s: complex) -> complex:
     """The gauge's second diagonal entry q^{-s} (w; p)(p q^2/w; p), also det
     g (the first entry is 1) and Gamma's entry at s: a read of _G22."""
-    value = _G22.get(params, {}).get(s)
+    value = _G22.get((s, params))
     return _g22_rows(np.array([s], complex), _PT0, (params,))[0][0] if value is None else value
 
 

@@ -74,7 +74,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special import DEFAULT_GUARD, SingularPointError, guarded, singular
+from .special import DEFAULT_GUARD, SingularPointError, _held, guarded, singular
 
 __all__ = [
     "DynMatrix",
@@ -691,40 +691,36 @@ class DynMatrix:
 
         The inverse is itself a DynMatrix (evaluable at shifted s).  It keeps
         the inverse and the first trip at each (grid point, s) for later
-        reads.  A read evaluates the matrix at exactly the samples it has not
-        seen, each once and with its point, into a log of its own, and
-        inverts them in one call to inv_guarded, which sees the identity in
-        place of each sample where the matrix tripped.  It logs those trips
-        at the read's positions, then the kept trip of each other sample
-        that has one.
+        reads, read through special._held with no bound.  A read evaluates
+        the matrix at exactly the samples it has not seen, each once and
+        with its point, into a log of its own, and inverts them in one call
+        to inv_guarded, which sees the identity in place of each sample
+        where the matrix tripped.  It logs those trips at the read's
+        positions, then the kept trip of each other sample that has one.
         """
         self._require_function_valued("inverse")
         kept: dict[tuple, tuple] = {}  # (point, s) -> (inverse, trip or None)
         base = self
 
         def ev(s, pts, need, log):
-            keys = list(zip(pts.tolist(), s.tolist()))
-            new: dict[tuple, int] = {}  # first positions, so in read order
-            for i, key in enumerate(keys):
-                if key not in kept:
-                    new.setdefault(key, i)
-            at = list(new.values())
-            if at:
+            fresh = set()
+
+            def form(at):
+                fresh.update(at)
                 own = []
                 vals = base.ev(s[at], pts[at], base.masks, own)
                 arrs = vals.get(0, np.zeros((len(at), base.dim, base.dim)))
                 if own:  # a copy: the base may hand out arrays it keeps
                     arrs = arrs.copy()
                     arrs[[j for j, _ in own]] = np.eye(base.dim)
-                arrs = inv_guarded(arrs, guard, own, " at s = {}", [x for _, x in new])
+                arrs = inv_guarded(arrs, guard, own, " at s = {}", s[at].tolist())
                 arrs.flags.writeable = False
                 log.extend((at[j], exc) for j, exc in own)
                 first = dict(reversed(own))  # each new sample's first trip
-                kept.update((key, (arr, first.get(j)))
-                            for j, (key, arr) in enumerate(zip(new, arrs)))
-            got, trips = zip(*[kept[k] for k in keys])
+                return [(arr, first.get(j)) for j, arr in enumerate(arrs)]
+
+            got, trips = zip(*_held(kept, None, list(zip(pts.tolist(), s.tolist())), form))
             if any(trips):
-                fresh = set(at)
                 log.extend((i, t) for i, t in enumerate(trips) if t and i not in fresh)
             return {0: _stack(got)}
 

@@ -19,18 +19,20 @@ over n1 of np.prod over n2 would, so the result is that loop's to the last
 bit.  The cached power and factor tables are read-only.
 
 theta, rho_norm and unitarity_scalar are the only readers of Theta, rho and
-n(z) = rho(z) rho(1/z), through one bounded value cache keyed by (z, Params)
-that holds Theta(z) and rho(z) or the trip of rho's guards, its message.
-The two ways a value gets there differ only in how many rows one kernel call
-forms.  A read miss forms its one value product by product, one row a call,
-through the lru-cached _poch1 and _poch2.  A fill (_grid_fill), which grid
-callers run before they read, forms many arguments of one Params at once:
-the one-base factors in one _poch1_rows broadcast, the two-base ones in
-_poch2_rows broadcasts of up to _ROW_FACTORS factors (or one row).  A
-miss formed as a fill of one would be faster, but it lowers the point-eval
-benchmark's traced layer share towards the bound its test asserts, so it
-waits on ROADMAP item 1.  Both ways combine and guard rho in one step
-(_rho).
+n(z) = rho(z) rho(1/z), through two bounded value caches keyed by
+(z, Params): _THETA of Theta(z) and _RHO of rho(z) or the trip of rho's
+guards, its message.  Every batched memo of the package, these two
+included, is read through _held.  The ways a value gets there differ only
+in how many rows one kernel call forms.  A one-point read miss forms its
+one value product by product, one row a call, through the lru-cached _poch1
+and _poch2, and stores it (_keep).  A fill (_grid_fill), which the checks run before they read,
+forms many arguments of one Params at once, and a grid read (_theta_rows,
+_rho_rows) many arguments of many Params: the one-base factors in one
+_poch1_rows broadcast, the two-base ones in _poch2_rows broadcasts of up to
+_ROW_FACTORS factors (or one row) per Params.  A miss formed as a fill of
+one would be faster, but it lowers the point-eval benchmark's traced layer
+share towards the bound its test asserts, so it waits on ROADMAP item 1.
+Every way combines and guards rho in one step (_rho).
 
 Evaluations that land within ``singular_guard`` of a vanishing denominator
 raise SingularPointError instead of returning huge values; the R-matrix has
@@ -267,24 +269,44 @@ def qpochhammer(z: complex, bases, order: int) -> complex:
     return _poch2(z, bs[0], bs[1], order)
 
 
-# The value cache: by (z, Params), [Theta(z), rho(z) or the trip (message) of
-# its guards], None where not formed yet.  A fill that would take it past
-# _GRID_SIZE keys empties it first, and so does a read miss at _GRID_SIZE keys.
-_GRID: dict = {}
+# The value caches, by (z, Params): _THETA of Theta(z), _RHO of rho(z) or the
+# trip (message) of its guards, each read through _held (a one-point miss
+# stored by _keep) and bounded by _GRID_SIZE keys.
+_THETA: dict = {}
+_RHO: dict = {}
 _GRID_SIZE = 1 << 14
-# the factors in one _poch2_rows broadcast of a fill (16 bytes each): the
-# rows of 34 arguments at order 61, of 3 at order 200
+# the factors in one _poch2_rows broadcast of rho's misses (16 bytes each):
+# the rows of 34 arguments at order 61, of 3 at order 200
 _ROW_FACTORS = 1 << 16
-_UNFORMED = (None, None)
 _RHO_DENOMINATORS = ("(p q^2/z; p, q^4)", "(z; p, q^4)", "(q^4 z; p, q^4)")
 
 
-def _slot(z: complex, params: Params) -> list:
-    """A new, unformed value-cache entry of (z, params)."""
-    if len(_GRID) >= _GRID_SIZE:
-        _GRID.clear()
-    slot = _GRID[z, params] = [None, None]
-    return slot
+def _held(cache: dict, size, keys: list, form) -> list:
+    """cache[k] for every key k of keys: the one read of every batched memo.
+    The distinct keys the cache lacks are formed in one call form(at), at
+    their first positions at in keys, and stored.  A read whose misses would
+    take the cache past size keys (None: no bound) empties it first, and
+    keeps what it read, so the cache holds every key of a read after it."""
+    got = [cache.get(k) for k in keys]
+    at = {}
+    for i in [i for i, v in enumerate(got) if v is None]:
+        at.setdefault(keys[i], i)
+    if not at:
+        return got
+    if size is not None and len(cache) + len(at) > size:
+        cache.clear()
+        cache.update((k, v) for k, v in zip(keys, got) if v is not None)
+    cache.update(zip(at, form(list(at.values()))))
+    return [cache[k] if v is None else v for k, v in zip(keys, got)]
+
+
+def _keep(cache: dict, key, value):
+    """Store the value a one-point read miss formed, bounded as _held bounds
+    a read of one key (a list-building _held costs a one-point miss 30%)."""
+    if len(cache) >= _GRID_SIZE:
+        cache.clear()
+    cache[key] = value
+    return value
 
 
 def theta(z: complex, params: Params) -> complex:
@@ -292,11 +314,40 @@ def theta(z: complex, params: Params) -> complex:
     z = complex(z)
     if z == 0:
         raise ValueError("theta undefined at z = 0")
-    slot = _GRID.get((z, params)) or _slot(z, params)
-    if slot[0] is None:
+    value = _THETA.get((z, params))
+    if value is None:
         p, n = params.p, params.truncation_order
-        slot[0] = _poch1(z, p, n) * _poch1(p / z, p, n) * _poch1(p, p, n)
-    return slot[0]
+        value = _keep(_THETA, (z, params), _poch1(z, p, n) * _poch1(p / z, p, n) * _poch1(p, p, n))
+    return value
+
+
+@lru_cache(maxsize=64)
+def _grid_tables(params: tuple) -> tuple:
+    """Per point of a grid: the powers of p padded with zeros to the widest
+    order (_poch1_rows), and (p; p)."""
+    table = np.zeros((len(params), max(x.truncation_order for x in params)), complex)
+    for row, x in zip(table, params):
+        row[:x.truncation_order] = _powers(x.p, x.truncation_order)
+    return table, np.array([_poch1(x.p, x.p, x.truncation_order) for x in params])
+
+
+def _theta_rows(x: list, pts, prms: tuple) -> list:
+    """theta(x[i], prms[pts[i]]) for every i through _THETA, its misses
+    formed over the points' padded rows of powers (_grid_tables) in one
+    broadcast."""
+    keys = list(zip(x, map(prms.__getitem__, pts.tolist())))
+
+    def form(at):
+        xs, pa = [x[i] for i in at], pts[at]
+        if 0 in xs:  # w underflows to 0 at large s
+            raise ValueError("theta undefined at z = 0")
+        table, pp = _grid_tables(prms)
+        f = _poch1_rows(np.array(xs + [keys[i][1].p / z for i, z in zip(at, xs)]),
+                        np.concatenate([table[pa]] * 2)).tolist()
+        pp = pp.tolist()  # (p; p) as Python complex: a numpy factor rounds otherwise
+        return [a * b * pp[p] for a, b, p in zip(f, f[len(xs):], pa.tolist())]
+
+    return _held(_THETA, _GRID_SIZE, keys, form)
 
 
 def _rho_args(z: complex, params: Params) -> tuple:
@@ -320,6 +371,27 @@ def _rho(z: complex, params: Params, d, num):
     return n1**2 * n2 * n3 / (d[0] ** 2 * d[1] * d[2]) / params.q_half
 
 
+def _rho_rows(keys: list) -> list:
+    """rho_norm, or the trip of its guards, at each (z, Params) of keys
+    through _RHO, its misses formed per Params in _poch2_rows broadcasts of
+    up to _ROW_FACTORS factors (or one row)."""
+    def form(at):
+        groups, out = {}, {}
+        for i in at:
+            groups.setdefault(keys[i][1], []).append(keys[i][0])
+        for prm, zs in groups.items():
+            rows = [_rho_args(z, prm) for z in zs]
+            xs, (p, q4, n) = np.array([args for args, *_ in rows]).reshape(-1), rows[0][1:]
+            fit = max(1, _ROW_FACTORS // (n * (n + 1) // 2))
+            f = np.concatenate([_poch2_rows(xs[i:i + fit], p, q4, n)
+                                for i in range(0, len(xs), fit)]).tolist()
+            for i, z in zip(range(0, len(f), 6), zs):
+                out[z, prm] = _rho(z, prm, f[i:i + 3], lambda: f[i + 3:i + 6])
+        return [out[keys[i]] for i in at]
+
+    return _held(_RHO, _GRID_SIZE, keys, form)
+
+
 def rho_norm(z: complex, params: Params) -> complex:
     """Normalization factor of the R-matrix.
 
@@ -332,14 +404,14 @@ def rho_norm(z: complex, params: Params) -> complex:
     z = complex(z)
     if z == 0:
         raise ValueError("rho_norm undefined at z = 0")
-    slot = _GRID.get((z, params)) or _slot(z, params)
-    if slot[1] is None:
+    value = _RHO.get((z, params))
+    if value is None:
         args, p, q4, n = _rho_args(z, params)
-        slot[1] = _rho(z, params, [_poch2(x, p, q4, n) for x in args[:3]],
-                       lambda: [_poch2(x, p, q4, n) for x in args[3:]])
-    if isinstance(slot[1], str):
-        raise SingularPointError(slot[1])
-    return slot[1]
+        value = _keep(_RHO, (z, params), _rho(z, params, [_poch2(x, p, q4, n) for x in args[:3]],
+                                              lambda: [_poch2(x, p, q4, n) for x in args[3:]]))
+    if isinstance(value, str):
+        raise SingularPointError(value)
+    return value
 
 
 def unitarity_scalar(z: complex, params: Params) -> complex:
@@ -349,32 +421,18 @@ def unitarity_scalar(z: complex, params: Params) -> complex:
 
 
 def _grid_fill(params: Params, thetas=(), rhos=(), ns=()) -> None:
-    """Form what the value cache lacks of Theta at each z of thetas, and of
+    """Form what the value caches lack of Theta at each z of thetas, and of
     rho at each z of rhos and at z and 1/z for each z of ns (what n(z)
-    reads), all at one Params: the one-base factors in one _poch1_rows
-    broadcast, the two-base ones in one _poch2_rows call, combined and
-    guarded as theta and rho_norm combine and guard a miss.  A zero z is
-    left to the readers, which raise for it."""
+    reads), all at one Params: Theta's one-base factors in one _poch1_rows
+    broadcast over the powers of p, rho's misses as _rho_rows forms them.
+    A zero z is left to the readers, which raise for it."""
+    keys = [(z, params) for z in map(complex, thetas) if z]
+
+    def form(at):
+        zs, p, n = [keys[i][0] for i in at], params.p, params.truncation_order
+        f = _poch1_rows(np.array(zs + [p / z for z in zs] + [p]), _powers(p, n)).tolist()
+        return [a * b * f[-1] for a, b in zip(f, f[len(zs):])]
+
+    _held(_THETA, _GRID_SIZE, keys, form)
     rhos = [*map(complex, rhos), *(x for z in map(complex, ns) if z for x in (z, 1.0 / z))]
-    want = [[z for z in dict.fromkeys(zs) if z] for zs in (map(complex, thetas), rhos)]
-    th, rh = ([z for z in zs if _GRID.get((z, params), _UNFORMED)[k] is None]
-              for k, zs in enumerate(want))
-    if not (th or rh):
-        return
-    if len(_GRID) + len(th) + len(rh) > _GRID_SIZE:
-        _GRID.clear()  # and form again what it held of this fill
-        th, rh = want
-    if th:
-        p, n = params.p, params.truncation_order
-        f = _poch1_rows(np.array(th + [p / z for z in th] + [p]), _powers(p, n)).tolist()
-        for z, a, b in zip(th, f, f[len(th):]):
-            _GRID.setdefault((z, params), [None, None])[0] = a * b * f[-1]
-    if rh:
-        rows = [_rho_args(z, params) for z in rh]
-        xs, (p, q4, n) = np.array([args for args, *_ in rows]).reshape(-1), rows[0][1:]
-        fit = max(1, _ROW_FACTORS // (n * (n + 1) // 2))
-        f = np.concatenate([_poch2_rows(xs[i:i + fit], p, q4, n)
-                            for i in range(0, len(xs), fit)]).tolist()
-        for i, z in zip(range(0, len(f), 6), rh):
-            _GRID.setdefault((z, params), [None, None])[1] = _rho(
-                z, params, f[i:i + 3], lambda: f[i + 3:i + 6])
+    _rho_rows([(z, params) for z in rhos if z])

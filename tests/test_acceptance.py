@@ -52,9 +52,10 @@ TOL = GRID.tolerance
 
 
 def _clear_caches():
-    for fn in (_powers, _poch1, _poch2_table, _poch2, _r_array, rmatrix._grid_z_factors):
+    for fn in (_powers, _poch1, _poch2_table, _poch2, _r_array):
         fn.cache_clear()
-    special._GRID.clear()
+    special._THETA.clear()
+    special._RHO.clear()
     rmatrix._R_SAMPLES.clear()
     # the interned patterns and what is derived from them, so each criterion
     # still times a cold start

@@ -593,53 +593,68 @@ class TestGridBatch:
         assert residuals == [check_lemma_p1(PARAMS, seed) for seed in (3, 4)]
 
 
+def _clear_values():
+    special._THETA.clear()
+    special._RHO.clear()
+
+
 class TestRepeatedWork:
     """Counted, not timed: a default pass assembles no grid read of R one
     sample at a time, evaluates each gauge sample once, and builds each
     kernel table once."""
 
     def test_grid_reads_stack_r_and_each_gauge_sample_is_evaluated_once(self, monkeypatch):
-        assembled, r_array = [], rmatrix._r_array
-        formed = {"_g22_form": [], "_theta_form": []}  # (x, Params) of each value formed
-        for name, keys in formed.items():
-            monkeypatch.setattr(rmatrix, name, lambda s, pts, prms, form=getattr(rmatrix, name),
-                                keys=keys: keys.extend(zip(s.tolist(), map(
-                                    prms.__getitem__, pts.tolist()))) or form(s, pts, prms))
+        assembled, r_array, g22_form, held = [], rmatrix._r_array, rmatrix._g22_form, special._held
+        g22, thetas = [], []  # (x, Params) of each g22 and each Theta formed
+        monkeypatch.setattr(rmatrix, "_g22_form", lambda s, pts, prms: g22.extend(zip(
+            s.tolist(), map(prms.__getitem__, pts.tolist()))) or g22_form(s, pts, prms))
+
+        def holding(cache, size, keys, form):
+            if cache is special._THETA:
+                return held(cache, size, keys, lambda at: thetas.extend(map(
+                    keys.__getitem__, at)) or form(at))
+            return held(cache, size, keys, form)
+
+        monkeypatch.setattr(special, "_held", holding)
         monkeypatch.setattr(rmatrix, "_r_array", lambda *a: assembled.append(a) or r_array(*a))
         rmatrix._G22.clear()
-        special._GRID.clear()
-        rmatrix._grid_z_factors.cache_clear()
+        _clear_values()
         reports = run_suite(GRID)
         assert assembled == []
-        # each distinct (Params, s) of the gauge formed once: 1,246 at seed 0
-        g22 = formed["_g22_form"]
-        assert len(g22) == len(set(g22)) == sum(map(len, rmatrix._G22.values())) == 1246
-        # and each Theta the gauges read that no fill had formed, none twice
-        thetas = formed["_theta_form"]
-        assert len(thetas) == len(set(thetas)) > 0
-        assert all(special._GRID[k][0] is not None for k in thetas)
-        slots = special._GRID.values()
-        assert len(slots) == 1832
-        assert sum(t is not None for t, _ in slots) == 1496
+        # each distinct (s, Params) of the gauge formed once: 1,246 at seed 0
+        assert len(g22) == len(set(g22)) == len(rmatrix._G22) == 1246
+        # and each Theta of the pass, the gauges' among them, none twice
+        assert len(thetas) == len(set(thetas)) == len(special._THETA) == 1496
+        assert len(special._RHO) == 832
         assert summarize(reports) == {"pass": 971, "fail": 0, "skipped": 29}
 
     def test_memo_bounds_do_not_change_reports(self, monkeypatch):
-        # the gauge memo and the value cache held to a few dozen keys empty
-        # themselves mid-read many times over; the reports keep every byte
-        def reports():
-            rmatrix._G22.clear()
-            special._GRID.clear()
-            rmatrix._grid_z_factors.cache_clear()
-            return json.dumps([r.to_dict() for r in run_suite(GridSpec(n_points=3))])
+        # the R-sample and gauge memos and the value caches held to a few
+        # dozen keys empty themselves mid-read many times over; the reports
+        # keep every byte
+        stacked, r_stack = [], rmatrix._r_stack
+        monkeypatch.setattr(rmatrix, "_r_stack", lambda zs, prms, tw, s, *a: stacked.append(
+            len(s)) or r_stack(zs, prms, tw, s, *a))
 
-        unbounded = reports()
-        sizes = sum(map(len, rmatrix._G22.values())), len(special._GRID)
+        def reports():
+            stacked.clear()
+            rmatrix._G22.clear()
+            _clear_values()
+            doc = json.dumps([r.to_dict() for r in run_suite(GridSpec(n_points=3))])
+            return doc, sum(stacked)
+
+        unbounded, formed = reports()
+        sizes = len(rmatrix._G22), len(special._THETA), len(special._RHO)
+        monkeypatch.setattr(rmatrix, "_R_SAMPLES_SIZE", 24)
         monkeypatch.setattr(rmatrix, "_G22_SIZE", 24)
         monkeypatch.setattr(special, "_GRID_SIZE", 24)
-        assert reports() == unbounded
-        assert min(sizes) > 4 * 24
-        assert sum(map(len, rmatrix._G22.values())) < sizes[0]
-        assert len(special._GRID) < sizes[1]
+        bounded, reformed = reports()
+        assert bounded == unbounded
+        assert min(sizes) > 4 * 24 and formed > 4 * 24
+        # every memo emptied itself: R samples formed again, fewer keys held
+        assert reformed > formed
+        assert len(rmatrix._G22) < sizes[0]
+        assert len(special._THETA) < sizes[1] and len(special._RHO) < sizes[2]
 
     def test_each_distinct_r_sample_and_grid_rho_is_formed_once(self, monkeypatch):
         read, evaluated, rows = [], [], []
@@ -660,8 +675,7 @@ class TestRepeatedWork:
         monkeypatch.setattr(rmatrix, "_r_stack", stacking)
         monkeypatch.setattr(special, "_poch2_rows", lambda xs, *a: rows.append(len(xs)) or
                             poch2_rows(xs, *a))
-        special._GRID.clear()
-        rmatrix._grid_z_factors.cache_clear()
+        _clear_values()
         reports = run_suite(GRID)
         # 4,077 R samples in 146 grid reads, 1,951 of them distinct: Gamma's
         # diagonal pattern leaves unread the R entries that would meet its
@@ -669,16 +683,14 @@ class TestRepeatedWork:
         assert len(read) == 4077
         assert len(evaluated) == len(set(evaluated)) == len(set(read)) == 1951
         # rho's six two-base rows once per distinct grid (z, Params): 832 at seed 0
-        rhos = [key for key, (_, rho) in special._GRID.items() if rho is not None]
-        assert sum(rows) == 6 * len(rhos) == 6 * 832
+        assert sum(rows) == 6 * len(special._RHO) == 6 * 832
         assert summarize(reports) == {"pass": 971, "fail": 0, "skipped": 29}
 
     def test_a_cold_pass_builds_each_kernel_table_once(self):
         tables = (special._powers, special._poch2_table)
-        for f in tables + (special._poch1, special._poch2, rmatrix._z_factors,
-                           rmatrix._grid_z_factors, rmatrix._grid_tables):
+        for f in tables + (special._poch1, special._poch2, special._grid_tables):
             f.cache_clear()
-        special._GRID.clear()
+        _clear_values()
         rmatrix._R_SAMPLES.clear()
         run_suite(GRID)
         for f in tables:

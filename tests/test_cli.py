@@ -17,8 +17,8 @@ from dynell import RPoint, SingularPointError, build_r, rho_norm, theta, unitari
 from dynell.checks import GridSpec, format_complex, run_suite
 from dynell.cli import _dumps, main, parse_complex
 from dynell import rmatrix
-from dynell.rmatrix import _grid_tables, _grid_z_factors, _r_array, _z_factors
-from dynell.special import _GRID, _poch1, _poch2, _poch2_table, _powers
+from dynell.rmatrix import _r_array
+from dynell.special import _RHO, _THETA, _grid_tables, _poch1, _poch2, _poch2_table, _powers
 
 from helpers import outcome
 
@@ -36,10 +36,11 @@ def _cold_run(args, cwd):
 
 
 def _clear_value_caches():
-    """Empty the value cache and every cache of what is formed from it."""
-    for cache in (_poch1, _poch2, _z_factors, _grid_z_factors, _r_array):
+    """Empty the value caches and every cache of what is formed from them."""
+    for cache in (_poch1, _poch2, _grid_tables, _r_array):
         cache.cache_clear()
-    _GRID.clear()
+    _THETA.clear()
+    _RHO.clear()
 
 
 class TestComplexLiterals:
@@ -227,10 +228,10 @@ class TestCheckCommand:
         # and a one-point read of R at another point
         pt = GridSpec(seed=1, n_points=1).sample_points()[0]
         build_r(RPoint(pt.zs[0], pt.s, pt.params)).at(pt.s)
-        # the kernel, R-factor and gauge caches are among those filled
-        for cache in (_powers, _poch2_table, _z_factors, _grid_z_factors, _grid_tables):
+        # the kernel, value and gauge caches are among those filled
+        for cache in (_powers, _poch2_table, _grid_tables):
             assert cache.cache_info().currsize, cache
-        assert _GRID and rmatrix._G22
+        assert _THETA and _RHO and rmatrix._G22
         monkeypatch.delenv("DYNELL_CONFIG", raising=False)
         warm = tmp_path / "warm.json"
         assert main(args + ["--output", str(warm)]) == cold.returncode
@@ -319,7 +320,7 @@ class TestSharedValueCache:
         what it forms at each: [Theta, rho]."""
         _clear_value_caches()
         run_suite(GridSpec(n_points=3))
-        return {key: [value is not None for value in slot] for key, slot in _GRID.items()}
+        return {key: [key in _THETA, key in _RHO] for key in {**_THETA, **_RHO}}
 
     def test_one_point_reads_at_the_grid_arguments_leave_its_bytes(self, tmp_path, monkeypatch):
         cold = _cold_run(self.ARGS, tmp_path)
@@ -337,7 +338,8 @@ class TestSharedValueCache:
             for f, read in zip(READERS, (th, rho, rho)):
                 if read:
                     outcome(f, z, params)
-        assert _z_factors.cache_info().currsize and not _grid_z_factors.cache_info().currsize
+        # formed by one-point reads alone: no grid read built its tables
+        assert _r_array.cache_info().currsize and not _grid_tables.cache_info().currsize
         monkeypatch.delenv("DYNELL_CONFIG", raising=False)
         warm = tmp_path / "warm.json"
         assert main(self.ARGS + ["--output", str(warm)]) == cold.returncode
@@ -476,6 +478,15 @@ class TestEvalCommand:
         assert captured.err == (
             f"{argv[0]} is not finite at {where} (floating-point overflow)\n"
         )
+
+    # w = q^(2s) underflows to 0; N(s) reads G at s - 1
+    @pytest.mark.parametrize("obj,at", [("R", 500), ("G", 500), ("N", 499), ("Gamma", 500)])
+    def test_an_underflow_of_w_exits_two_naming_it(self, obj, at, capsys):
+        rc = main(["eval", obj, "--s", "500"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: w = q^(2s) underflows to 0 at s = ({at}+0j)\n"
 
     def test_full_precision_round_trip(self, capsys):
         main(["eval", "G", "--s", "0.4+0.2i"])

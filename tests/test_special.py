@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from dynell import Params, SingularPointError, qpochhammer, rho_norm, theta, unitarity_scalar
 from dynell import special
 from dynell.rmatrix import _r_array
-from dynell.special import (_GRID, _grid_fill, _poch1, _poch1_rows, _poch2, _poch2_rows,
-                            _poch2_table, _powers)
+from dynell.special import (_RHO, _THETA, _grid_fill, _held, _poch1, _poch1_rows, _poch2,
+                            _poch2_rows, _poch2_table, _powers)
 
 from helpers import make_params, outcome
 
@@ -261,9 +261,14 @@ class TestUnitarityScalar:
         assert lhs == unitarity_scalar(Z0, params)
 
 
+def _clear():
+    _THETA.clear()
+    _RHO.clear()
+
+
 def _cold(f, z, params):
-    """_outcome of f formed by a read miss: the value cache emptied first."""
-    _GRID.clear()
+    """_outcome of f formed by a read miss: the value caches emptied first."""
+    _clear()
     return outcome(f, z, params)
 
 
@@ -277,13 +282,13 @@ def _misses_raise(monkeypatch):
 
 
 class TestGridCache:
-    """A value of the value cache (_GRID) formed by a fill (many rows per
+    """A value of the value caches (_THETA, _RHO) formed by a fill (many rows per
     kernel call) equals the value a cold read forms (one row) to the last bit,
     trips included; a trip is formed once and raised afresh at every read,
     and the cache stays bounded however it is filled."""
 
     def setup_method(self):
-        _GRID.clear()
+        _clear()
 
     def test_values_equal_the_one_point_functions_bit_for_bit(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -294,7 +299,7 @@ class TestGridCache:
             zs = (r * np.exp(2j * np.pi * rng.uniform(size=8))).tolist()
             zs += [1.0 + 0j, 1 / params.q**4, params.q**-2]  # on rho's and Theta's zeros
             cold = [[_cold(f, z, params) for z in zs] for f in readers]
-            _GRID.clear()
+            _clear()
             _grid_fill(params, thetas=zs, rhos=zs, ns=zs)
             with monkeypatch.context() as m:
                 _misses_raise(m)
@@ -304,7 +309,7 @@ class TestGridCache:
         params = make_params()
         for z in (1.0, 1.0 / params.q**4):
             for fill in (True, False):
-                _GRID.clear()
+                _clear()
                 if fill:
                     _grid_fill(params, ns=[z])
                 raised = []
@@ -323,25 +328,64 @@ class TestGridCache:
         for f, name in ((theta, "theta"), (rho_norm, "rho_norm"), (unitarity_scalar, "rho_norm")):
             with pytest.raises(ValueError, match=f"^{name} undefined at z = 0$"):
                 f(0.0, params)
-        assert (0j, params) not in _GRID
+        assert (0j, params) not in _THETA and (0j, params) not in _RHO
 
     def test_the_cache_is_bounded(self, monkeypatch):
         monkeypatch.setattr(special, "_GRID_SIZE", 4)
         params = make_params()
         zs = [0.6 + 0.1j * k for k in range(6)]
         cold = [_cold(rho_norm, z, params) for z in zs]
-        _GRID.clear()
+        _clear()
         for z in zs:
             _grid_fill(params, thetas=[z], rhos=[z])
-            assert len(_GRID) <= 4
+            assert len(_THETA) <= 4 and len(_RHO) <= 4
         _grid_fill(params, rhos=zs)  # more than fit: each is still formed
         with monkeypatch.context() as m:
             _misses_raise(m)
             assert [outcome(rho_norm, z, params) for z in zs] == cold
-        _GRID.clear()
+        _clear()
         for z in zs:  # a session of one-point reads alone
             theta(z, params), rho_norm(z, params), unitarity_scalar(z, params)
-            assert len(_GRID) <= 4
+            assert len(_THETA) <= 4 and len(_RHO) <= 4
+
+
+class TestHeld:
+    """_held, the one read of every batched memo: each distinct miss formed
+    once, at its first position, and every value returned however the bound
+    empties the cache."""
+
+    @staticmethod
+    def _read(cache, size, keys):
+        calls = []
+
+        def form(at):
+            calls.append(at)
+            return [keys[i] * 10 for i in at]
+
+        return _held(cache, size, keys, form), calls
+
+    def test_each_distinct_miss_is_formed_once_at_its_first_position(self):
+        cache = {1: 10, 9: -1}
+        got, calls = self._read(cache, None, [3, 1, 3, 4, 1, 4, 5])
+        assert got == [30, 10, 30, 40, 10, 40, 50]
+        assert calls == [[0, 3, 6]]
+        assert cache == {1: 10, 9: -1, 3: 30, 4: 40, 5: 50}
+        got, calls = self._read(cache, None, [4, 3, 4])  # all held: form not called
+        assert (got, calls) == ([40, 30, 40], [])
+
+    def test_misses_past_the_bound_empty_the_cache_first_and_keep_the_read(self):
+        cache = {1: 10, 2: 20, 3: 30}
+        # two misses on three keys would make five, past four: emptied first
+        got, calls = self._read(cache, 4, [5, 1, 6, 5])
+        assert got == [50, 10, 60, 50] and calls == [[0, 2]]
+        assert cache == {1: 10, 5: 50, 6: 60}
+        # more misses than the bound holds: every value is still returned
+        got, calls = self._read(cache, 2, [7, 8, 9, 1, 7])
+        assert got == [70, 80, 90, 10, 70] and calls == [[0, 1, 2]]
+        assert cache == {1: 10, 7: 70, 8: 80, 9: 90}
+        # at the bound exactly, nothing is emptied
+        got, _ = self._read(cache, 5, [2])
+        assert got == [20] and len(cache) == 5
 
 
 class TestParams:

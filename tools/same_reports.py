@@ -61,7 +61,8 @@ CHECK_SETTINGS = (
 
 # one-point reads that end in a trip of rho's guards (at z = 1 its value is
 # 0; at p = 0.85 a non-zero value below the guard, whose digits are printed),
-# in Gamma's det guard (s = 0, where det g = 0), or in the error of z = 0
+# in Gamma's det guard (s = 0, where det g = 0), or in the error of z = 0 or
+# of an underflow of w
 EVAL_EDGES = (
     "rho --z 1",
     "rho --z 1.5 --p 0.85",
@@ -69,6 +70,9 @@ EVAL_EDGES = (
     "Gamma --s 0",
     "rho --z 0",
     "theta --z 0",
+    # w = q^(2s) underflows to 0: the error that names it
+    "Gamma --s 500",
+    "G --s 500",
 )
 
 # numpy's SIMD dispatch limited to X86_V2, and OpenBLAS's Nehalem kernels
