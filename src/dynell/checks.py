@@ -28,11 +28,26 @@ than a failure.  Negative controls are first-class: every corruptible check
 accepts a named corruption of one side, and a row named "*.negctrl" counts as
 pass exactly when the corrupted residual exceeds 1e-3, so a suite that is
 green is also demonstrably sensitive.
+
+Each row still runs through its own runner, but within one run_suite the
+rows share what they have in common (_RUN): the rows with one inputs
+function share its inputs and report points, and a check that takes
+`shared` builds and reads each side of its identity that a row's corruption
+leaves alone once per run (_side): the right sides of dybe, unitarity,
+crossing, crossunit, nforms and the chain's step 7, the left sides of
+lemmap1 (with its draws) and traceint.  Each row notes that read's trips in
+its own Trips record, where its own read would have met them: after the
+left side's, and after the n(z) trips traceint notes as it builds.  A
+shared piece is keyed by the run's grid and points and the options it
+depends on, and dropped with the R memos when the run ends; outside a run
+a row computes alone, and a control selected without its identity gives
+the reports of the full run.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 import zlib
 from dataclasses import dataclass, replace
@@ -59,6 +74,7 @@ from .shiftcalc import (
 )
 from .rmatrix import (
     _R_SAMPLES,
+    _R_W,
     _dyn_w_rows,
     _gauge,
     _guard,
@@ -94,6 +110,7 @@ __all__ = [
     "all_check_names",
     "resolve_check_names",
     "format_complex",
+    "format_point",
 ]
 
 CONTROL_THRESHOLD = 1e-3
@@ -124,22 +141,36 @@ class CheckReport:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        pt = {}
-        for k, v in self.point.items():
-            if isinstance(v, complex):
-                pt[k] = format_complex(v)
-            elif isinstance(v, (tuple, list)):
-                pt[k] = [format_complex(z) for z in v]
-            else:
-                pt[k] = v
+        """The report's document: its five fields, the point as format_point
+        gives it."""
+        return self.document(format_point(self.point))
+
+    def document(self, point) -> dict:
+        """The report's document with point in place of its point: the one
+        definition of the five fields, which a writer that formats each
+        point once reads too."""
         return {
             "name": self.name,
-            "point": pt,
+            "point": point,
             # strict JSON: a residual that is not finite is null
             "residual": self.residual if math.isfinite(self.residual or 0.0) else None,
             "status": self.status,
             "detail": self.detail,
         }
+
+
+def format_point(point: dict) -> dict:
+    """A report point as its document holds it: complex values, and the
+    items of tuples and lists, as format_complex literals."""
+    pt = {}
+    for k, v in point.items():
+        if isinstance(v, complex):
+            pt[k] = format_complex(v)
+        elif isinstance(v, (tuple, list)):
+            pt[k] = [format_complex(z) for z in v]
+        else:
+            pt[k] = v
+    return pt
 
 
 def _worst(per_sample: np.ndarray, points: int) -> list:
@@ -148,19 +179,54 @@ def _worst(per_sample: np.ndarray, points: int) -> list:
     return per_sample.reshape(points, -1).max(axis=1).tolist()
 
 
-def _skew_resids(lhs: DynMatrix, rhs: DynMatrix, samples, trips: Trips | None = None) -> list:
+def _skew_resids(lhs, rhs, samples, trips: Trips | None = None) -> list:
     """Coefficient-wise residual per E-degree, normalised per sample point,
     worst over each block of samples (all evaluated in one batch): one
-    residual per grid point of the sides' grid leaves; trips as in DynMatrix.at."""
+    residual per grid point of the sides' grid leaves; trips as in
+    DynMatrix.at, noted by each side in turn (_coeffs), the left one first."""
     samples = list(samples)
-    lc = lhs.coeffs_at(samples, trips)
-    rc = rhs.coeffs_at(samples, trips)
+    lc, lp = _coeffs(lhs, samples, trips)
+    rc, rp = _coeffs(rhs, samples, trips)
     n = len(samples)
-    zero = np.zeros((n, lhs.dim, lhs.dim))
     peaks = [abs(m).max(axis=(1, 2)) for m in lc.values()]
-    diffs = [abs(lc.get(k, zero) - rc.get(k, zero)).max(axis=(1, 2)) for k in set(lc) | set(rc)]
+    diffs = [abs(lc.get(k, 0) - rc.get(k, 0)).max(axis=(1, 2)) for k in set(lc) | set(rc)]
     norm = np.max([np.ones(n)] + peaks, axis=0)
-    return _worst(np.max([np.zeros(n)] + diffs, axis=0) / norm, lhs.points or rhs.points or 1)
+    return _worst(np.max([np.zeros(n)] + diffs, axis=0) / norm, lp or rp or 1)
+
+
+def _coeffs(side, samples: list, trips: Trips | None) -> tuple:
+    """The coefficients of a side of an identity at samples, with its count
+    of grid points; its trips go to trips.  A DynMatrix is read here.  A
+    shared side (_side), which takes a Trips record, gives its one read of
+    the run, whose trips are noted as a read here would note them."""
+    if isinstance(side, DynMatrix):
+        return side.coeffs_at(samples, trips), side.points
+    coeffs, own = side(samples)
+    for i, trip in enumerate(own):
+        trips[i] = trips[i] or trip
+    return coeffs, len(own)
+
+
+def _alone(key, make):
+    """What a check shares outside a run (_share): nothing, make() at each
+    call."""
+    return make()
+
+
+def _side(shared, key, build):
+    """A side of an identity that the rows of a run share (shared, _share):
+    key names it and the options it depends on.  A function of the samples
+    that builds the side (build()) and reads it there once per run, giving
+    its coefficients and a Trips record of that read's trips alone."""
+    def read(samples):
+        def once():
+            side = build()
+            own = Trips(side.points or 1)
+            return side.coeffs_at(samples, own), own
+
+        return shared(key, once)
+
+    return read
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +337,8 @@ def _over_points(check):
         return out
 
     run.over_points = True
+    # a check that takes the run's sharing (_share) as `shared`
+    run.shares = "shared" in inspect.signature(check).parameters
     return run
 
 
@@ -328,35 +396,40 @@ def check_n_periodicity(params: Params, zs) -> float:
 # R-matrix identity checks
 
 @_over_points
-def check_dybe(tr, params, s, z1, z2, z3, twisted=False, corruption=None) -> list:
-    """Dynamical Yang-Baxter equation on three legs, spectator-leg shifts."""
+def check_dybe(tr, params, s, z1, z2, z3, twisted=False, corruption=None, shared=_alone) -> list:
+    """Dynamical Yang-Baxter equation on three legs, spectator-leg shifts.
+    The control corrupts the left side; the right one is shared (_side)."""
     r12 = _r_dyn([a / b for a, b in zip(z1, z2)], params, twisted).embed(3, (1, 2))
     r13 = _r_dyn([a / b for a, b in zip(z1, z3)], params, twisted).embed(3, (1, 3))
     r23 = _r_dyn([a / b for a, b in zip(z2, z3)], params, twisted).embed(3, (2, 3))
     r23_s1 = r23 if corruption == "drop_spectator_shift" else r23.shift_col({1: +1})
     lhs = r12.shift_col({3: +1}) @ r13 @ r23_s1
-    rhs = r23 @ r13.shift_col({2: +1}) @ r12
+    rhs = _side(shared, ("dybe.rhs", twisted), lambda: r23 @ r13.shift_col({2: +1}) @ r12)
     return _skew_resids(lhs, rhs, s, tr)
 
 
 @_over_points
-def check_unitarity(tr, params, s, z, twisted=False, corruption=None) -> list:
-    """R_12(z) R_21(1/z) equals the unitarity scalar times the identity."""
+def check_unitarity(tr, params, s, z, twisted=False, corruption=None, shared=_alone) -> list:
+    """R_12(z) R_21(1/z) equals the unitarity scalar times the identity.  The
+    control corrupts the left side; the right one, the same for R and the
+    twisted R, is shared (_side)."""
     a = _r_dyn(z, params, twisted)
     if corruption == "rescale":
         a = a.scale(2.0)
     b = _r_dyn([1.0 / x for x in z], params, twisted).swap_legs(1, 2)
-    rhs = DynMatrix.identity(2).scale(_scalar(_n, z, params))
+    rhs = _side(shared, "unitarity.rhs",
+                lambda: DynMatrix.identity(2).scale(_scalar(_n, z, params)))
     return _skew_resids(a @ b, rhs, s, tr)
 
 
 @_over_points
-def check_crossing(tr, params, s, z, twisted=False, corruption=None) -> list:
+def check_crossing(tr, params, s, z, twisted=False, corruption=None, shared=_alone) -> list:
     """Crossing relation: the leg-1 transposed, shift-row-dressed matrix at
     1/(z q^2), conjugated by sigma_y on leg 1 and weighted by the
     crossing-scalar ratio, inverts R at 1/z.  The twist-gauged matrix is also
     dressed by the diagonal Gamma on leg 1; its negative control
-    ("drop_gamma") drops Gamma."""
+    ("drop_gamma") drops Gamma from the left side.  The right side is shared
+    (_side)."""
     g = _guard(params)
     sy = _sigma_y1()
     args = [1.0 / (x * (p.q * p.q)) for x, p in zip(z, params)]
@@ -371,34 +444,42 @@ def check_crossing(tr, params, s, z, twisted=False, corruption=None) -> list:
         lhs = sy @ g1 @ x @ g1s2.inv(g) @ sy @ u
     else:
         lhs = sy @ x @ sy @ u
-    rhs = _r_dyn([1.0 / x for x in z], params, twisted).inv(g)
+    rhs = _side(shared, ("crossing.rhs", twisted),
+                lambda: _r_dyn([1.0 / x for x in z], params, twisted).inv(g))
     return _skew_resids(lhs, rhs, s, tr)
 
 
 @_over_points
-def check_crossing_unitarity(tr, params, s, z, twisted=True, corruption=None) -> list:
+def check_crossing_unitarity(tr, params, s, z, twisted=True, corruption=None,
+                             shared=_alone) -> list:
     """Crossing-unitarity: the inverse of the sl_2-dressed, leg-1 transposed
     matrix at 1/(z q^4) against the sc_2-dressed transposed swap at z, dressed
-    by the gauge G and divided by the unitarity scalar."""
+    by the gauge G and divided by the unitarity scalar.  The control moves
+    the left side's argument; the right side is shared (_side)."""
     g = _guard(params)
     wrong = corruption == "wrong_shift_arg"
     args = [1.0 / (x * p.q * p.q) if wrong else 1.0 / (x * p.q**4)
             for x, p in zip(z, params)]
-    g1 = cross_gauge(params).embed(2, (1,))
     x = _r_dyn(args, params, twisted).shift_row({2: -1}).transpose_leg(1)
-    r21t1 = _r_dyn(z, params, twisted).swap_legs(1, 2).transpose_leg(1)
-    g1i_n = g1.inv(g).scale(_scalar(_inv_n, z, params))
-    rhs = g1i_n @ r21t1.shift_col({2: -1}) @ g1.shift_col({2: -1})
-    return _skew_resids(x.inv(g), rhs, s, tr)
+
+    def rhs():
+        g1 = cross_gauge(params).embed(2, (1,))
+        r21t1 = _r_dyn(z, params, twisted).swap_legs(1, 2).transpose_leg(1)
+        g1i_n = g1.inv(g).scale(_scalar(_inv_n, z, params))
+        return g1i_n @ r21t1.shift_col({2: -1}) @ g1.shift_col({2: -1})
+
+    return _skew_resids(x.inv(g), _side(shared, ("crossunit.rhs", twisted), rhs), s, tr)
 
 
 @_over_points
-def check_n_forms(tr, params, s, corruption=None) -> list:
+def check_n_forms(tr, params, s, corruption=None, shared=_alone) -> list:
     """The two constructions of the trace weight N agree: the -sc dressing of
-    G versus the direct shifted-ratio form."""
+    G versus the direct shifted-ratio form.  The control flips the left
+    side's dressing; the right side is shared (_side)."""
     sign = +1 if corruption == "flip_sc_sign" else -1
     form_sc = cross_gauge(params).shift_col({1: sign})
-    return _skew_resids(form_sc, trace_weight_direct(params), s, tr)
+    direct = _side(shared, "nforms.rhs", lambda: trace_weight_direct(params))
+    return _skew_resids(form_sc, direct, s, tr)
 
 
 @_over_points
@@ -444,20 +525,24 @@ def check_a_equals_n(params: Params, z1, z2) -> float:
 
 
 @_over_points
-def check_lemma_p1(tr, params, seed, corruption=None) -> list[float]:
+def check_lemma_p1(tr, params, seed, corruption=None, shared=_alone) -> list[float]:
     """Trace-exchange lemma: tr_1(A e^{-sz d} M_1 e^{sz d} C) equals the
     t_2-transpose of tr_1((C^{sl1.t2} A^{sc1.t2})^{-sc1} e^{-sz d} M_1
     e^{sz d}).  A, C are random function-valued two-leg matrices, M a random
     function-valued one-leg matrix; both sides live in the skew ring and are
     compared per E-degree.  Batched over grid points (_over_points); each
-    point draws from np.random.default_rng of its seed."""
-    rng = [np.random.default_rng(x) for x in seed]
-    a = _rand_matrix(2, rng, params)
-    c = _rand_matrix(2, rng, params)
-    m1 = _rand_matrix(1, rng, params).embed(2, (1,))
+    point draws A, C, M and then the samples from np.random.default_rng of
+    its seed.  The control corrupts the right side; the draws and the left
+    side are shared (_share, _side)."""
+    def draw():
+        rng = [np.random.default_rng(x) for x in seed]
+        a, c = _rand_matrix(2, rng, params), _rand_matrix(2, rng, params)
+        return a, c, _rand_matrix(1, rng, params).embed(2, (1,)), _rand_samples(rng, 8)
+
+    a, c, m1, samples = shared("lemmap1.draws", draw)
     d1m = weight_shift_matrix(2, 1, -1)
     d1p = weight_shift_matrix(2, 1, +1)
-    lhs = (a @ d1m @ m1 @ d1p @ c).partial_trace(1)
+    lhs = _side(shared, "lemmap1.lhs", lambda: (a @ d1m @ m1 @ d1p @ c).partial_trace(1))
     if corruption == "swap_sl_sc":
         prod = c.shift_col({1: +1}).transpose_leg(2) @ a.shift_row(
             {1: +1}
@@ -469,7 +554,7 @@ def check_lemma_p1(tr, params, seed, corruption=None) -> list[float]:
         ).transpose_leg(2)
         dressed = prod.shift_col({1: -1})
     rhs = (dressed @ d1m @ m1 @ d1p).partial_trace(1).transpose_leg(1)
-    return _skew_resids(lhs, rhs, _rand_samples(rng, 8), tr)
+    return _skew_resids(lhs, rhs, samples, tr)
 
 
 def _mu_weight_diag(params, drop: bool) -> DynMatrix:
@@ -497,11 +582,12 @@ def _mu_shift_diag(params) -> DynMatrix:
     return _gauge(params, 2, entries)
 
 
-def _chain_steps(params, s, z, samples, corruption=None) -> list:
+def _chain_steps(params, s, z, samples, corruption=None, shared=_alone) -> list:
     """The steps of the proof chain over a batch of points, each a function
     of a Trips record that returns one residual per point and notes the
     points' trips there; with a corruption, step 7 alone.  The steps share
-    the chain's objects, and so each inverse's cache."""
+    the chain's objects, and so each inverse's cache; step 7's right side,
+    which the corruption leaves alone, is shared (_side)."""
     n = len(params)
     g = _guard(params)
     flat = [x for row in samples for x in row]
@@ -517,7 +603,8 @@ def _chain_steps(params, s, z, samples, corruption=None) -> list:
     def step7(tr):
         mid = _mu_weight_diag(params, corruption == "drop_detg_sc")
         lhs = gm @ mid @ gm.shift_col({1: +1})
-        return _skew_resids(lhs, cross_gauge(params), flat, tr)
+        rhs = _side(shared, "cor22chain.step7.rhs", lambda: cross_gauge(params))
+        return _skew_resids(lhs, rhs, flat, tr)
 
     if corruption:
         return [step7]
@@ -579,7 +666,8 @@ def _chain_steps(params, s, z, samples, corruption=None) -> list:
 
 
 @_over_points
-def check_proof_chain_cor22(tr, params, s, z, samples=None, corruption=None) -> list:
+def check_proof_chain_cor22(tr, params, s, z, samples=None, corruption=None,
+                            shared=_alone) -> list:
     """Every intermediate identity in the derivation of crossing-unitarity
     from the crossing relation, checked verbatim: {"step1": ..., "step7": ...},
     each step's residual or the SingularPointError that stopped it.  The
@@ -591,7 +679,7 @@ def check_proof_chain_cor22(tr, params, s, z, samples=None, corruption=None) -> 
     """
     if samples is None:
         samples = [[x] for x in s]
-    steps = _chain_steps(params, s, z, samples, corruption)
+    steps = _chain_steps(params, s, z, samples, corruption, shared)
     if corruption:
         return steps[0](tr)
     results = []
@@ -602,13 +690,15 @@ def check_proof_chain_cor22(tr, params, s, z, samples=None, corruption=None) -> 
 
 
 @_over_points
-def integration_trace_check(tr, params, s, z1, z2, u, corruption=None) -> list[float]:
+def integration_trace_check(tr, params, s, z1, z2, u, corruption=None,
+                            shared=_alone) -> list[float]:
     """End-to-end exercise of the quadratic trace functional in the
     evaluation model at central charge zero, where the Lax matrices are
     R-matrices against an auxiliary quantum leg and the conjugated kernel
     reduces to the identity.  Validates trace, shift-conjugation and
     sl-dressing bookkeeping; mathematically it reduces to shifted unitarity.
-    Batched over grid points (_over_points).
+    Batched over grid points (_over_points).  The control corrupts the right
+    side; the left side is shared (_side).
     """
     g = _guard(params)
 
@@ -618,10 +708,9 @@ def integration_trace_check(tr, params, s, z1, z2, u, corruption=None) -> list[f
     r13 = r(z1, u).embed(3, (1, 3))
     conj_q = (r13.inv(g) @ r13).conj_by_shift(1)
     n1 = trace_weight_direct(params).embed(3, (1,))
-    t23 = (n1 @ conj_q).partial_trace(1)
     r_loc = r(z2, u)
     d_loc = weight_shift_matrix(2, 1, +1)
-    lhs = t23 @ r_loc @ d_loc
+    lhs = _side(shared, "traceint.lhs", lambda: (n1 @ conj_q).partial_trace(1) @ r_loc @ d_loc)
     if corruption == "identity_n":
         n1_shifted = DynMatrix.identity(3)
     else:
@@ -948,26 +1037,58 @@ def _report(name, point, out, tol, detail="", note="") -> CheckReport:
     return CheckReport(name, point, out, "pass" if ok else "fail", _join(detail, note))
 
 
+# The run of run_suite: its grid, its points and the store of what its rows
+# share, by key: the inputs of each inputs function (_inputs) and what a
+# check shares through its `shared` argument (_share), such as the sides of
+# an identity that a row's corruption leaves alone (_side), keyed by the
+# options they depend on.  run_suite drops it with _R_SAMPLES and _R_W when
+# the run ends; outside a run, or for other points, a row computes alone.
+_RUN: tuple | None = None
+
+
+def _share(store, key, make):
+    """make(), or what a row of the run made under key before, from the
+    run's store."""
+    if key not in store:
+        store[key] = make()
+    return store[key]
+
+
+def _inputs(inputs, grid, points) -> tuple:
+    """Each point's report point, check arguments and detail and note
+    (inputs), and the arguments as columns over the points.  The reports
+    of every row that shares these inputs, at one point, share its report
+    point."""
+    ins = []
+    for pt in points:
+        keys, args, *detail = inputs(grid, pt)
+        ins.append(({"q": pt.params.q, "p": pt.params.p, **keys, "index": pt.index}, args, *detail))
+    return ins, [list(c) for c in zip(*(i[1] for i in ins))]
+
+
 def _runner(name, check, inputs, options):
     """The suite runner of one row: (grid, points) -> the points' CheckReports
     in point order.  A check batched by _over_points (one that builds a
     DynMatrix) runs once over all the points and gives each point's first
     guard trip as that point's result; a scalar special-function check runs
-    at each point, where a trip is its result."""
+    at each point, where a trip is its result.  Within run_suite, the row
+    shares its inputs, and what its check shares, with the run's other
+    rows (_RUN)."""
 
     def run(grid: GridSpec, points: list[GridPoint]) -> list[CheckReport]:
-        ins = [inputs(grid, pt) for pt in points]
-        columns = [list(c) for c in zip(*(i[1] for i in ins))]
+        in_run = _RUN is not None and (grid, points) == _RUN[:2]
+        shared = functools.partial(_share, _RUN[2]) if in_run else _alone
+        ins, columns = shared(inputs, lambda: _inputs(inputs, grid, points))
         if getattr(check, "over_points", False):
-            outs = check(*columns, **options)
+            sharing = {"shared": shared} if getattr(check, "shares", False) else {}
+            outs = check(*columns, **options, **sharing)
         else:
             tr = Trips(len(points))
             outs = tr.outcomes(tr.each(functools.partial(check, **options), *columns))
         reports = []
-        for pt, (keys, _, *detail), out in zip(points, ins, outs):
+        for pt, (point, _, *detail), out in zip(points, ins, outs):
             steps = out.items() if isinstance(out, dict) else [("", out)]
             for step, res in steps:
-                point = {"q": pt.params.q, "p": pt.params.p, **keys, "index": pt.index}
                 label = f"{name}.{step}" if step else name
                 reports.append(_report(label, point, res, pt.params.tolerance, *detail))
         return reports
@@ -998,13 +1119,20 @@ def resolve_check_names(tokens) -> list[str]:
 
 def run_suite(grid: GridSpec) -> list[CheckReport]:
     """Deterministic execution of the selected checks over the sampled grid;
-    reports are ordered by check name, then point index."""
+    reports are ordered by check name, then point index.  The R memos and
+    what the rows share (_RUN) live for one run."""
+    global _RUN
     names = resolve_check_names(grid.checks)
     points = grid.sample_points()
-    _R_SAMPLES.clear()  # the R-sample memo lives for one run
-    reports = [rep for name in names for rep in _REGISTRY[name](grid, points)]
     _R_SAMPLES.clear()
-    return reports
+    _R_W.clear()
+    _RUN = grid, points, {}
+    try:
+        return [rep for name in names for rep in _REGISTRY[name](grid, points)]
+    finally:
+        _RUN = None
+        _R_SAMPLES.clear()
+        _R_W.clear()
 
 
 def summarize(reports) -> dict:

@@ -7,14 +7,18 @@ any flag of the ``check`` command; its path comes from --config or the
 DYNELL_CONFIG environment variable, and explicit flags win.
 
 A JSON report holds the bytes of ``json.dumps(doc, sort_keys=True,
-indent=2, allow_nan=False)``, written by ``_dumps``, which encodes each
-distinct point of the reports once.
+indent=2, allow_nan=False)`` of the document whose reports are the
+CheckReports' ``to_dict()``, written by ``_dumps``.  It takes the
+CheckReports themselves and writes each report's five fields directly from
+``CheckReport.document``, their one definition, encoding each point object
+once; any other value takes the generic walk.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -26,6 +30,7 @@ import numpy as np
 from .special import Params, SingularPointError, rho_norm, theta
 from .rmatrix import (
     RPoint,
+    UnderflowError,
     build_r,
     build_r_twisted,
     cross_gauge,
@@ -34,8 +39,10 @@ from .rmatrix import (
 )
 from .checks import (
     SCHEMA_VERSION,
+    CheckReport,
     GridSpec,
     format_complex,
+    format_point,
     resolve_check_names,
     run_suite,
     suite_passes,
@@ -245,36 +252,66 @@ def _render_text(reports, counts, passed) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _encode(obj, pad: str, memo: dict) -> str:
+def _encode(obj, pad: str, points: dict) -> str:
     """obj as json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-    writes it at the indentation pad (a newline and spaces); a dict that
-    holds no dict is encoded once per distinct repr and pad, since equal
-    reprs of these types are equal documents (1, 1.0 and True differ)."""
+    writes it at the indentation pad (a newline and spaces); a CheckReport
+    as its to_dict() (_encode_report), with points the text of each point
+    written so far."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
+    # json's own forms of a finite float, null and an int
+    if type(obj) is float and math.isfinite(obj):
+        return float.__repr__(obj)
+    if obj is None:
+        return "null"
+    if type(obj) is int:
+        return int.__repr__(obj)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        key = None if dict in map(type, obj.values()) else (pad, repr(obj))
-        if key in memo:
-            return memo[key]
-        inner = pad + "  "
-        text = "{" + ",".join([f"{inner}{encode_basestring_ascii(k)}: {_encode(v, inner, memo)}"
-                               for k, v in sorted(obj.items())]) + pad + "}"
-        if key is not None:
-            memo[key] = text
-        return text
+        return _encode_items(sorted(obj.items()), pad, points) if obj else "{}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = pad + "  "
-        return "[" + ",".join([inner + _encode(v, inner, memo) for v in obj]) + pad + "]"
+        return "[" + ",".join([inner + _encode(v, inner, points) for v in obj]) + pad + "]"
+    if isinstance(obj, CheckReport):
+        return _encode_report(obj, pad, points)
     return json.dumps(obj, allow_nan=False)  # a NaN or inf raises ValueError
+
+
+def _encode_items(items, pad: str, points: dict) -> str:
+    """The non-empty dict of the sorted (key, value) pairs items at pad."""
+    inner = pad + "  "
+    return "{" + ",".join([f"{inner}{encode_basestring_ascii(k)}: {_encode(v, inner, points)}"
+                           for k, v in items]) + pad + "}"
+
+
+# The fields of a report's document (CheckReport.document, their one
+# definition) in sorted order, each with its encoded key
+_REPORT_KEYS = [(k, encode_basestring_ascii(k) + ": ")
+                for k in sorted(CheckReport("", {}, None, "").document(None))]
+
+
+def _encode_report(report: CheckReport, pad: str, points: dict) -> str:
+    """report.to_dict() at pad, written field by field from
+    report.document, its point formatted and encoded once per point object
+    and pad: the reports of the rows that share their inputs share one at
+    each grid point.  The document holds each point while it is written, so
+    no id is reused."""
+    inner = pad + "  "
+    key = (inner, id(report.point))
+    point = points.get(key)
+    if point is None:
+        point = points[key] = _encode(format_point(report.point), inner, points)
+    doc = report.document(None)
+    return "{" + ",".join([
+        inner + k + (point if name == "point" else _encode(doc[name], inner, points))
+        for name, k in _REPORT_KEYS]) + pad + "}"
 
 
 def _dumps(doc: dict) -> str:
     """json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) of a
-    document of dicts with str keys, lists, str, int, float, bool and None."""
+    document of dicts with str keys, lists, str, int, float, bool and None,
+    where a CheckReport stands for its to_dict()."""
     return _encode(doc, "\n", {})
 
 
@@ -304,7 +341,7 @@ def _cmd_check(args) -> int:
         doc = {
             "schema_version": SCHEMA_VERSION,
             "config_echo": _config_echo(args, grid),
-            "reports": [r.to_dict() for r in reports],
+            "reports": reports,
             "summary": counts,
         }
         if not args.no_timestamp:
@@ -353,6 +390,11 @@ def _cmd_eval(args) -> int:
     except SingularPointError as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    except UnderflowError as exc:
+        if exc.s == s:
+            raise
+        # a read at a shift of s underflowed: name the object and the given s
+        raise ValueError(f"{obj} at s = {args.s}: {exc}") from None
     if not np.isfinite(value).all():
         print(f"{obj} is not finite at {at} (floating-point overflow)", file=sys.stderr)
         return 1

@@ -35,9 +35,15 @@ of it.  A one-point R leaf reads _r_array.  A grid read of R goes through a
 memo of the samples evaluated in the run (_r_read), and evaluates the
 samples it has not seen in one stack (_r_stack).  Both read rho(z),
 Theta(z), Theta(q^2 z) and Theta(q^2) from the value caches of special, the
-stack once per read for all points (_theta_rows, _rho_rows), and the stack
-forms its Theta of arguments with w in its own broadcast.  Every memo is
-read through special._held.
+stack once per read for all points (_theta_rows, _rho_rows).  What depends
+on w alone -- w, Theta(w), Theta(1/w) and the factors of b and bbar
+(_w_factors) -- the stack takes from a second memo of the run, by (s,
+Params, twisted) (_w_rows), which forms each key once, in one broadcast per
+factor over the points' padded rows; per sample the stack forms only
+Theta(w z) and Theta(z/w), in one broadcast each.  The one-point read forms
+the same factors lazily, one after another past its guards.  _entries is
+the one formula of b, bbar, c and cbar for both.  Every memo is read
+through special._held.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ from .shiftcalc import DynMatrix, _leg_shifts, _sampled, _stack
 
 __all__ = [
     "RPoint",
+    "UnderflowError",
     "build_r",
     "build_r_twisted",
     "gauge_g",
@@ -75,12 +82,20 @@ def _logq(q: complex) -> complex:
     return cmath.log(q)
 
 
+class UnderflowError(ValueError):
+    """w = q^{2s} underflows to 0 at the sample s, which it keeps."""
+
+    def __init__(self, s: complex):
+        super().__init__(f"w = q^(2s) underflows to 0 at s = {s}")
+        self.s = s
+
+
 def dyn_w(s: complex, params: Params) -> complex:
-    """The dynamical parameter w = q^{2s}; a ValueError where it underflows
-    to 0."""
+    """The dynamical parameter w = q^{2s}; an UnderflowError where it
+    underflows to 0."""
     w = cmath.exp(2.0 * s * _logq(params.q))
     if w == 0:
-        raise ValueError(f"w = q^(2s) underflows to 0 at s = {s}")
+        raise UnderflowError(s)
     return w
 
 
@@ -96,8 +111,8 @@ def _dyn_w_rows(s: np.ndarray, params: tuple, pts: np.ndarray) -> np.ndarray:
     """dyn_w(s[i], params[pts[i]]) for every sample i in one array pass, to
     the last bit: 2.0 * s * log q is formed on split real and imaginary
     parts in CPython's order, since numpy's complex * may fuse a product.
-    The points' log q come from one table per grid (_logq_rows).  A
-    ValueError names the first sample where w underflows to 0."""
+    The points' log q come from one table per grid (_logq_rows).  An
+    UnderflowError names the first sample where w underflows to 0."""
     logq = _logq_rows(tuple(params))[pts]
     sr, si, br, bi = s.real, s.imag, logq.real, logq.imag
     ar, ai = 2.0 * sr - 0.0 * si, 2.0 * si + 0.0 * sr
@@ -105,7 +120,7 @@ def _dyn_w_rows(s: np.ndarray, params: tuple, pts: np.ndarray) -> np.ndarray:
     x.real, x.imag = ar * br - ai * bi, ar * bi + ai * br
     w = np.exp(x)
     if not w.all():
-        raise ValueError(f"w = q^(2s) underflows to 0 at s = {complex(s[w == 0][0])}")
+        raise UnderflowError(complex(s[w == 0][0]))
     return w
 
 
@@ -135,24 +150,43 @@ _R_TRIPPED = np.zeros((4, 4), dtype=complex)  # what a tripped sample holds
 _R_TRIPPED.flags.writeable = False
 
 
-def _entries(w, k, th, poch, guard, twisted: bool) -> tuple:
+def _w_factors(w, p, q2, th, poch, twisted: bool):
+    """The factors of R that depend on w = q^{2s} alone, in the order
+    _entries reads them: Theta(w), Theta(1/w), then those of b and bbar
+    (module docstring).  A generator, so that a one-point read forms each
+    only once the guards before it have passed."""
+    yield th(w)
+    yield th(1.0 / w)
+    if twisted:
+        yield poch(p / w)
+        yield poch(w)
+        yield poch(p * q2 / w)
+        yield poch(p / (q2 * w))
+        yield poch(q2 * w)
+        yield poch(w / q2)
+    else:
+        yield th(q2 * w)
+        yield th(q2 / w)
+
+
+def _entries(w, k, th, wf, guard, twisted: bool) -> tuple:
     """b, bbar, c, cbar (module docstring) at w = q^{2s} from what R reads
     of z and Params alone, k = (z, p, q, q^2, Theta(z), Theta(q^2 z),
-    Theta(q^2)), with th, poch the theta and (.; p) of arguments with w;
-    guard(value, label, where) runs in this order.  Numbers give one sample,
-    arrays a read."""
+    Theta(q^2)), the iterator wf of the factors of w alone (_w_factors) and
+    th, the theta of arguments with w and z; guard(value, label, where)
+    runs in this order.  Numbers give one sample, arrays a read."""
     z, p, q, q2, thz, thq2z, thq2 = k
     thq2z = guard(thq2z, "Theta(q^2 z)", " at z={0}, s={1}")
-    thw = guard(th(w), "Theta(w)", " at z={0}, s={1}")
-    thwi = guard(th(1.0 / w), "Theta(1/w)", " at z={0}, s={1}")
+    thw = guard(next(wf), "Theta(w)", " at z={0}, s={1}")
+    thwi = guard(next(wf), "Theta(1/w)", " at z={0}, s={1}")
     if twisted:
-        pw = guard(poch(p / w), "(p/w; p)", " at s={1}")
-        ww = guard(poch(w), "(w; p)", " at s={1}")
-        b = q * poch(p * q2 / w) * poch(p / (q2 * w)) / (pw * pw) * thz / thq2z
-        bb = q * poch(q2 * w) * poch(w / q2) / (ww * ww) * thz / thq2z
+        pw = guard(next(wf), "(p/w; p)", " at s={1}")
+        ww = guard(next(wf), "(w; p)", " at s={1}")
+        b = q * next(wf) * next(wf) / (pw * pw) * thz / thq2z
+        bb = q * next(wf) * next(wf) / (ww * ww) * thz / thq2z
     else:
-        b = th(q2 * w) * thz / (thw * thq2z)
-        bb = th(q2 / w) * thz / (thwi * thq2z)
+        b = next(wf) * thz / (thw * thq2z)
+        bb = next(wf) * thz / (thwi * thq2z)
     c = thq2 * th(w * z) / (thw * thq2z)
     cb = thq2 * th(z / w) / (thwi * thq2z)
     return b, bb, c, cb
@@ -170,8 +204,10 @@ def _assemble(rho, b, bb, c, cb) -> np.ndarray:
 def _r_array(z: complex, s: complex, params: Params, twisted: bool) -> np.ndarray:
     p, q, n, g = params.p, params.q, params.truncation_order, params.singular_guard
     k = z, p, q, q * q, theta(z, params), theta(q * q * z, params), theta(q * q, params)
-    b_c = _entries(dyn_w(s, params), k, lambda x: theta(x, params), lambda x: _poch1(x, p, n),
-                   lambda v, label, where: guarded(v, label, g, where, z, s), twisted)
+    w, th = dyn_w(s, params), lambda x: theta(x, params)
+    wf = _w_factors(w, p, k[3], th, lambda x: _poch1(x, p, n), twisted)
+    b_c = _entries(w, k, th, wf, lambda v, label, where: guarded(v, label, g, where, z, s),
+                   twisted)
     r = _assemble(rho_norm(z, params), *b_c)  # rho's trip raised after the guards of b_c
     # the lru_cache hands this same array to every caller
     r.flags.writeable = False
@@ -181,9 +217,10 @@ def _r_array(z: complex, s: complex, params: Params, twisted: bool) -> np.ndarra
 def _r_stack(zs: list, params: tuple, twisted: bool, s, pts, log: list) -> dict:
     """The evaluation of R at samples s[i] at point pts[i] of a grid read:
     the factors of z alone (_entries' k) come once per point from the value
-    caches of Theta and rho, gathered by pts, every factor with w in one
-    broadcast over the samples, taken past the trips that the guards then
-    pick out and log."""
+    caches of Theta and rho, gathered by pts, the factors of w alone from
+    _R_W (_w_rows), and Theta(w z) and Theta(z/w) in one broadcast each over
+    the samples, taken past the trips that the guards then pick out and
+    log."""
     n, q2 = len(zs), [x.q * x.q for x in params]
     th = _theta_rows(zs + [a * z for a, z in zip(q2, zs)] + q2, np.tile(np.arange(n), 3), params)
     rho = _rho_rows(list(zip(zs, params)))  # a trip's message where rho tripped
@@ -191,7 +228,6 @@ def _r_stack(zs: list, params: tuple, twisted: bool, s, pts, log: list) -> dict:
     k = [np.array(col)[pts] for col in (zs, [x.p for x in params], [x.q for x in params], q2,
                                         th[:n], th[n:2 * n], th[2 * n:])]
     table, pp = (col[pts] for col in _grid_tables(params))
-    logq = _logq_rows(params)[pts]
     # per sample, the first guard it trips: made[k](i) is guard k's trip at sample i
     g, first, made, point = _guard(params), np.full(len(s), -1), [], pts.tolist()
 
@@ -202,9 +238,9 @@ def _r_stack(zs: list, params: tuple, twisted: bool, s, pts, log: list) -> dict:
         return value
 
     poch = partial(_poch1_rows, table=table)
+    w, *wf = _w_rows(params, twisted, s, pts)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        b_c = _entries(np.exp(2.0 * s * logq), k, lambda x: poch(x) * poch(k[1] / x) * pp,
-                       poch, guard, twisted)
+        b_c = _entries(w, k, lambda x: poch(x) * poch(k[1] / x) * pp, iter(wf), guard, twisted)
         r = _assemble(np.array([0.0 if t else v for v, t in zip(rho, tripped)])[pts, None, None],
                       *b_c)
     first[np.array(tripped)[pts] & (first < 0)] = len(made)
@@ -217,10 +253,33 @@ def _r_stack(zs: list, params: tuple, twisted: bool, s, pts, log: list) -> dict:
 
 
 # The R samples of grid reads: by (z, Params, twisted, s), R with zeros where
-# it tripped and the message of its trip or None, read through _held.
-# run_suite empties it before and after a run.
+# it tripped and the message of its trip or None.  Beside it, _R_W: by (s,
+# Params, twisted), w and the factors of R of w alone (_w_factors).  Both are
+# read through _held and bounded by _R_SAMPLES_SIZE keys; run_suite empties
+# them before and after a run.
 _R_SAMPLES: dict = {}
+_R_W: dict = {}
 _R_SAMPLES_SIZE = 1 << 15
+
+
+def _w_rows(params: tuple, twisted: bool, s, pts) -> np.ndarray:
+    """w and the factors of w alone (_w_factors) at every sample of a grid
+    read, one row each, through _R_W.  Its misses form w = exp(2 s log q)
+    and each factor in one broadcast over the points' padded rows of powers
+    (_grid_tables), by the expressions of the R stack."""
+    keys = list(zip(s.tolist(), map(params.__getitem__, pts.tolist()), [twisted] * len(s)))
+
+    def form(at):
+        sa, pa = s[at], pts[at]
+        table, pp = (col[pa] for col in _grid_tables(params))
+        p, q2 = (np.array(col)[pa] for col in ([x.p for x in params], [x.q * x.q for x in params]))
+        poch = partial(_poch1_rows, table=table)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            w = np.exp(2.0 * sa * _logq_rows(params)[pa])
+            rows = [w, *_w_factors(w, p, q2, lambda x: poch(x) * poch(p / x) * pp, poch, twisted)]
+        return np.array(rows).T.tolist()
+
+    return np.array(_held(_R_W, _R_SAMPLES_SIZE, keys, form)).T
 
 
 def _r_read(zs: list, params: tuple, twisted: bool, s, pts, log: list) -> dict:

@@ -1,5 +1,6 @@
 """Identity checks, negative controls, and the suite harness."""
 
+import collections
 import functools
 import json
 import math
@@ -600,8 +601,9 @@ def _clear_values():
 
 class TestRepeatedWork:
     """Counted, not timed: a default pass assembles no grid read of R one
-    sample at a time, evaluates each gauge sample once, and builds each
-    kernel table once."""
+    sample at a time, evaluates each gauge sample once, forms the factors of
+    R of w alone once per (s, Params, twisted), reads each side that its
+    rows share once, and builds each kernel table once."""
 
     def test_grid_reads_stack_r_and_each_gauge_sample_is_evaluated_once(self, monkeypatch):
         assembled, r_array, g22_form, held = [], rmatrix._r_array, rmatrix._g22_form, special._held
@@ -657,13 +659,14 @@ class TestRepeatedWork:
         assert len(special._THETA) < sizes[1] and len(special._RHO) < sizes[2]
 
     def test_each_distinct_r_sample_and_grid_rho_is_formed_once(self, monkeypatch):
-        read, evaluated, rows = [], [], []
+        read, reads, evaluated, rows = [], [], [], []
         r_read, r_stack, poch2_rows = rmatrix._r_read, rmatrix._r_stack, special._poch2_rows
 
         def samples(zs, params, twisted, s, pts):
             return [(zs[p], params[p], twisted, x) for p, x in zip(pts.tolist(), s.tolist())]
 
         def reading(zs, params, twisted, s, pts, log):
+            reads.append(len(s))
             read.extend(samples(zs, params, twisted, s, pts))
             return r_read(zs, params, twisted, s, pts, log)
 
@@ -677,14 +680,79 @@ class TestRepeatedWork:
                             poch2_rows(xs, *a))
         _clear_values()
         reports = run_suite(GRID)
-        # 4,077 R samples in 146 grid reads, 1,951 of them distinct: Gamma's
+        # 3,777 R samples in 134 grid reads, 1,951 of them distinct: Gamma's
         # diagonal pattern leaves unread the R entries that would meet its
-        # structurally zero off-diagonal
-        assert len(read) == 4077
+        # structurally zero off-diagonal, and a control reads no side that
+        # its identity's row reads (test_a_shared_side_is_read_once_per_run)
+        assert (len(read), len(reads)) == (3777, 134)
         assert len(evaluated) == len(set(evaluated)) == len(set(read)) == 1951
         # rho's six two-base rows once per distinct grid (z, Params): 832 at seed 0
         assert sum(rows) == 6 * len(special._RHO) == 6 * 832
         assert summarize(reports) == {"pass": 971, "fail": 0, "skipped": 29}
+
+    def test_each_set_of_factors_of_w_alone_is_formed_once(self, monkeypatch):
+        formed, rows, inside = [], [], []
+        held, poch1_rows, r_stack = rmatrix._held, special._poch1_rows, rmatrix._r_stack
+
+        def holding(cache, size, keys, form):
+            if cache is rmatrix._R_W:
+                return held(cache, size, keys, lambda at: formed.extend(map(
+                    keys.__getitem__, at)) or form(at))
+            return held(cache, size, keys, form)
+
+        def counting(x, table):
+            if inside:
+                rows.append(len(x))
+            return poch1_rows(x, table)
+
+        def stacking(*args):
+            inside.append(True)
+            try:
+                return r_stack(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(rmatrix, "_held", holding)
+        monkeypatch.setattr(rmatrix, "_r_stack", stacking)
+        for module in (rmatrix, special):
+            monkeypatch.setattr(module, "_poch1_rows", counting)
+        _clear_values()
+        reports = run_suite(GRID)
+        # w and the factors of w alone once per distinct (s, Params, twisted):
+        # 718 at seed 0, for 1,951 distinct R samples
+        assert len(formed) == len(set(formed)) == 718
+        assert {twisted for _, _, twisted in formed} == {False, True}
+        # the one-base rows of grid R reads: those, Theta(w z) and Theta(z/w)
+        # of each distinct sample, and the misses of Theta of z alone
+        assert sum(rows) == 15896
+        assert not rmatrix._R_W and not rmatrix._R_SAMPLES  # dropped with the run
+        assert summarize(reports) == {"pass": 971, "fail": 0, "skipped": 29}
+
+    def test_a_shared_side_is_read_once_per_run(self, monkeypatch):
+        built, asked, side = collections.Counter(), collections.Counter(), checks._side
+
+        def counting(shared, key, build):
+            read = side(shared, key, lambda: built.update([key]) or build())
+            return lambda samples: asked.update([key]) or read(samples)
+
+        monkeypatch.setattr(checks, "_side", counting)
+        grid = GridSpec(n_points=3)
+        run_suite(grid)
+        # each side built and read once per run, for every row that reads it
+        assert set(built.values()) == {1}
+        assert asked == {
+            ("dybe.rhs", False): 2, ("dybe.rhs", True): 1, "unitarity.rhs": 3,
+            ("crossing.rhs", False): 1, ("crossing.rhs", True): 2,
+            ("crossunit.rhs", False): 1, ("crossunit.rhs", True): 2,
+            "nforms.rhs": 2, "cor22chain.step7.rhs": 2, "lemmap1.lhs": 2,
+            "traceint.lhs": 2,
+        }
+        # outside a run, every row builds and reads its own
+        built.clear()
+        points = grid.sample_points()
+        for name in ("dybe.negctrl", "dybe.r"):
+            _REGISTRY[name](grid, points)
+        assert built == {("dybe.rhs", False): 2}
 
     def test_a_cold_pass_builds_each_kernel_table_once(self):
         tables = (special._powers, special._poch2_table)
@@ -839,6 +907,15 @@ class TestResidualTruncationScaling:
             assert r_fine <= 10 * max(r_coarse, 1e-16)
 
 
+# small grids on which the rows of a run share sides, each with guard trips:
+# a default one, one at large p and one of complex parameters
+SHARING_GRIDS = [
+    GridSpec(n_points=3),
+    GridSpec(n_points=3, p_fixed=0.8),
+    GridSpec(n_points=4, seed=1, q_half_fixed=0.55 + 0.2j, p_fixed=0.6),
+]
+
+
 class TestSuite:
     @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32, 2**32 + 5, 2**70 + 3])
     def test_grid_generators_are_those_of_the_seed_sequence_of_ints(self, seed):
@@ -877,6 +954,28 @@ class TestSuite:
                     ok = rep.residual <= POINT0.params.tolerance
                 assert rep.status == ("pass" if ok else "fail"), (key, rep.residual)
         assert controls == {k for k in _REGISTRY if k.endswith(".negctrl")}
+
+    @pytest.mark.parametrize("grid", SHARING_GRIDS)
+    def test_a_shared_side_gives_the_reports_of_a_side_read_in_place(self, grid, monkeypatch):
+        # its trips are noted where the row's own read would note them
+        shared = [r.to_dict() for r in run_suite(grid)]
+        monkeypatch.setattr(checks, "_side", lambda shared, key, build: build())
+        assert [r.to_dict() for r in run_suite(grid)] == shared
+        assert any(r["status"] == "skipped-singular" for r in shared)  # trips are noted
+
+    @pytest.mark.parametrize("grid", SHARING_GRIDS)
+    def test_a_row_run_alone_gives_its_reports_of_the_full_run(self, grid):
+        # a control without its identity reads the sides it would share
+        # itself; a side keyed too loosely would hand a row another's read
+        full = run_suite(grid)
+
+        def row(report):
+            return report.name if report.name in _REGISTRY else report.name.rsplit(".", 1)[0]
+
+        for name in all_check_names():
+            rows = set(resolve_check_names((name,)))
+            alone = run_suite(replace(grid, checks=(name,)))
+            assert [r.to_dict() for r in alone] == [r.to_dict() for r in full if row(r) in rows]
 
     def test_resolve_prefixes(self):
         assert resolve_check_names(["magic"]) == ["magic.critical", "magic.negctrl"]

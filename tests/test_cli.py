@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from dynell import cli
 from dynell import RPoint, SingularPointError, build_r, rho_norm, theta, unitarity_scalar
-from dynell.checks import GridSpec, format_complex, run_suite
+from dynell.checks import CheckReport, GridSpec, format_complex, run_suite
 from dynell.cli import _dumps, main, parse_complex
 from dynell import rmatrix
 from dynell.rmatrix import _r_array
@@ -295,7 +295,8 @@ class TestJsonWriter:
         assert 0 < text.index('"summary"') < text.index('"timestamp"')
 
     def test_a_report_with_skips_is_the_stdlib_encoding(self, tmp_path, monkeypatch):
-        # p = 0.8 skips 34 reports, each with a detail
+        # p = 0.8 skips 34 reports, each with a detail; the writer is handed
+        # the CheckReports and writes each as its to_dict()
         monkeypatch.delenv("DYNELL_CONFIG", raising=False)
         docs, dumps = [], cli._dumps
         monkeypatch.setattr(cli, "_dumps", lambda doc: docs.append(doc) or dumps(doc))
@@ -303,9 +304,22 @@ class TestJsonWriter:
         main(["check", "--p", "0.8", "--points", "3", "--format", "json", "--no-timestamp",
               "--output", str(out)])
         [doc] = docs
+        reports = [r.to_dict() for r in doc["reports"]]
         assert doc["summary"]["skipped"] == 34
-        assert any(r["detail"] for r in doc["reports"])
-        assert out.read_text() == _stdlib(doc) + "\n"
+        assert any(r["detail"] for r in reports)
+        assert out.read_text() == _stdlib({**doc, "reports": reports}) + "\n"
+
+    def test_reports_are_written_as_their_dicts(self):
+        # one point object shared by two reports, at two depths; an equal
+        # point in an object of its own; a residual that is not finite
+        point = {"q": 0.47 + 0j, "p": -0.0 + 0j, "z": (1.5 - 0j, -0.0 + 2j), "index": 1}
+        a = CheckReport("a.negctrl", point, 0.25, "pass", "negative control")
+        b = CheckReport("b", point, math.inf, "fail", "residual is not finite")
+        c = CheckReport("c", dict(point), None, "skipped-singular", "singular point")
+        doc = {"reports": [a, b, c], "nested": [[a, {"x": [c]}]], "summary": {"pass": 1}}
+        dicts = {"reports": [r.to_dict() for r in (a, b, c)],
+                 "nested": [[a.to_dict(), {"x": [c.to_dict()]}]], "summary": {"pass": 1}}
+        assert _dumps(doc) == _stdlib(dicts)
 
 
 class TestSharedValueCache:
@@ -479,14 +493,16 @@ class TestEvalCommand:
             f"{argv[0]} is not finite at {where} (floating-point overflow)\n"
         )
 
-    # w = q^(2s) underflows to 0; N(s) reads G at s - 1
+    # w = q^(2s) underflows to 0; N(s) reads G at s - 1, so its error also
+    # names N and the s it was given
     @pytest.mark.parametrize("obj,at", [("R", 500), ("G", 500), ("N", 499), ("Gamma", 500)])
     def test_an_underflow_of_w_exits_two_naming_it(self, obj, at, capsys):
         rc = main(["eval", obj, "--s", "500"])
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: w = q^(2s) underflows to 0 at s = ({at}+0j)\n"
+        given = "" if at == 500 else f"{obj} at s = 500: "
+        assert captured.err == f"error: {given}w = q^(2s) underflows to 0 at s = ({at}+0j)\n"
 
     def test_full_precision_round_trip(self, capsys):
         main(["eval", "G", "--s", "0.4+0.2i"])

@@ -9,12 +9,12 @@ Exports REF with `git archive` into a temporary directory, then runs
 `python3 -m dynell check --format json --no-timestamp` there and in the
 working tree at a fixed list of settings, `python3 -m dynell eval` of each
 object at the default point and at s = -30, where the gauges and R
-overflow, and six one-point evaluations that end in a guard trip or in the
-error of z = 0.  With --host-variant both sides run the working tree, and
-the second sets NPY_DISABLE_CPU_FEATURES and OPENBLAS_CORETYPE
-(HOST_VARIANT) in its own environment: numpy's SIMD dispatch falls back to
-its X86_V2 baseline and OpenBLAS uses its Nehalem kernels, as on an older
-x86-64 host.
+overflow, and nine one-point evaluations that end in a guard trip or in
+the error of z = 0 or of an underflow of w.  With --host-variant both
+sides run the working tree, and the second sets NPY_DISABLE_CPU_FEATURES
+and OPENBLAS_CORETYPE (HOST_VARIANT) in its own environment: numpy's SIMD
+dispatch falls back to its X86_V2 baseline and OpenBLAS uses its Nehalem
+kernels, as on an older x86-64 host.
 
 Prints SAME or DIFF per command, comparing stdout, stderr and the exit
 code, with each side's own directory in stderr (the file of a warning
@@ -57,6 +57,10 @@ CHECK_SETTINGS = (
     # complex parameters, in the documented a+bi form
     "--q-half 0.55+0.2i --p 0.6 --points 8 --seed 1",
     "--q-half 0.6+0.1i --p 0.2+0.05i --points 6",
+    # rows that share sides with rows left out: controls without their
+    # identities, and part of a family on a grid where guards trip
+    "--checks lemmap1.negctrl,crossing.negctrl --points 3",
+    "--checks crossing,traceint,unitarity --p 0.8 --points 3",
 )
 
 # one-point reads that end in a trip of rho's guards (at z = 1 its value is
@@ -70,9 +74,11 @@ EVAL_EDGES = (
     "Gamma --s 0",
     "rho --z 0",
     "theta --z 0",
-    # w = q^(2s) underflows to 0: the error that names it
+    # w = q^(2s) underflows to 0: the error that names it, and for N, which
+    # reads G at s - 1, the object and the given s too
     "Gamma --s 500",
     "G --s 500",
+    "N --s 500",
 )
 
 # numpy's SIMD dispatch limited to X86_V2, and OpenBLAS's Nehalem kernels
